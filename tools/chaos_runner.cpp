@@ -213,6 +213,25 @@ void print_failure(const chaos::RunResult& r) {
   std::printf("  repro: %s\n", r.repro.c_str());
 }
 
+/// Every counter a run reports, plus its trace fingerprint: the --verbose
+/// run line's tail, and exactly what --verify-determinism compares.
+std::string counters_of(const chaos::RunResult& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "log=%lld client_ops=%llu snapshots=%llu restarts=%llu "
+                "leader_changes=%llu revocations=%llu rollbacks=%llu "
+                "fp=%016llx",
+                static_cast<long long>(r.log_length),
+                static_cast<unsigned long long>(r.client_ops),
+                static_cast<unsigned long long>(r.snapshot_installs),
+                static_cast<unsigned long long>(r.restarts),
+                static_cast<unsigned long long>(r.leader_changes),
+                static_cast<unsigned long long>(r.revocations),
+                static_cast<unsigned long long>(r.pipeline_rollbacks),
+                static_cast<unsigned long long>(r.trace_fingerprint));
+  return buf;
+}
+
 /// Writes one replayable entry — a "<protocol> <seed> [flags]" line or a
 /// schedule block — with `comment` on the line (or a line of its own ahead
 /// of a block, since blocks span lines).
@@ -621,18 +640,9 @@ int main(int argc, char** argv) {
     const chaos::RunResult r = chaos::run_one(run_options_of(cli, pr));
     ++runs;
     if (cli.verbose) {
-      std::printf(
-          "%s protocol=%s seed=%llu log=%lld client_ops=%llu snapshots=%llu "
-          "restarts=%llu leader_changes=%llu revocations=%llu fp=%016llx\n",
-          r.ok ? "ok  " : "FAIL", r.protocol.c_str(),
-          static_cast<unsigned long long>(r.seed),
-          static_cast<long long>(r.log_length),
-          static_cast<unsigned long long>(r.client_ops),
-          static_cast<unsigned long long>(r.snapshot_installs),
-          static_cast<unsigned long long>(r.restarts),
-          static_cast<unsigned long long>(r.leader_changes),
-          static_cast<unsigned long long>(r.revocations),
-          static_cast<unsigned long long>(r.trace_fingerprint));
+      std::printf("%s protocol=%s seed=%llu %s\n", r.ok ? "ok  " : "FAIL",
+                  r.protocol.c_str(), static_cast<unsigned long long>(r.seed),
+                  counters_of(r).c_str());
     }
     bool deterministic = true;
     if (cli.verify_determinism) {
@@ -643,27 +653,13 @@ int main(int argc, char** argv) {
       // as a coverage-counter or trace-fingerprint mismatch on the rerun.
       const chaos::RunResult r2 = chaos::run_one(run_options_of(cli, pr));
       ++runs;
-      deterministic = r2.trace_fingerprint == r.trace_fingerprint &&
-                      r2.ok == r.ok && r2.log_length == r.log_length &&
-                      r2.client_ops == r.client_ops &&
-                      r2.snapshot_installs == r.snapshot_installs &&
-                      r2.restarts == r.restarts &&
-                      r2.leader_changes == r.leader_changes &&
-                      r2.revocations == r.revocations &&
-                      r2.pipeline_rollbacks == r.pipeline_rollbacks;
+      deterministic = r2.ok == r.ok && counters_of(r2) == counters_of(r);
       if (!deterministic) {
-        std::printf(
-            "NONDETERMINISTIC protocol=%s seed=%llu: fp=%016llx/%016llx "
-            "log=%lld/%lld client_ops=%llu/%llu leader_changes=%llu/%llu\n",
-            r.protocol.c_str(), static_cast<unsigned long long>(r.seed),
-            static_cast<unsigned long long>(r.trace_fingerprint),
-            static_cast<unsigned long long>(r2.trace_fingerprint),
-            static_cast<long long>(r.log_length),
-            static_cast<long long>(r2.log_length),
-            static_cast<unsigned long long>(r.client_ops),
-            static_cast<unsigned long long>(r2.client_ops),
-            static_cast<unsigned long long>(r.leader_changes),
-            static_cast<unsigned long long>(r2.leader_changes));
+        std::printf("NONDETERMINISTIC protocol=%s seed=%llu:\n  run 1: %s %s\n"
+                    "  run 2: %s %s\n",
+                    r.protocol.c_str(), static_cast<unsigned long long>(r.seed),
+                    r.ok ? "ok" : "FAIL", counters_of(r).c_str(),
+                    r2.ok ? "ok" : "FAIL", counters_of(r2).c_str());
       }
     }
     if (!cli.corpus_out.empty() && r.ok && deterministic) {
