@@ -4,8 +4,8 @@
 #include <cstdio>
 #include <unordered_set>
 
-#include "harness/cluster.h"
 #include "harness/log_server.h"
+#include "harness/replica_group.h"
 #include "kv/store.h"
 
 namespace praft::chaos {
@@ -17,17 +17,6 @@ namespace {
 uint64_t op_key(const kv::Command& cmd) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(cmd.client)) << 40) ^
          cmd.seq;
-}
-
-/// harness::Cluster as the one-group GroupView it is.
-GroupView view_of(harness::Cluster& cluster) {
-  GroupView v;
-  v.num_replicas = cluster.num_replicas();
-  v.replica_up = [&cluster](int i) { return cluster.replica_up(i); };
-  v.server = [&cluster](int i) -> harness::ReplicaServer& {
-    return cluster.server(i);
-  };
-  return v;
 }
 
 }  // namespace
@@ -47,27 +36,24 @@ std::string InvariantChecker::describe(const kv::Command& cmd) {
   return buf;
 }
 
-void InvariantChecker::attach(harness::Cluster& cluster) {
-  cluster.install_apply_probe(
+void InvariantChecker::attach(harness::ReplicaGroup& group) {
+  group.install_apply_probe(
       [this](NodeId r, consensus::LogIndex i, const kv::Command& c) {
         on_apply(r, i, c);
       });
-  cluster.install_watermark_probe(
-      [this](NodeId r, consensus::LogIndex commit,
-             consensus::LogIndex applied) { on_watermark(r, commit, applied); });
-  cluster.install_reply_probe(
-      [this](const kv::Command& cmd, uint64_t value, bool okay, Time, Time) {
-        on_reply(cmd, value, okay);
-      });
-  cluster.install_snapshot_probe(
+  group.install_watermark_probe([this](NodeId r, consensus::LogIndex commit,
+                                       consensus::LogIndex applied) {
+    on_watermark(r, commit, applied);
+  });
+  group.install_snapshot_probe(
       [this](NodeId r, consensus::LogIndex idx, uint64_t fp) {
         on_snapshot_install(r, idx, fp);
       });
-  cluster.install_hard_state_probe(
+  group.install_hard_state_probe(
       [this](NodeId r, const consensus::HardState& hs) {
         on_sent_state(r, hs);
       });
-  cluster.set_restart_probe(
+  group.set_restart_probe(
       [this](NodeId r, const consensus::HardState& recovered,
              const storage::RecoveryStats& stats,
              consensus::LogIndex applied) {
@@ -304,15 +290,11 @@ void InvariantChecker::on_restart(NodeId replica,
   // the regression check above.
 }
 
-void InvariantChecker::sample_memory(harness::Cluster& cluster) {
-  sample_memory(view_of(cluster));
-}
-
-void InvariantChecker::sample_memory(const GroupView& view) {
+void InvariantChecker::sample_memory(const harness::ReplicaGroup& group) {
   if (memory_cap_ == 0) return;
-  for (int i = 0; i < view.num_replicas; ++i) {
-    if (!view.replica_up(i)) continue;  // crashed, awaiting restart
-    auto* ls = dynamic_cast<harness::LogServer*>(&view.server(i));
+  for (int i = 0; i < group.size(); ++i) {
+    // Down (crashed, awaiting restart) members have no LogServer.
+    const harness::LogServer* ls = group.log_server(i);
     if (ls == nullptr) continue;
     const size_t compactable = ls->node_iface().compactable_entries();
     if (compactable > memory_cap_) {
@@ -326,12 +308,8 @@ void InvariantChecker::sample_memory(const GroupView& view) {
   }
 }
 
-void InvariantChecker::finalize(harness::Cluster& cluster) {
-  finalize(view_of(cluster));
-}
-
-void InvariantChecker::finalize(const GroupView& view) {
-  sample_memory(view);  // one last bounded-memory check on the quiesced world
+void InvariantChecker::finalize(const harness::ReplicaGroup& group) {
+  sample_memory(group);  // one last bounded-memory check on the quiesced world
 
   // ---- Replay the agreed log and derive the linearized KV history. -------
   // Reads are logged by every baseline in the repo, so the agreed log IS the
@@ -425,8 +403,8 @@ void InvariantChecker::finalize(const GroupView& view) {
   // ---- Convergence: after the fault-free tail, everyone caught up. -------
   uint64_t fp0 = 0;
   bool have_fp0 = false;
-  for (int i = 0; i < view.num_replicas; ++i) {
-    if (!view.replica_up(i)) {
+  for (int i = 0; i < group.size(); ++i) {
+    if (!group.up(i)) {
       char buf[96];
       std::snprintf(buf, sizeof(buf),
                     "replica %d still down after quiesce (restart never ran)",
@@ -434,7 +412,7 @@ void InvariantChecker::finalize(const GroupView& view) {
       violation(buf);
       continue;
     }
-    const auto& server = view.server(i);
+    const harness::ReplicaServer& server = group.server(i);
     const auto st = replicas_.find(server.id());
     const consensus::LogIndex applied =
         st == replicas_.end() ? 0 : st->second.last_applied;

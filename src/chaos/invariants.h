@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -14,21 +13,10 @@
 #include "storage/wal.h"
 
 namespace praft::harness {
-class Cluster;
-class ReplicaServer;
+class ReplicaGroup;
 }
 
 namespace praft::chaos {
-
-/// A checker's view of ONE replica group, decoupled from what owns the
-/// replicas. harness::Cluster is one group by construction; a sharded
-/// deployment builds one view per group so the same end-of-run invariants
-/// (convergence, linearizability, bounded memory) run per group unchanged.
-struct GroupView {
-  int num_replicas = 0;
-  std::function<bool(int)> replica_up;                    // by member index
-  std::function<harness::ReplicaServer&(int)> server;     // up members only
-};
 
 /// Streaming cross-protocol invariant checker. The paper's structural-
 /// parallelism claim means every protocol in the repo must satisfy the same
@@ -74,9 +62,10 @@ class InvariantChecker {
   explicit InvariantChecker(size_t trace_capacity = 48)
       : trace_capacity_(trace_capacity) {}
 
-  /// Installs apply/watermark/reply probes on `cluster`. Call after
-  /// build_replicas (clients may be added later; the reply probe sticks).
-  void attach(harness::Cluster& cluster);
+  /// Installs the apply, watermark, snapshot, hard-state and restart probes
+  /// on `group` (they stick across restarts). Client replies arrive through
+  /// on_reply from whichever cluster owns the clients.
+  void attach(harness::ReplicaGroup& group);
 
   /// Annotates the trace (fault activations, phase markers).
   void note(std::string event);
@@ -100,16 +89,14 @@ class InvariantChecker {
   /// Arms the bounded-memory invariant: each sample asserts every replica's
   /// compactable (applied-but-uncompacted) entries stay at or below `cap`.
   void set_memory_cap(size_t cap) { memory_cap_ = cap; }
-  /// Samples the bounded-memory invariant across `cluster` now (call from a
+  /// Samples the bounded-memory invariant across `group` now (call from a
   /// simulator callback, between events — the compaction trigger runs
   /// synchronously with apply advances, so between events the cap holds).
-  void sample_memory(harness::Cluster& cluster);
-  void sample_memory(const GroupView& view);
+  void sample_memory(const harness::ReplicaGroup& group);
 
-  /// End-of-run checks: replica convergence and client-visible
+  /// End-of-run checks on `group`: replica convergence and client-visible
   /// linearizability of the whole KV history against the agreed log.
-  void finalize(harness::Cluster& cluster);
-  void finalize(const GroupView& view);
+  void finalize(const harness::ReplicaGroup& group);
 
   [[nodiscard]] bool ok() const { return violations_.empty(); }
   [[nodiscard]] const std::vector<std::string>& violations() const {

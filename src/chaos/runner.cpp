@@ -7,7 +7,7 @@
 #include "chaos/invariants.h"
 #include "common/check.h"
 #include "harness/cluster.h"
-#include "harness/log_server.h"
+#include "harness/replica_group.h"
 #include "shard/shard_invariants.h"
 #include "shard/sharded_cluster.h"
 
@@ -15,133 +15,59 @@ namespace praft::chaos {
 
 namespace {
 
-/// Current leader replica, or a deterministic fallback when nobody leads at
-/// this instant (leaderless protocols, mid-election windows).
-int resolve_leader(harness::Cluster& cluster, Time at) {
-  const int leader = cluster.leader_replica();
-  if (leader >= 0) return leader;
-  return static_cast<int>(static_cast<uint64_t>(at) %
-                          static_cast<uint64_t>(cluster.num_replicas()));
-}
+/// What the run body and the fault switch drive: replica groups over
+/// machines, one invariant checker per group. A flat cluster is the 1-group
+/// case whose machine m hosts replica m; a sharded one puts a replica of
+/// every group on each machine, so one fault window stresses several groups
+/// at once — the sharded failure mode single-group chaos can't reach.
+struct Deployment {
+  sim::Simulator& sim;
+  std::vector<harness::ReplicaGroup*> groups;
+  int machines = 0;
+  std::vector<std::unique_ptr<InvariantChecker>> chks;
 
-/// Installs one fault event. Node-targeted windows go straight into the
-/// FaultPlan; leader-targeted windows arm a simulator callback that resolves
-/// the victim when the window opens (falling back to a seed-determined
-/// replica when nobody leads at that instant).
-void arm_event(const FaultEvent& e, harness::Cluster& cluster,
-               InvariantChecker& chk) {
-  auto& faults = cluster.net().faults();
-  // Host-based id lookup: valid even while the replica is crash-destroyed
-  // (cluster.server(r) would be null inside a kCrashRestart window).
-  const auto replica_id = [&cluster](int r) { return cluster.replica_id(r); };
-  switch (e.kind) {
-    case FaultEvent::Kind::kDropBurst:
-      faults.drop_burst(e.p, e.from, e.to);
-      return;
-    case FaultEvent::Kind::kPartitionPair:
-      faults.partition_pair(replica_id(e.a), replica_id(e.b), e.from, e.to);
-      return;
-    case FaultEvent::Kind::kIsolate:
-      faults.isolate(replica_id(e.a), e.from, e.to);
-      return;
-    case FaultEvent::Kind::kCrash:
-      faults.crash(replica_id(e.a), e.from, e.to);
-      return;
-    case FaultEvent::Kind::kCrashRestart: {
-      // Real crash-recover: the node object dies at `from` (unsynced durable
-      // writes lost with it) and is rebuilt from its durable image at `to`.
-      cluster.sim().at(e.from, [&cluster, &chk, e] {
-        if (!cluster.replica_up(e.a)) return;  // overlapping window
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "crash (destroy) -> replica %d (%s)",
-                      e.a, e.describe().c_str());
-        chk.note(buf);
-        cluster.crash_replica(e.a);
-      });
-      cluster.sim().at(e.to, [&cluster, e] {
-        if (!cluster.replica_up(e.a)) cluster.restart_replica(e.a);
-      });
-      return;
-    }
-    case FaultEvent::Kind::kLeaderCrash:
-    case FaultEvent::Kind::kLeaderIsolate: {
-      const bool is_crash = e.kind == FaultEvent::Kind::kLeaderCrash;
-      cluster.sim().at(e.from, [&cluster, &chk, e, is_crash] {
-        const int victim = resolve_leader(cluster, e.from);
-        const NodeId id = cluster.replica_id(victim);
-        auto& plan = cluster.net().faults();
-        if (is_crash) {
-          plan.crash(id, e.from, e.to);
-        } else {
-          plan.isolate(id, e.from, e.to);
-        }
-        char buf[128];
-        std::snprintf(buf, sizeof(buf), "%s -> replica %d (%s)",
-                      is_crash ? "leader_crash" : "leader_isolate", victim,
-                      e.describe().c_str());
-        chk.note(buf);
-      });
-      return;
-    }
-    case FaultEvent::Kind::kLeaderMinority: {
-      cluster.sim().at(e.from, [&cluster, &chk, e] {
-        const int victim = resolve_leader(cluster, e.from);
-        const int n = cluster.num_replicas();
-        const int kept = (victim + 1) % n;
-        auto& plan = cluster.net().faults();
-        for (int p = 0; p < n; ++p) {
-          if (p == victim || p == kept) continue;
-          plan.partition_pair(cluster.replica_id(victim),
-                              cluster.replica_id(p), e.from, e.to);
-        }
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "leader_minority -> replica %d penned with %d (%s)",
-                      victim, kept, e.describe().c_str());
-        chk.note(buf);
-      });
-      return;
-    }
+  /// Fault context goes into every group's trace: a machine fault concerns
+  /// all of them.
+  void note(const std::string& event) {
+    for (auto& chk : chks) chk->note(event);
   }
-}
-
-// ---- Sharded chaos: machine-level faults over N groups. -------------------
-
-/// Fault context into every group's trace: a machine fault concerns all of
-/// them.
-void note_all(std::vector<std::unique_ptr<InvariantChecker>>& chks,
-              const std::string& event) {
-  for (auto& chk : chks) chk->note(event);
-}
-
-/// Machine currently hosting the plurality of group leaders, or a
-/// deterministic fallback when nobody leads at this instant.
-int resolve_leader_machine(shard::ShardedCluster& cluster, Time at) {
-  std::vector<int> votes(static_cast<size_t>(cluster.num_machines()), 0);
-  for (int g = 0; g < cluster.num_groups(); ++g) {
-    const int l = cluster.leader_of(g);
-    if (l >= 0) ++votes[static_cast<size_t>(cluster.member_machine(g, l))];
+  /// What the fault notes call a machine.
+  [[nodiscard]] const char* unit() const {
+    return groups.size() == 1 ? "replica" : "machine";
   }
-  int best = -1;
-  for (int m = 0; m < cluster.num_machines(); ++m) {
-    if (votes[static_cast<size_t>(m)] > 0 &&
-        (best < 0 ||
-         votes[static_cast<size_t>(m)] > votes[static_cast<size_t>(best)])) {
-      best = m;
+  [[nodiscard]] bool machine_up(int m) const {
+    return std::any_of(groups.begin(), groups.end(),
+                       [m](const harness::ReplicaGroup* g) {
+                         const int j = g->member_on(m);
+                         return j >= 0 && g->up(j);
+                       });
+  }
+  /// Machine currently hosting the plurality of group leaders, or a
+  /// deterministic fallback when nobody leads at this instant (leaderless
+  /// protocols, mid-election windows).
+  [[nodiscard]] int leader_machine(Time at) const {
+    std::vector<int> votes(static_cast<size_t>(machines), 0);
+    for (const harness::ReplicaGroup* g : groups) {
+      const int l = g->leader();
+      if (l >= 0) ++votes[static_cast<size_t>(g->machine_of(l))];
     }
+    const auto best = std::max_element(votes.begin(), votes.end());  // first
+    if (*best > 0) return static_cast<int>(best - votes.begin());
+    return static_cast<int>(static_cast<uint64_t>(at) %
+                            static_cast<uint64_t>(machines));
   }
-  if (best >= 0) return best;
-  return static_cast<int>(static_cast<uint64_t>(at) %
-                          static_cast<uint64_t>(cluster.num_machines()));
-}
+};
 
-/// Machine-level arm_event: the schedule's replica indices name MACHINES,
-/// and each window applies to every group replica the machine hosts — one
-/// fault stresses several groups at once, which is the sharded failure mode
-/// single-group chaos can't reach.
-void arm_event_sharded(const FaultEvent& e, shard::ShardedCluster& cluster,
-                       std::vector<std::unique_ptr<InvariantChecker>>& chks) {
-  auto& faults = cluster.net().faults();
+/// Installs one fault event. The schedule's replica indices name machines,
+/// and each window applies to every replica the machine hosts.
+/// Machine-targeted windows go straight into the FaultPlan; leader-targeted
+/// windows arm a simulator callback that resolves the victim when the
+/// window opens.
+void arm_event(const FaultEvent& e, sim::FaultPlan& faults, Deployment& d) {
+  // Host-based id lookup: valid even while a replica is crash-destroyed.
+  const auto ids = [&d](int m) {
+    return harness::machine_node_ids(d.groups, m);
+  };
   switch (e.kind) {
     case FaultEvent::Kind::kDropBurst:
       faults.drop_burst(e.p, e.from, e.to);
@@ -149,199 +75,188 @@ void arm_event_sharded(const FaultEvent& e, shard::ShardedCluster& cluster,
     case FaultEvent::Kind::kPartitionPair:
       // Cut every cross-machine pair: co-located replicas of DIFFERENT
       // groups never talk anyway, and same-machine traffic is untouched.
-      for (NodeId a : cluster.machine_node_ids(e.a)) {
-        for (NodeId b : cluster.machine_node_ids(e.b)) {
-          faults.partition_pair(a, b, e.from, e.to);
-        }
+      for (NodeId a : ids(e.a)) {
+        for (NodeId b : ids(e.b)) faults.partition_pair(a, b, e.from, e.to);
       }
       return;
     case FaultEvent::Kind::kIsolate:
-      for (NodeId id : cluster.machine_node_ids(e.a)) {
-        faults.isolate(id, e.from, e.to);
-      }
+      for (NodeId id : ids(e.a)) faults.isolate(id, e.from, e.to);
       return;
     case FaultEvent::Kind::kCrash:
-      for (NodeId id : cluster.machine_node_ids(e.a)) {
-        faults.crash(id, e.from, e.to);
-      }
+      for (NodeId id : ids(e.a)) faults.crash(id, e.from, e.to);
       return;
     case FaultEvent::Kind::kCrashRestart: {
-      cluster.sim().at(e.from, [&cluster, &chks, e] {
+      // Real crash-recover: the node objects die at `from` (unsynced durable
+      // writes lost with them) and are rebuilt from their durable images at
+      // `to`.
+      d.sim.at(e.from, [&d, e] {
+        if (!d.machine_up(e.a)) return;  // overlapping window
         char buf[128];
-        std::snprintf(buf, sizeof(buf), "crash (destroy) -> machine %d (%s)",
-                      e.a, e.describe().c_str());
-        note_all(chks, buf);
-        cluster.crash_machine(e.a);
+        std::snprintf(buf, sizeof(buf), "crash (destroy) -> %s %d (%s)",
+                      d.unit(), e.a, e.describe().c_str());
+        d.note(buf);
+        harness::crash_machine(d.groups, e.a);
       });
-      cluster.sim().at(e.to, [&cluster, e] { cluster.restart_machine(e.a); });
+      d.sim.at(e.to, [&d, e] { harness::restart_machine(d.groups, e.a); });
       return;
     }
     case FaultEvent::Kind::kLeaderCrash:
     case FaultEvent::Kind::kLeaderIsolate: {
       const bool is_crash = e.kind == FaultEvent::Kind::kLeaderCrash;
-      cluster.sim().at(e.from, [&cluster, &chks, e, is_crash] {
-        const int victim = resolve_leader_machine(cluster, e.from);
-        auto& plan = cluster.net().faults();
-        for (NodeId id : cluster.machine_node_ids(victim)) {
+      d.sim.at(e.from, [&d, &faults, ids, e, is_crash] {
+        const int victim = d.leader_machine(e.from);
+        for (NodeId id : ids(victim)) {
           if (is_crash) {
-            plan.crash(id, e.from, e.to);
+            faults.crash(id, e.from, e.to);
           } else {
-            plan.isolate(id, e.from, e.to);
+            faults.isolate(id, e.from, e.to);
           }
         }
         char buf[128];
-        std::snprintf(buf, sizeof(buf), "%s -> machine %d (%s)",
-                      is_crash ? "leader_crash" : "leader_isolate", victim,
-                      e.describe().c_str());
-        note_all(chks, buf);
+        std::snprintf(buf, sizeof(buf), "%s -> %s %d (%s)",
+                      is_crash ? "leader_crash" : "leader_isolate", d.unit(),
+                      victim, e.describe().c_str());
+        d.note(buf);
       });
       return;
     }
     case FaultEvent::Kind::kLeaderMinority: {
-      cluster.sim().at(e.from, [&cluster, &chks, e] {
-        const int victim = resolve_leader_machine(cluster, e.from);
-        const int m = cluster.num_machines();
-        const int kept = (victim + 1) % m;
-        auto& plan = cluster.net().faults();
-        for (int p = 0; p < m; ++p) {
+      d.sim.at(e.from, [&d, &faults, ids, e] {
+        const int victim = d.leader_machine(e.from);
+        const int kept = (victim + 1) % d.machines;
+        for (int p = 0; p < d.machines; ++p) {
           if (p == victim || p == kept) continue;
-          for (NodeId a : cluster.machine_node_ids(victim)) {
-            for (NodeId b : cluster.machine_node_ids(p)) {
-              plan.partition_pair(a, b, e.from, e.to);
-            }
+          for (NodeId a : ids(victim)) {
+            for (NodeId b : ids(p)) faults.partition_pair(a, b, e.from, e.to);
           }
         }
         char buf[128];
         std::snprintf(buf, sizeof(buf),
-                      "leader_minority -> machine %d penned with %d (%s)",
+                      "leader_minority -> %s %d penned with %d (%s)", d.unit(),
                       victim, kept, e.describe().c_str());
-        note_all(chks, buf);
+        d.note(buf);
       });
       return;
     }
   }
 }
 
-[[nodiscard]] GroupView view_of_group(shard::ShardedCluster& cluster, int g) {
-  GroupView v;
-  v.num_replicas = cluster.replicas_per_group();
-  v.replica_up = [&cluster, g](int j) { return cluster.replica_up(g, j); };
-  v.server = [&cluster, g](int j) -> harness::ReplicaServer& {
-    return cluster.server(g, j);
-  };
-  return v;
-}
-
-/// The sharded twin of run_one: same schedule, same timing profiles, but
-/// N independent groups over `num_replicas` machines (every machine hosts a
-/// replica of every group), machine-level faults, per-group invariant
-/// checkers and the cross-group routing invariant on top.
-RunResult run_one_sharded(const RunOptions& opt, const Schedule& sched,
-                          Time faults_end) {
-  RunResult res;
-  res.protocol = opt.protocol;
-  res.seed = sched.seed;
-  res.schedule = sched.describe();
-
-  const bool durability_armed =
-      opt.crash_restarts || opt.inject_persistence_bug;
-
-  shard::ShardedClusterConfig cfg;
-  cfg.num_groups = opt.groups;
-  cfg.num_machines = opt.num_replicas;
-  cfg.replicas_per_group = opt.num_replicas;  // every machine, every group
-  cfg.spread_leaders = true;
-  cfg.protocols = {opt.protocol};
-  cfg.seed = sched.seed;
-
+/// LAN-ish timing so one run fits in milliseconds of wall clock while the
+/// schedule still spans many election timeouts and heartbeats.
+consensus::TimingOptions timing_of(const RunOptions& opt) {
   consensus::TimingOptions timing;
   timing.election_timeout_min = msec(300);
   timing.election_timeout_max = msec(600);
   timing.heartbeat_interval = msec(60);
   if (opt.wan) {
+    // Paper-scale WAN timing over the (default) aws5 geo matrix: RTTs up to
+    // 292 ms keep whole windows of batches in flight per peer, so drops,
+    // reorders and restarts land mid-pipeline instead of between batches.
     timing.election_timeout_min = msec(1200);
     timing.election_timeout_max = msec(2400);
     timing.heartbeat_interval = msec(150);
   }
   if (opt.inject_quorum_bug) {
+    // The classic quorum off-by-one: n/2 acks "commit" (2 of 5). A leader
+    // on the minority side of a partition can then commit entries the next
+    // leader never saw — exactly what the invariants must catch.
     timing.unsafe_commit_quorum = opt.num_replicas / 2;
   }
   timing.compaction_log_cap = opt.compaction_log_cap;
-  if (durability_armed) {
+  if (opt.crash_restarts || opt.inject_persistence_bug) {
+    // Real fsync costs open a genuine staged-but-unsynced window; group
+    // commit keeps the run fast the same way production systems do.
     timing.fsync_duration = opt.fsync;
     timing.sync_batch_delay = opt.sync_batch;
   }
   if (opt.inject_persistence_bug) timing.unsafe_skip_vote_fsync = true;
-  cfg.timing = timing;
+  return timing;
+}
 
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+// What differs between the two cluster types, for the one run body below:
+// their groups, the warm-up, and how client replies reach a group's checker.
 
-  // One full InvariantChecker per group — group logs are independent, so
-  // agreement/watermark/linearizability state must not mix — plus the
-  // cross-group checker watching the seams.
-  std::vector<std::unique_ptr<InvariantChecker>> chks;
-  shard::CrossGroupChecker xchk(cluster.map());
-  for (int g = 0; g < cluster.num_groups(); ++g) {
-    chks.push_back(std::make_unique<InvariantChecker>());
-    InvariantChecker& chk = *chks.back();
-    cluster.install_apply_probe(
-        g, [&chk, &xchk, g](NodeId r, consensus::LogIndex i,
-                            const kv::Command& c) {
+std::vector<harness::ReplicaGroup*> groups_of(harness::Cluster& cluster) {
+  return {&cluster.group()};
+}
+std::vector<harness::ReplicaGroup*> groups_of(shard::ShardedCluster& cluster) {
+  return cluster.groups();
+}
+
+/// A stable leader (when the protocol has one) before the fault windows
+/// open, mirroring the paper's testbed runs: a seed-chosen replica in a
+/// flat cluster, every group's preferred leader in parallel when sharded.
+void warm_up(harness::Cluster& cluster, uint64_t seed) {
+  cluster.establish_leader(
+      static_cast<int>(seed % static_cast<uint64_t>(cluster.num_replicas())),
+      sec(10));
+}
+void warm_up(shard::ShardedCluster& cluster, uint64_t) {
+  cluster.establish_leaders(sec(10));
+}
+
+void check_replies(harness::Cluster& cluster, Deployment& d) {
+  cluster.install_reply_probe(
+      [&d](const kv::Command& cmd, uint64_t value, bool ok, Time, Time) {
+        d.chks[0]->on_reply(cmd, value, ok);
+      });
+}
+/// Replies are checked against the owning group's agreed log.
+void check_replies(shard::ShardedCluster& cluster, Deployment& d) {
+  cluster.install_reply_probe([&d](int g, const kv::Command& cmd,
+                                   uint64_t value, bool ok, Time, Time) {
+    d.chks[static_cast<size_t>(g)]->on_reply(cmd, value, ok);
+  });
+}
+
+/// The one run body: arms the schedule against `cluster`, runs the chaos
+/// phase and a fault-free tail, and checks every group's invariants plus
+/// the cross-group routing invariant (trivially met by one group).
+template <typename C>
+RunResult run_on(C& cluster, const RunOptions& opt, const Schedule& sched,
+                 Time faults_end) {
+  Deployment d{cluster.sim(), groups_of(cluster), opt.num_replicas, {}};
+  shard::CrossGroupChecker xchk(
+      shard::ShardMap(static_cast<int>(d.groups.size())));
+  for (size_t g = 0; g < d.groups.size(); ++g) {
+    d.chks.push_back(std::make_unique<InvariantChecker>());
+    InvariantChecker& chk = *d.chks.back();
+    chk.attach(*d.groups[g]);
+    d.groups[g]->install_apply_probe(
+        [&chk, &xchk, g = static_cast<int>(g)](
+            NodeId r, consensus::LogIndex i, const kv::Command& c) {
           chk.on_apply(r, i, c);
           xchk.on_apply(g, r, i, c);
         });
-    cluster.install_watermark_probe(
-        g, [&chk](NodeId r, consensus::LogIndex commit,
-                  consensus::LogIndex applied) {
-          chk.on_watermark(r, commit, applied);
-        });
-    cluster.install_snapshot_probe(
-        g, [&chk](NodeId r, consensus::LogIndex idx, uint64_t fp) {
-          chk.on_snapshot_install(r, idx, fp);
-        });
-    cluster.install_hard_state_probe(
-        g, [&chk](NodeId r, const consensus::HardState& hs) {
-          chk.on_sent_state(r, hs);
-        });
-    cluster.set_restart_probe(
-        g, [&chk](NodeId r, const consensus::HardState& recovered,
-                  const storage::RecoveryStats& stats,
-                  consensus::LogIndex applied) {
-          chk.on_restart(r, recovered, stats, applied);
-        });
   }
-  // One reply probe observes every client; replies are checked against the
-  // owning group's agreed log.
-  cluster.install_reply_probe([&chks](int g, const kv::Command& cmd,
-                                      uint64_t value, bool ok, Time, Time) {
-    chks[static_cast<size_t>(g)]->on_reply(cmd, value, ok);
-  });
+  check_replies(cluster, d);
 
+  const Time end = faults_end + sec(1) + opt.quiesce;
   if (opt.compaction_log_cap > 0) {
-    const Time end = faults_end + sec(1) + opt.quiesce;
-    for (auto& chk : chks) chk->set_memory_cap(opt.compaction_log_cap);
+    // Bounded memory: sample each replica's compactable tail between events
+    // throughout the run (the trigger runs synchronously on apply paths, so
+    // the cap must hold whenever the simulator is between handlers).
+    for (auto& chk : d.chks) chk->set_memory_cap(opt.compaction_log_cap);
     for (Time t = msec(500); t < end; t += msec(500)) {
-      cluster.sim().at(t, [&cluster, &chks] {
-        for (int g = 0; g < cluster.num_groups(); ++g) {
-          chks[static_cast<size_t>(g)]->sample_memory(view_of_group(cluster, g));
+      d.sim.at(t, [&d] {
+        for (size_t g = 0; g < d.groups.size(); ++g) {
+          d.chks[g]->sample_memory(*d.groups[g]);
         }
       });
     }
   }
 
-  // Coverage: leadership handoffs summed across groups, sampled between
-  // events.
+  // Coverage signal: leadership handoffs summed across groups, sampled
+  // between events.
   uint64_t leader_changes = 0;
-  if (!cluster.server(0, 0).leaderless()) {
-    auto last = std::make_shared<std::vector<int>>(
-        static_cast<size_t>(cluster.num_groups()), -1);
-    const Time end = faults_end + sec(1) + opt.quiesce;
+  const bool leaderless = d.groups[0]->server(0).leaderless();
+  if (!leaderless) {
+    auto last = std::make_shared<std::vector<int>>(d.groups.size(), -1);
     for (Time t = msec(100); t < end; t += msec(100)) {
-      cluster.sim().at(t, [&cluster, &leader_changes, last] {
-        for (int g = 0; g < cluster.num_groups(); ++g) {
-          const int now_leader = cluster.leader_of(g);
-          auto& prev = (*last)[static_cast<size_t>(g)];
+      d.sim.at(t, [&d, &leader_changes, last] {
+        for (size_t g = 0; g < d.groups.size(); ++g) {
+          const int now_leader = d.groups[g]->leader();
+          int& prev = (*last)[g];
           if (now_leader >= 0 && now_leader != prev) {
             if (prev >= 0) ++leader_changes;
             prev = now_leader;
@@ -355,31 +270,33 @@ RunResult run_one_sharded(const RunOptions& opt, const Schedule& sched,
   faults.set_drop_rate(sched.drop_rate);
   faults.set_duplicate_rate(sched.duplicate_rate);
   faults.set_reorder_rate(sched.reorder_rate);
-  for (const FaultEvent& e : sched.events) arm_event_sharded(e, cluster, chks);
+  for (const FaultEvent& e : sched.events) arm_event(e, faults, d);
 
-  // Warm-up: every group's preferred leader, in parallel, before the fault
-  // windows open.
-  if (!cluster.server(0, 0).leaderless()) {
-    cluster.establish_leaders(sec(10));
+  if (!leaderless) {
+    warm_up(cluster, sched.seed);
   } else {
     cluster.run_for(msec(500));
   }
   cluster.add_clients(sched.clients_per_region, sched.workload,
                       cluster.sim().now());
 
+  // Chaos phase, then a fault-free tail: clients stop, replicas repair and
+  // re-converge, invariants are finalized on the quiesced deployment.
   cluster.run_until(faults_end + sec(1));
-  note_all(chks, "faults over; draining clients");
+  d.note("faults over; draining clients");
   cluster.stop_clients();
   cluster.run_for(opt.quiesce);
 
-  res.ok = true;
-  for (int g = 0; g < cluster.num_groups(); ++g) {
-    InvariantChecker& chk = *chks[static_cast<size_t>(g)];
-    chk.finalize(view_of_group(cluster, g));
+  RunResult res;
+  for (size_t g = 0; g < d.groups.size(); ++g) {
+    InvariantChecker& chk = *d.chks[g];
+    chk.finalize(*d.groups[g]);
     if (!chk.ok()) {
       res.ok = false;
       for (const std::string& v : chk.violations()) {
-        res.violations.push_back("[group " + std::to_string(g) + "] " + v);
+        res.violations.push_back(
+            d.groups.size() == 1 ? v
+                                 : "[group " + std::to_string(g) + "] " + v);
       }
       if (res.trace.empty()) res.trace = chk.trace();
     }
@@ -388,10 +305,14 @@ RunResult run_one_sharded(const RunOptions& opt, const Schedule& sched,
     res.snapshot_installs += chk.snapshot_installs();
     res.restarts += chk.restarts();
     // Group-order fold: rotate so "group 0 saw X" differs from "group 1
-    // saw X" even when per-group fingerprints collide pairwise.
+    // saw X" even when per-group fingerprints collide pairwise. One group
+    // folds to its own fingerprint.
     res.trace_fingerprint =
         (res.trace_fingerprint << 1 | res.trace_fingerprint >> 63) ^
         chk.fingerprint();
+    res.revocations += static_cast<uint64_t>(d.groups[g]->revocations());
+    res.pipeline_rollbacks +=
+        static_cast<uint64_t>(d.groups[g]->pipeline_rollbacks());
   }
   if (!xchk.ok()) {
     res.ok = false;
@@ -400,22 +321,35 @@ RunResult run_one_sharded(const RunOptions& opt, const Schedule& sched,
     }
   }
   res.leader_changes = leader_changes;
-  res.revocations = static_cast<uint64_t>(cluster.retired_revocations());
-  res.pipeline_rollbacks =
-      static_cast<uint64_t>(cluster.retired_pipeline_rollbacks());
-  for (int g = 0; g < cluster.num_groups(); ++g) {
-    for (int j = 0; j < cluster.replicas_per_group(); ++j) {
-      if (!cluster.replica_up(g, j)) continue;
-      auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(g, j));
-      if (ls != nullptr) {
-        res.revocations +=
-            static_cast<uint64_t>(ls->node_iface().revocations_started());
-        res.pipeline_rollbacks +=
-            static_cast<uint64_t>(ls->node_iface().pipeline_rollbacks());
-      }
-    }
-  }
   return res;
+}
+
+/// The exact CLI command that replays a run.
+std::string repro_of(const RunOptions& opt) {
+  if (opt.schedule.has_value()) {
+    return "chaos_runner --seed-file=<corpus> replaying this run's schedule "
+           "block (evolved schedules are not seed-expressible; "
+           "--failures-out saves the block)";
+  }
+  char buf[200];
+  std::snprintf(buf, sizeof(buf), "chaos_runner --protocol=%s --seed=%llu%s",
+                opt.protocol.c_str(),
+                static_cast<unsigned long long>(opt.seed),
+                opt.inject_quorum_bug ? " --inject-quorum-bug" : "");
+  std::string repro = buf;
+  if (opt.compaction_log_cap > 0) {
+    std::snprintf(buf, sizeof(buf), " --compaction-cap=%zu",
+                  opt.compaction_log_cap);
+    repro += buf;
+  }
+  if (opt.crash_restarts) repro += " --restarts";
+  if (opt.inject_persistence_bug) repro += " --inject-persistence-bug";
+  if (opt.wan) repro += " --wan";
+  if (opt.groups > 1) {
+    std::snprintf(buf, sizeof(buf), " --groups=%d", opt.groups);
+    repro += buf;
+  }
+  return repro;
 }
 
 }  // namespace
@@ -453,165 +387,40 @@ uint64_t coverage_score(const RunResult& r) {
 }
 
 RunResult run_one(const RunOptions& opt) {
-  RunResult res;
-  res.protocol = opt.protocol;
-
-  const ScheduleLimits limits = effective_limits(opt);
   const Schedule sched = schedule_of(opt);
-  res.seed = sched.seed;
-  res.schedule = sched.describe();
   // Run phases key off the end of the fault phase. An evolved (or
   // hand-edited) schedule may carry windows past the generator limits, so
   // the fault-free tail starts after the LAST window either way.
-  Time faults_end = limits.faults_until;
+  Time faults_end = effective_limits(opt).faults_until;
   for (const FaultEvent& e : sched.events) {
     faults_end = std::max(faults_end, e.to);
   }
-  if (opt.schedule.has_value()) {
-    res.repro = "chaos_runner --seed-file=<corpus> replaying this run's "
-                "schedule block (evolved schedules are not seed-expressible; "
-                "--failures-out saves the block)";
-  } else {
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "chaos_runner --protocol=%s --seed=%llu%s",
-                  opt.protocol.c_str(),
-                  static_cast<unsigned long long>(opt.seed),
-                  opt.inject_quorum_bug ? " --inject-quorum-bug" : "");
-    res.repro = buf;
-    if (opt.compaction_log_cap > 0) {
-      std::snprintf(buf, sizeof(buf), " --compaction-cap=%zu",
-                    opt.compaction_log_cap);
-      res.repro += buf;
-    }
-    if (opt.crash_restarts) res.repro += " --restarts";
-    if (opt.inject_persistence_bug) res.repro += " --inject-persistence-bug";
-    if (opt.wan) res.repro += " --wan";
-    if (opt.groups > 1) {
-      std::snprintf(buf, sizeof(buf), " --groups=%d", opt.groups);
-      res.repro += buf;
-    }
-  }
+
+  RunResult res;
   if (opt.groups > 1) {
-    RunResult sharded = run_one_sharded(opt, sched, faults_end);
-    sharded.repro = res.repro;
-    return sharded;
-  }
-  const bool durability_armed =
-      opt.crash_restarts || opt.inject_persistence_bug;
-
-  harness::ClusterConfig cfg;
-  cfg.num_replicas = opt.num_replicas;
-  cfg.seed = sched.seed;
-  harness::Cluster cluster(cfg);
-
-  // LAN-ish timing so one run fits in milliseconds of wall clock while the
-  // schedule still spans many election timeouts and heartbeats.
-  consensus::TimingOptions timing;
-  timing.election_timeout_min = msec(300);
-  timing.election_timeout_max = msec(600);
-  timing.heartbeat_interval = msec(60);
-  if (opt.wan) {
-    // Paper-scale WAN timing over the (default) aws5 geo matrix: RTTs up to
-    // 292 ms keep whole windows of batches in flight per peer, so drops,
-    // reorders and restarts land mid-pipeline instead of between batches.
-    timing.election_timeout_min = msec(1200);
-    timing.election_timeout_max = msec(2400);
-    timing.heartbeat_interval = msec(150);
-  }
-  if (opt.inject_quorum_bug) {
-    // The classic quorum off-by-one: n/2 acks "commit" (2 of 5). A leader
-    // on the minority side of a partition can then commit entries the next
-    // leader never saw — exactly what the invariants must catch.
-    timing.unsafe_commit_quorum = opt.num_replicas / 2;
-  }
-  timing.compaction_log_cap = opt.compaction_log_cap;
-  if (durability_armed) {
-    // Real fsync costs open a genuine staged-but-unsynced window; group
-    // commit keeps the run fast the same way production systems do.
-    timing.fsync_duration = opt.fsync;
-    timing.sync_batch_delay = opt.sync_batch;
-  }
-  if (opt.inject_persistence_bug) timing.unsafe_skip_vote_fsync = true;
-  cluster.build_replicas(opt.protocol, timing);
-
-  InvariantChecker chk;
-  chk.attach(cluster);
-  if (opt.compaction_log_cap > 0) {
-    // Bounded memory: sample each replica's compactable tail between events
-    // throughout the run (the trigger runs synchronously on apply paths, so
-    // the cap must hold whenever the simulator is between handlers).
-    chk.set_memory_cap(opt.compaction_log_cap);
-    const Time end = faults_end + sec(1) + opt.quiesce;
-    for (Time t = msec(500); t < end; t += msec(500)) {
-      cluster.sim().at(t, [&cluster, &chk] { chk.sample_memory(cluster); });
-    }
-  }
-
-  // Coverage signal: count leadership handoffs by sampling between events.
-  uint64_t leader_changes = 0;
-  if (!cluster.server(0).leaderless()) {
-    auto last_leader = std::make_shared<int>(-1);
-    const Time end = faults_end + sec(1) + opt.quiesce;
-    for (Time t = msec(100); t < end; t += msec(100)) {
-      cluster.sim().at(t, [&cluster, &leader_changes, last_leader] {
-        const int now_leader = cluster.leader_replica();
-        if (now_leader >= 0 && now_leader != *last_leader) {
-          if (*last_leader >= 0) ++leader_changes;
-          *last_leader = now_leader;
-        }
-      });
-    }
-  }
-
-  auto& faults = cluster.net().faults();
-  faults.set_drop_rate(sched.drop_rate);
-  faults.set_duplicate_rate(sched.duplicate_rate);
-  faults.set_reorder_rate(sched.reorder_rate);
-  for (const FaultEvent& e : sched.events) arm_event(e, cluster, chk);
-
-  // Warm-up: a stable leader (when the protocol has one) before the fault
-  // windows open, mirroring the paper's testbed runs.
-  if (!cluster.server(0).leaderless()) {
-    cluster.establish_leader(
-        static_cast<int>(sched.seed % static_cast<uint64_t>(opt.num_replicas)),
-        sec(10));
+    shard::ShardedClusterConfig cfg;
+    cfg.num_groups = opt.groups;
+    cfg.num_machines = opt.num_replicas;
+    cfg.replicas_per_group = opt.num_replicas;  // every machine, every group
+    cfg.spread_leaders = true;
+    cfg.protocols = {opt.protocol};
+    cfg.timing = timing_of(opt);
+    cfg.seed = sched.seed;
+    shard::ShardedCluster cluster(std::move(cfg));
+    cluster.build();
+    res = run_on(cluster, opt, sched, faults_end);
   } else {
-    cluster.run_for(msec(500));
+    harness::ClusterConfig cfg;
+    cfg.num_replicas = opt.num_replicas;
+    cfg.seed = sched.seed;
+    harness::Cluster cluster(cfg);
+    cluster.build_replicas(opt.protocol, timing_of(opt));
+    res = run_on(cluster, opt, sched, faults_end);
   }
-  cluster.add_clients(sched.clients_per_region, sched.workload,
-                      cluster.sim().now());
-
-  // Chaos phase, then a fault-free tail: clients stop, replicas repair and
-  // re-converge, invariants are finalized on the quiesced cluster.
-  cluster.run_until(faults_end + sec(1));
-  chk.note("faults over; draining clients");
-  cluster.stop_clients();
-  cluster.run_for(opt.quiesce);
-
-  chk.finalize(cluster);
-  res.ok = chk.ok();
-  res.violations = chk.violations();
-  res.trace = chk.trace();
-  res.trace_fingerprint = chk.fingerprint();
-  res.log_length = chk.max_applied();
-  res.client_ops = chk.client_ops();
-  res.snapshot_installs = chk.snapshot_installs();
-  res.restarts = chk.restarts();
-  res.leader_changes = leader_changes;
-  res.revocations = static_cast<uint64_t>(cluster.retired_revocations());
-  res.pipeline_rollbacks =
-      static_cast<uint64_t>(cluster.retired_pipeline_rollbacks());
-  for (int i = 0; i < cluster.num_replicas(); ++i) {
-    if (!cluster.replica_up(i)) continue;
-    auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(i));
-    if (ls != nullptr) {
-      res.revocations +=
-          static_cast<uint64_t>(ls->node_iface().revocations_started());
-      res.pipeline_rollbacks +=
-          static_cast<uint64_t>(ls->node_iface().pipeline_rollbacks());
-    }
-  }
+  res.protocol = opt.protocol;
+  res.seed = sched.seed;
+  res.schedule = sched.describe();
+  res.repro = repro_of(opt);
   return res;
 }
 

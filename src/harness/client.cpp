@@ -2,11 +2,11 @@
 
 namespace praft::harness {
 
-ClosedLoopClient::ClosedLoopClient(NodeHost& host, NodeId server,
+ClosedLoopClient::ClosedLoopClient(NodeHost& host, Route route,
                                    kv::WorkloadGenerator gen, Metrics& metrics,
                                    Options opt)
-    : host_(host), server_(server), gen_(std::move(gen)), metrics_(metrics),
-      opt_(opt) {
+    : host_(host), route_(std::move(route)), gen_(std::move(gen)),
+      metrics_(metrics), opt_(opt) {
   host_.attach(this);
 }
 
@@ -29,7 +29,7 @@ void ClosedLoopClient::issue_next() {
 void ClosedLoopClient::transmit() {
   sent_at_ = host_.now();
   ClientRequest req{current_};
-  host_.send(server_, Message{req}, wire_size(req));
+  host_.send(route_(current_), Message{req}, wire_size(req));
   arm_retry(current_.seq);
 }
 

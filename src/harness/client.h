@@ -1,5 +1,7 @@
 #pragma once
 
+#include <functional>
+
 #include "harness/host.h"
 #include "harness/messages.h"
 #include "harness/metrics.h"
@@ -16,12 +18,15 @@ struct ClientOptions {
 
 /// Closed-loop client (§5 Workload): issues one request, waits for the reply,
 /// records latency, immediately issues the next. A retry timer guards against
-/// requests lost to leader changes or injected faults.
+/// requests lost to leader changes or injected faults. `route` picks each
+/// command's destination: a fixed replica in a flat cluster, the owning
+/// group's contact in a sharded one.
 class ClosedLoopClient final : public PacketHandler {
  public:
   using Options = ClientOptions;
+  using Route = std::function<NodeId(const kv::Command&)>;
 
-  ClosedLoopClient(NodeHost& host, NodeId server, kv::WorkloadGenerator gen,
+  ClosedLoopClient(NodeHost& host, Route route, kv::WorkloadGenerator gen,
                    Metrics& metrics, Options opt = {});
 
   void start();
@@ -44,7 +49,7 @@ class ClosedLoopClient final : public PacketHandler {
   void arm_retry(uint64_t seq);
 
   NodeHost& host_;
-  NodeId server_;
+  Route route_;
   kv::WorkloadGenerator gen_;
   Metrics& metrics_;
   Options opt_;

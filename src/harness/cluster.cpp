@@ -1,12 +1,12 @@
 #include "harness/cluster.h"
 
 #include "common/check.h"
-#include "harness/log_server.h"
 
 namespace praft::harness {
 
 Cluster::Cluster(ClusterConfig cfg)
-    : cfg_(std::move(cfg)), sim_(cfg_.seed), net_(sim_, cfg_.latency) {
+    : cfg_(std::move(cfg)), sim_(cfg_.seed), net_(sim_, cfg_.latency),
+      group_(sim_, net_, cfg_.costs) {
   PRAFT_CHECK(cfg_.num_replicas > 0);
   if (cfg_.replica_sites.empty()) {
     for (int i = 0; i < cfg_.num_replicas; ++i) {
@@ -18,118 +18,31 @@ Cluster::Cluster(ClusterConfig cfg)
 }
 
 void Cluster::build_hosts() {
+  PRAFT_CHECK_MSG(group_.size() == 0, "build_replicas called twice");
   for (int i = 0; i < cfg_.num_replicas; ++i) {
     const SiteId site = cfg_.replica_sites[static_cast<size_t>(i)];
     double egress = 0.0;
     if (static_cast<size_t>(site) < cfg_.replica_egress.size()) {
       egress = cfg_.replica_egress[static_cast<size_t>(site)];
     }
-    replica_hosts_.push_back(
-        std::make_unique<NodeHost>(sim_, net_, site, egress));
-    group_template_.members.push_back(replica_hosts_.back()->id());
+    group_.add_member(std::make_unique<NodeHost>(sim_, net_, site, egress), i);
   }
-  group_template_.self = kNoNode;
 }
 
 void Cluster::build_replicas(const ServerFactory& factory) {
-  PRAFT_CHECK_MSG(servers_.empty(), "build_replicas called twice");
-  // First pass: create hosts so every replica knows all member ids.
   build_hosts();
-  for (int i = 0; i < cfg_.num_replicas; ++i) {
-    consensus::Group g = group_template_;
-    g.self = replica_hosts_[static_cast<size_t>(i)]->id();
-    servers_.push_back(factory(*replica_hosts_[static_cast<size_t>(i)], g));
-    servers_.back()->start();
-  }
-}
-
-std::unique_ptr<ReplicaServer> Cluster::make_named_server(int i) {
-  consensus::Group g = group_template_;
-  g.self = replica_hosts_[static_cast<size_t>(i)]->id();
-  return std::make_unique<LogServer>(*replica_hosts_[static_cast<size_t>(i)],
-                                     std::move(g), cfg_.costs, protocol_,
-                                     timing_,
-                                     stores_[static_cast<size_t>(i)].get());
+  group_.start(factory);
 }
 
 void Cluster::build_replicas(const std::string& protocol,
                              const consensus::TimingOptions& timing) {
-  // An unknown name fails inside ProtocolRegistry::make with a message
-  // listing the registered protocols (no duplicate pre-check here).
-  PRAFT_CHECK_MSG(servers_.empty(), "build_replicas called twice");
-  protocol_ = protocol;
-  timing_ = timing;
   build_hosts();
-  for (int i = 0; i < cfg_.num_replicas; ++i) {
-    stores_.push_back(std::make_unique<storage::DurableStore>());
-  }
-  for (int i = 0; i < cfg_.num_replicas; ++i) {
-    servers_.push_back(make_named_server(i));
-    servers_.back()->start();
-  }
-}
-
-void Cluster::crash_replica(int i) {
-  PRAFT_CHECK(i >= 0 && i < num_replicas());
-  PRAFT_CHECK_MSG(!protocol_.empty(),
-                  "crash/restart requires name-built replicas (durable store)");
-  auto& server = servers_[static_cast<size_t>(i)];
-  if (server == nullptr) return;  // already down
-  if (auto* ls = dynamic_cast<LogServer*>(server.get())) {
-    // The incarnation's coverage counters die with it; bank them first.
-    retired_revocations_ += ls->node_iface().revocations_started();
-    retired_pipeline_rollbacks_ += ls->node_iface().pipeline_rollbacks();
-  }
-  NodeHost& host = *replica_hosts_[static_cast<size_t>(i)];
-  // Order matters: first make every pending timer/fsync callback a no-op and
-  // unbind in-flight deliveries, THEN free the node they capture.
-  host.invalidate_scheduled();
-  host.detach();
-  server.reset();
-  // A power cut loses every staged write no completed fsync covered.
-  stores_[static_cast<size_t>(i)]->drop_unsynced();
-}
-
-void Cluster::install_probes_on(int i) {
-  auto* ls = dynamic_cast<LogServer*>(servers_[static_cast<size_t>(i)].get());
-  if (ls == nullptr) return;
-  if (apply_probe_) ls->set_apply_probe(apply_probe_);
-  if (snapshot_probe_) ls->set_snapshot_probe(snapshot_probe_);
-  const NodeId id = ls->id();
-  if (watermark_probe_) {
-    ls->node_iface().set_watermark_probe(
-        [probe = watermark_probe_, id](consensus::LogIndex commit,
-                                       consensus::LogIndex applied) {
-          probe(id, commit, applied);
-        });
-  }
-  if (hard_state_probe_) {
-    ls->node_iface().set_hard_state_probe(
-        [probe = hard_state_probe_, id](const consensus::HardState& hs) {
-          probe(id, hs);
-        });
-  }
-}
-
-void Cluster::restart_replica(int i) {
-  PRAFT_CHECK(i >= 0 && i < num_replicas());
-  if (replica_up(i)) crash_replica(i);
-  servers_[static_cast<size_t>(i)] = make_named_server(i);
-  install_probes_on(i);
-  servers_[static_cast<size_t>(i)]->start();
-  ++restarts_;
-  if (restart_probe_) {
-    auto* ls =
-        dynamic_cast<LogServer*>(servers_[static_cast<size_t>(i)].get());
-    PRAFT_CHECK(ls != nullptr);
-    restart_probe_(ls->id(), ls->node_iface().hard_state(), ls->recovery(),
-                   ls->node_iface().applied_index());
-  }
+  group_.start(protocol, timing);
 }
 
 void Cluster::add_clients(int per_region, const kv::WorkloadConfig& wl,
                           Time start_at) {
-  PRAFT_CHECK_MSG(!servers_.empty(), "build replicas before clients");
+  PRAFT_CHECK_MSG(group_.size() > 0, "build replicas before clients");
   kv::WorkloadConfig cfg = wl;
   cfg.num_partitions = cfg_.num_replicas;
   for (int r = 0; r < cfg_.num_replicas; ++r) {
@@ -141,45 +54,13 @@ void Cluster::add_clients(int per_region, const kv::WorkloadConfig& wl,
       ClosedLoopClient::Options copt;
       copt.start_at = start_at;
       clients_.push_back(std::make_unique<ClosedLoopClient>(
-          *client_hosts_.back(), target, std::move(gen), metrics_, copt));
+          *client_hosts_.back(),
+          [target](const kv::Command&) { return target; }, std::move(gen),
+          metrics_, copt));
       if (reply_probe_) clients_.back()->set_reply_probe(reply_probe_);
       clients_.back()->start();
     }
   }
-}
-
-int Cluster::reinstall_probes() {
-  int hooked = 0;
-  for (int i = 0; i < num_replicas(); ++i) {
-    if (!replica_up(i)) continue;
-    if (dynamic_cast<LogServer*>(servers_[static_cast<size_t>(i)].get()) ==
-        nullptr) {
-      continue;
-    }
-    install_probes_on(i);
-    ++hooked;
-  }
-  return hooked;
-}
-
-int Cluster::install_apply_probe(ApplyProbe probe) {
-  apply_probe_ = std::move(probe);
-  return reinstall_probes();
-}
-
-int Cluster::install_watermark_probe(WatermarkProbe probe) {
-  watermark_probe_ = std::move(probe);
-  return reinstall_probes();
-}
-
-int Cluster::install_snapshot_probe(SnapshotProbe probe) {
-  snapshot_probe_ = std::move(probe);
-  return reinstall_probes();
-}
-
-int Cluster::install_hard_state_probe(HardStateProbe probe) {
-  hard_state_probe_ = std::move(probe);
-  return reinstall_probes();
 }
 
 void Cluster::install_reply_probe(ClosedLoopClient::ReplyProbe probe) {
@@ -191,26 +72,13 @@ int Cluster::establish_leader(int preferred, Duration deadline) {
   PRAFT_CHECK(preferred >= 0 && preferred < num_replicas());
   // Give the preferred replica a head start on everyone's election timers.
   sim_.after(msec(1), [this, preferred] {
-    if (replica_up(preferred)) {
-      servers_[static_cast<size_t>(preferred)]->trigger_election();
-    }
+    if (replica_up(preferred)) server(preferred).trigger_election();
   });
   const Time limit = sim_.now() + deadline;
   while (sim_.now() < limit) {
     sim_.run_for(msec(50));
     const int leader = leader_replica();
     if (leader >= 0) return leader;
-  }
-  return -1;
-}
-
-int Cluster::leader_replica() const {
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    if (servers_[i] == nullptr) continue;  // crashed (awaiting restart)
-    const NodeId id = servers_[i]->id();
-    // A crashed replica may still believe it leads; it does not count.
-    if (!net_.node_up(id) || net_.faults().is_down(id, sim_.now())) continue;
-    if (servers_[i]->is_leader()) return static_cast<int>(i);
   }
   return -1;
 }

@@ -11,6 +11,7 @@
 #include "harness/cost_model.h"
 #include "harness/host.h"
 #include "harness/metrics.h"
+#include "harness/replica_group.h"
 #include "harness/server.h"
 #include "kv/workload.h"
 #include "sim/network.h"
@@ -31,14 +32,15 @@ struct ClusterConfig {
   uint64_t seed = 1;
 };
 
-/// Builds and owns a full simulated deployment: simulator, network, replica
-/// hosts + servers, and closed-loop clients.
+/// Builds and owns a full simulated deployment: simulator, network, one
+/// replica group (replica i on machine i) and closed-loop clients. The
+/// replica lifecycle lives in harness::ReplicaGroup; the calls below
+/// forward to it.
 class Cluster {
  public:
   explicit Cluster(ClusterConfig cfg);
 
-  using ServerFactory = std::function<std::unique_ptr<ReplicaServer>(
-      NodeHost& host, const consensus::Group& group)>;
+  using ServerFactory = ReplicaGroup::ServerFactory;
 
   /// Creates the replica nodes (ids 0..n-1) and starts their servers.
   void build_replicas(const ServerFactory& factory);
@@ -46,52 +48,25 @@ class Cluster {
   /// Same, selecting the consensus protocol by registry name at runtime
   /// ("raft", "raftstar", "multipaxos", "mencius", or anything registered
   /// later) behind the generic LogServer adapter. Name-built replicas get a
-  /// per-replica storage::DurableStore (owned by the cluster, so it survives
+  /// per-replica storage::DurableStore (owned by the group, so it survives
   /// node destruction) and support crash_replica/restart_replica.
   void build_replicas(const std::string& protocol,
                       const consensus::TimingOptions& timing = {});
 
-  // -- Crash-restart (name-built replicas only) ----------------------------
-  /// Destroys replica `i`'s server and protocol node NOW: scheduled
-  /// callbacks are invalidated, in-flight deliveries drop, and every staged
-  /// write that no completed fsync covered is lost — exactly a power cut.
-  /// The durable store survives.
-  void crash_replica(int i);
-  /// Rebuilds replica `i` purely from its durable image (hard state +
-  /// snapshot + WAL replay) and starts it. Crashes it first if still up.
-  void restart_replica(int i);
-  /// False while a replica is crashed (between crash_ and restart_).
-  [[nodiscard]] bool replica_up(int i) const {
-    return servers_[static_cast<size_t>(i)] != nullptr;
-  }
-  /// Stable node id of replica `i` (valid even while it is down).
-  [[nodiscard]] NodeId replica_id(int i) const {
-    return replica_hosts_[static_cast<size_t>(i)]->id();
-  }
+  // -- Crash-restart (name-built replicas only; see ReplicaGroup) ----------
+  void crash_replica(int i) { group_.crash(i); }
+  void restart_replica(int i) { group_.restart(i); }
+  [[nodiscard]] bool replica_up(int i) const { return group_.up(i); }
+  [[nodiscard]] NodeId replica_id(int i) const { return group_.id(i); }
   [[nodiscard]] storage::DurableStore& store_of(int i) {
-    return *stores_[static_cast<size_t>(i)];
+    return group_.store(i);
   }
-  [[nodiscard]] int64_t restarts() const { return restarts_; }
-  /// Revocation counters of destroyed node incarnations, accumulated at
-  /// crash time so restart-heavy runs keep their full coverage signal
-  /// (a rebuilt node's own counter restarts at zero).
+  [[nodiscard]] int64_t restarts() const { return group_.restarts(); }
   [[nodiscard]] int64_t retired_revocations() const {
-    return retired_revocations_;
+    return group_.retired_revocations();
   }
-  /// Same crash-time banking for replication-pipeline window rollbacks
-  /// (rejects + loss probes) — the chaos coverage signal for schedules that
-  /// force in-flight batches to unwind.
   [[nodiscard]] int64_t retired_pipeline_rollbacks() const {
-    return retired_pipeline_rollbacks_;
-  }
-
-  /// Observes every completed restart: the recovered hard state, what the
-  /// recovery replayed, and the applied index right after it.
-  using RestartProbe = std::function<void(
-      NodeId, const consensus::HardState& recovered,
-      const storage::RecoveryStats& stats, consensus::LogIndex applied)>;
-  void set_restart_probe(RestartProbe probe) {
-    restart_probe_ = std::move(probe);
+    return group_.retired_pipeline_rollbacks();
   }
 
   /// Adds `per_region` clients next to every replica, starting at `start_at`.
@@ -116,86 +91,42 @@ class Cluster {
   }
 
   // -- Trace hooks (chaos/invariant checking) ------------------------------
-  /// Observes every (replica, index, command) apply across the cluster.
-  /// Returns the number of servers hooked (only LogServer-based replicas
-  /// expose the probe). Call after build_replicas.
-  using ApplyProbe =
-      std::function<void(NodeId, consensus::LogIndex, const kv::Command&)>;
-  int install_apply_probe(ApplyProbe probe);
-
-  /// Observes every replica's (commit, applied) watermark advance.
-  using WatermarkProbe =
-      std::function<void(NodeId, consensus::LogIndex commit,
-                         consensus::LogIndex applied)>;
-  int install_watermark_probe(WatermarkProbe probe);
-
-  /// Observes every snapshot install across the cluster: (replica, covered
-  /// last index, store fingerprint after the restore). Only LogServer-based
-  /// replicas expose it; returns the number hooked.
-  using SnapshotProbe =
-      std::function<void(NodeId, consensus::LogIndex, uint64_t store_fp)>;
-  int install_snapshot_probe(SnapshotProbe probe);
-
-  /// Observes the hard state each protocol message depended on, at the
-  /// moment the message leaves its replica (see storage::Persister). The
-  /// chaos checker pairs it with the restart probe to assert recovered
-  /// nodes never regress externally-visible term/ballot/vote state.
-  using HardStateProbe =
-      std::function<void(NodeId, const consensus::HardState&)>;
-  int install_hard_state_probe(HardStateProbe probe);
+  // Replica-side probes live on group(); the apply probe is forwarded here.
+  using ApplyProbe = ReplicaGroup::ApplyProbe;
+  int install_apply_probe(ApplyProbe probe) {
+    return group_.install_apply_probe(std::move(probe));
+  }
 
   /// Observes every client-visible (invocation, response) pair: installed on
   /// existing clients and on any client added later.
   void install_reply_probe(ClosedLoopClient::ReplyProbe probe);
 
-  [[nodiscard]] int leader_replica() const;
+  [[nodiscard]] int leader_replica() const { return group_.leader(); }
 
   sim::Simulator& sim() { return sim_; }
   sim::Network& net() { return net_; }
   Metrics& metrics() { return metrics_; }
-  ReplicaServer& server(int i) { return *servers_[static_cast<size_t>(i)]; }
-  [[nodiscard]] int num_replicas() const {
-    return static_cast<int>(servers_.size());
-  }
+  ReplicaGroup& group() { return group_; }
+  [[nodiscard]] const ReplicaGroup& group() const { return group_; }
+  ReplicaServer& server(int i) { return group_.server(i); }
+  [[nodiscard]] int num_replicas() const { return group_.size(); }
   [[nodiscard]] const consensus::Group& group_template() const {
-    return group_template_;
+    return group_.group_template();
   }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
   [[nodiscard]] uint64_t client_retries() const;
 
  private:
   void build_hosts();
-  std::unique_ptr<ReplicaServer> make_named_server(int i);
-  /// Applies every stored probe to replica `i` (idempotent overwrites) —
-  /// the ONE wrapper implementation, shared by install_*_probe on live
-  /// replicas and restart_replica on rebuilt ones.
-  void install_probes_on(int i);
-  int reinstall_probes();
 
   ClusterConfig cfg_;
   sim::Simulator sim_;
   sim::Network net_;
   Metrics metrics_;
-  consensus::Group group_template_;  // self = kNoNode; members = replica ids
-  std::vector<std::unique_ptr<NodeHost>> replica_hosts_;
-  std::vector<std::unique_ptr<ReplicaServer>> servers_;
-  std::vector<std::unique_ptr<storage::DurableStore>> stores_;
+  ReplicaGroup group_;
   std::vector<std::unique_ptr<NodeHost>> client_hosts_;
   std::vector<std::unique_ptr<ClosedLoopClient>> clients_;
   ClosedLoopClient::ReplyProbe reply_probe_;
-
-  // Name-built configuration, retained so restart_replica can rebuild, plus
-  // installed probes, re-applied to every restarted incarnation.
-  std::string protocol_;
-  consensus::TimingOptions timing_;
-  ApplyProbe apply_probe_;
-  WatermarkProbe watermark_probe_;
-  SnapshotProbe snapshot_probe_;
-  HardStateProbe hard_state_probe_;
-  RestartProbe restart_probe_;
-  int64_t restarts_ = 0;
-  int64_t retired_revocations_ = 0;
-  int64_t retired_pipeline_rollbacks_ = 0;
 };
 
 }  // namespace praft::harness

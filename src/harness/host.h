@@ -44,7 +44,7 @@ class NodeHost final : public consensus::Env {
 
   /// Crash support: invalidates every callback scheduled through this Env so
   /// far — they become no-ops when the simulator fires them. Called by
-  /// Cluster::crash_replica before destroying the node object, so timer and
+  /// ReplicaGroup::crash before destroying the node object, so timer and
   /// fsync-completion closures can never touch freed protocol state.
   void invalidate_scheduled() { ++sched_epoch_; }
 

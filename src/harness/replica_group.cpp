@@ -1,0 +1,190 @@
+#include "harness/replica_group.h"
+
+#include "common/check.h"
+#include "harness/log_server.h"
+
+namespace praft::harness {
+
+void ReplicaGroup::add_member(std::unique_ptr<NodeHost> host, int machine) {
+  PRAFT_CHECK_MSG(servers_.empty(), "add every member before start");
+  group_template_.members.push_back(host->id());
+  group_template_.self = kNoNode;
+  hosts_.push_back(std::move(host));
+  machines_.push_back(machine);
+}
+
+void ReplicaGroup::start(const ServerFactory& factory) {
+  PRAFT_CHECK_MSG(servers_.empty(), "group started twice");
+  for (int j = 0; j < size(); ++j) {
+    consensus::Group g = group_template_;
+    g.self = id(j);
+    servers_.push_back(factory(*hosts_[static_cast<size_t>(j)], g));
+    servers_.back()->start();
+  }
+}
+
+void ReplicaGroup::start(const std::string& protocol,
+                         const consensus::TimingOptions& timing) {
+  // An unknown name fails inside ProtocolRegistry::make with a message
+  // listing the registered protocols (no duplicate pre-check here).
+  PRAFT_CHECK_MSG(servers_.empty(), "group started twice");
+  protocol_ = protocol;
+  timing_ = timing;
+  for (int j = 0; j < size(); ++j) {
+    stores_.push_back(std::make_unique<storage::DurableStore>());
+  }
+  for (int j = 0; j < size(); ++j) {
+    servers_.push_back(make_named_server(j));
+    servers_.back()->start();
+  }
+}
+
+std::unique_ptr<ReplicaServer> ReplicaGroup::make_named_server(int j) {
+  consensus::Group g = group_template_;
+  g.self = id(j);
+  return std::make_unique<LogServer>(*hosts_[static_cast<size_t>(j)],
+                                     std::move(g), costs_, protocol_, timing_,
+                                     stores_[static_cast<size_t>(j)].get());
+}
+
+int ReplicaGroup::member_on(int m) const {
+  for (int j = 0; j < size(); ++j) {
+    if (machine_of(j) == m) return j;
+  }
+  return -1;
+}
+
+LogServer* ReplicaGroup::log_server(int j) const {
+  return dynamic_cast<LogServer*>(servers_[static_cast<size_t>(j)].get());
+}
+
+void ReplicaGroup::crash(int j) {
+  PRAFT_CHECK(j >= 0 && j < size());
+  PRAFT_CHECK_MSG(!protocol_.empty(),
+                  "crash/restart requires name-built replicas (durable store)");
+  if (!up(j)) return;
+  if (const LogServer* ls = log_server(j)) {
+    // The incarnation's coverage counters die with it; bank them first.
+    retired_revocations_ += ls->node_iface().revocations_started();
+    retired_pipeline_rollbacks_ += ls->node_iface().pipeline_rollbacks();
+  }
+  NodeHost& host = *hosts_[static_cast<size_t>(j)];
+  // Order matters: first make every pending timer/fsync callback a no-op and
+  // unbind in-flight deliveries, THEN free the node they capture.
+  host.invalidate_scheduled();
+  host.detach();
+  servers_[static_cast<size_t>(j)].reset();
+  // A power cut loses every staged write no completed fsync covered.
+  stores_[static_cast<size_t>(j)]->drop_unsynced();
+}
+
+void ReplicaGroup::restart(int j) {
+  PRAFT_CHECK(j >= 0 && j < size());
+  if (up(j)) crash(j);
+  servers_[static_cast<size_t>(j)] = make_named_server(j);
+  install_probes_on(j);
+  servers_[static_cast<size_t>(j)]->start();
+  ++restarts_;
+  if (restart_probe_) {
+    LogServer* ls = log_server(j);
+    restart_probe_(ls->id(), ls->node_iface().hard_state(), ls->recovery(),
+                   ls->node_iface().applied_index());
+  }
+}
+
+int ReplicaGroup::leader() const {
+  for (int j = 0; j < size(); ++j) {
+    if (!up(j)) continue;  // crashed, awaiting restart
+    const NodeId node = id(j);
+    if (!net_.node_up(node) || net_.faults().is_down(node, sim_.now())) {
+      continue;
+    }
+    if (server(j).is_leader()) return j;
+  }
+  return -1;
+}
+
+void ReplicaGroup::install_probes_on(int j) {
+  LogServer* ls = log_server(j);
+  if (ls == nullptr) return;
+  if (apply_probe_) ls->set_apply_probe(apply_probe_);
+  if (snapshot_probe_) ls->set_snapshot_probe(snapshot_probe_);
+  const NodeId node = ls->id();
+  if (watermark_probe_) {
+    ls->node_iface().set_watermark_probe(
+        [probe = watermark_probe_, node](consensus::LogIndex commit,
+                                         consensus::LogIndex applied) {
+          probe(node, commit, applied);
+        });
+  }
+  if (hard_state_probe_) {
+    ls->node_iface().set_hard_state_probe(
+        [probe = hard_state_probe_, node](const consensus::HardState& hs) {
+          probe(node, hs);
+        });
+  }
+}
+
+int ReplicaGroup::reinstall_probes() {
+  int hooked = 0;
+  for (int j = 0; j < size(); ++j) {
+    if (log_server(j) == nullptr) continue;
+    install_probes_on(j);
+    ++hooked;
+  }
+  return hooked;
+}
+
+int ReplicaGroup::install_apply_probe(ApplyProbe probe) {
+  apply_probe_ = std::move(probe);
+  return reinstall_probes();
+}
+
+int ReplicaGroup::install_watermark_probe(WatermarkProbe probe) {
+  watermark_probe_ = std::move(probe);
+  return reinstall_probes();
+}
+
+int ReplicaGroup::install_snapshot_probe(SnapshotProbe probe) {
+  snapshot_probe_ = std::move(probe);
+  return reinstall_probes();
+}
+
+int ReplicaGroup::install_hard_state_probe(HardStateProbe probe) {
+  hard_state_probe_ = std::move(probe);
+  return reinstall_probes();
+}
+
+int64_t ReplicaGroup::live_sum(
+    int64_t (consensus::NodeIface::*counter)() const) const {
+  int64_t total = 0;
+  for (int j = 0; j < size(); ++j) {
+    if (const LogServer* ls = log_server(j)) {
+      total += (ls->node_iface().*counter)();
+    }
+  }
+  return total;
+}
+
+std::vector<NodeId> machine_node_ids(const std::vector<ReplicaGroup*>& groups,
+                                     int m) {
+  std::vector<NodeId> ids;
+  for (const ReplicaGroup* g : groups) {
+    if (const int j = g->member_on(m); j >= 0) ids.push_back(g->id(j));
+  }
+  return ids;
+}
+
+void crash_machine(const std::vector<ReplicaGroup*>& groups, int m) {
+  for (ReplicaGroup* g : groups) {
+    if (const int j = g->member_on(m); j >= 0) g->crash(j);
+  }
+}
+
+void restart_machine(const std::vector<ReplicaGroup*>& groups, int m) {
+  for (ReplicaGroup* g : groups) {
+    if (const int j = g->member_on(m); j >= 0 && !g->up(j)) g->restart(j);
+  }
+}
+
+}  // namespace praft::harness

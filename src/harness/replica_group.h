@@ -1,0 +1,189 @@
+#pragma once
+
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "consensus/group.h"
+#include "consensus/node_iface.h"
+#include "consensus/timing.h"
+#include "harness/cost_model.h"
+#include "harness/host.h"
+#include "harness/server.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
+#include "storage/wal.h"
+
+namespace praft::harness {
+
+class LogServer;
+
+/// One consensus group and its whole replica lifecycle: hosts, servers,
+/// durable stores, the group template, installed probes, and the coverage
+/// counters of crashed incarnations. harness::Cluster owns one;
+/// shard::ShardedCluster owns one per group. Each member also records the
+/// machine it runs on, so machine-level faults address a flat cluster
+/// (machine m hosts replica m) and a sharded one the same way.
+class ReplicaGroup {
+ public:
+  ReplicaGroup(sim::Simulator& sim, sim::Network& net, CostModel costs)
+      : sim_(sim), net_(net), costs_(costs) {}
+
+  using ServerFactory = std::function<std::unique_ptr<ReplicaServer>(
+      NodeHost& host, const consensus::Group& group)>;
+
+  /// Adds member `size()` on `host`, placed on `machine`. Add every member
+  /// before starting any, so each replica knows all member ids.
+  void add_member(std::unique_ptr<NodeHost> host, int machine);
+
+  /// Builds every member's server with `factory` and starts it.
+  void start(const ServerFactory& factory);
+  /// Same, selecting the protocol by registry name behind the generic
+  /// LogServer. Each member gets a storage::DurableStore owned here (so it
+  /// survives node destruction), which is what crash/restart need.
+  void start(const std::string& protocol,
+             const consensus::TimingOptions& timing);
+
+  // -- Crash-restart (name-started groups only) -----------------------------
+  /// Destroys member `j`'s server and protocol node NOW: scheduled callbacks
+  /// are invalidated, in-flight deliveries drop, and every staged write that
+  /// no completed fsync covered is lost — exactly a power cut. The durable
+  /// store survives. A no-op while `j` is already down.
+  void crash(int j);
+  /// Rebuilds member `j` purely from its durable image (hard state +
+  /// snapshot + WAL replay) and starts it. Crashes it first if still up.
+  void restart(int j);
+
+  [[nodiscard]] int size() const { return static_cast<int>(hosts_.size()); }
+  /// False while a member is crashed (between crash and restart).
+  [[nodiscard]] bool up(int j) const {
+    return servers_[static_cast<size_t>(j)] != nullptr;
+  }
+  /// Stable node id of member `j` (valid even while it is down).
+  [[nodiscard]] NodeId id(int j) const {
+    return hosts_[static_cast<size_t>(j)]->id();
+  }
+  [[nodiscard]] int machine_of(int j) const {
+    return machines_[static_cast<size_t>(j)];
+  }
+  /// The member placed on machine `m`, or -1 when the group has none there.
+  [[nodiscard]] int member_on(int m) const;
+  [[nodiscard]] ReplicaServer& server(int j) {
+    return *servers_[static_cast<size_t>(j)];
+  }
+  [[nodiscard]] const ReplicaServer& server(int j) const {
+    return *servers_[static_cast<size_t>(j)];
+  }
+  /// Member `j` as a LogServer, or nullptr while it is down or when a
+  /// factory built another adapter. Probes and counters reach the protocol
+  /// node through it.
+  [[nodiscard]] LogServer* log_server(int j) const;
+  [[nodiscard]] storage::DurableStore& store(int j) {
+    return *stores_[static_cast<size_t>(j)];
+  }
+  [[nodiscard]] const consensus::Group& group_template() const {
+    return group_template_;
+  }
+
+  /// Member index currently leading, or -1. A crashed or fault-cut member
+  /// may still believe it leads; it does not count.
+  [[nodiscard]] int leader() const;
+
+  // -- Trace hooks ----------------------------------------------------------
+  // Every probe is stored and re-applied to each restarted incarnation; the
+  // install_* calls return how many live members they hooked (only
+  // LogServer-based replicas expose the probes).
+
+  /// Observes every (replica, index, command) apply.
+  using ApplyProbe =
+      std::function<void(NodeId, consensus::LogIndex, const kv::Command&)>;
+  /// Observes every replica's (commit, applied) watermark advance.
+  using WatermarkProbe = std::function<void(
+      NodeId, consensus::LogIndex commit, consensus::LogIndex applied)>;
+  /// Observes every snapshot install: (replica, covered last index, store
+  /// fingerprint after the restore).
+  using SnapshotProbe =
+      std::function<void(NodeId, consensus::LogIndex, uint64_t store_fp)>;
+  /// Observes the hard state each protocol message depended on, at the
+  /// moment the message leaves its replica (see storage::Persister).
+  using HardStateProbe =
+      std::function<void(NodeId, const consensus::HardState&)>;
+  /// Observes every completed restart: the recovered hard state, what the
+  /// recovery replayed, and the applied index right after it.
+  using RestartProbe = std::function<void(
+      NodeId, const consensus::HardState& recovered,
+      const storage::RecoveryStats& stats, consensus::LogIndex applied)>;
+
+  int install_apply_probe(ApplyProbe probe);
+  int install_watermark_probe(WatermarkProbe probe);
+  int install_snapshot_probe(SnapshotProbe probe);
+  int install_hard_state_probe(HardStateProbe probe);
+  void set_restart_probe(RestartProbe probe) {
+    restart_probe_ = std::move(probe);
+  }
+
+  // -- Coverage counters ----------------------------------------------------
+  [[nodiscard]] int64_t restarts() const { return restarts_; }
+  /// Counters of destroyed incarnations, banked at crash time so
+  /// restart-heavy runs keep their full coverage signal (a rebuilt node's
+  /// own counters restart at zero).
+  [[nodiscard]] int64_t retired_revocations() const {
+    return retired_revocations_;
+  }
+  [[nodiscard]] int64_t retired_pipeline_rollbacks() const {
+    return retired_pipeline_rollbacks_;
+  }
+  /// Mencius revocations / pipeline window rollbacks over every
+  /// incarnation: the banked counters plus the live members' own.
+  [[nodiscard]] int64_t revocations() const {
+    return retired_revocations_ +
+           live_sum(&consensus::NodeIface::revocations_started);
+  }
+  [[nodiscard]] int64_t pipeline_rollbacks() const {
+    return retired_pipeline_rollbacks_ +
+           live_sum(&consensus::NodeIface::pipeline_rollbacks);
+  }
+
+ private:
+  std::unique_ptr<ReplicaServer> make_named_server(int j);
+  /// `counter` summed over the live members' protocol nodes.
+  [[nodiscard]] int64_t live_sum(
+      int64_t (consensus::NodeIface::*counter)() const) const;
+  /// Applies every stored probe to member `j` (idempotent overwrites): the
+  /// one wrapper implementation, shared by install_*_probe on live members
+  /// and restart on rebuilt ones.
+  void install_probes_on(int j);
+  int reinstall_probes();
+
+  sim::Simulator& sim_;
+  sim::Network& net_;
+  CostModel costs_;
+  consensus::Group group_template_;  // self = kNoNode; members = node ids
+  std::vector<std::unique_ptr<NodeHost>> hosts_;
+  std::vector<int> machines_;
+  std::vector<std::unique_ptr<ReplicaServer>> servers_;
+  std::vector<std::unique_ptr<storage::DurableStore>> stores_;
+
+  // Name-started configuration, retained so restart can rebuild.
+  std::string protocol_;
+  consensus::TimingOptions timing_;
+  ApplyProbe apply_probe_;
+  WatermarkProbe watermark_probe_;
+  SnapshotProbe snapshot_probe_;
+  HardStateProbe hard_state_probe_;
+  RestartProbe restart_probe_;
+  int64_t restarts_ = 0;
+  int64_t retired_revocations_ = 0;
+  int64_t retired_pipeline_rollbacks_ = 0;
+};
+
+/// Machine-level lifecycle over groups whose members record their machine:
+/// every replica endpoint on machine `m` (valid while crashed, too), a power
+/// cut of every replica it hosts, and a rebuild of every one that is down.
+std::vector<NodeId> machine_node_ids(const std::vector<ReplicaGroup*>& groups,
+                                     int m);
+void crash_machine(const std::vector<ReplicaGroup*>& groups, int m);
+void restart_machine(const std::vector<ReplicaGroup*>& groups, int m);
+
+}  // namespace praft::harness

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "harness/log_server.h"
 
 namespace praft::shard {
 
@@ -37,45 +36,28 @@ const std::string& ShardedCluster::protocol_of(int g) const {
   return cfg_.protocols[static_cast<size_t>(g) % cfg_.protocols.size()];
 }
 
-std::unique_ptr<harness::ReplicaServer> ShardedCluster::make_group_server(
-    int g, int j) {
-  Group& grp = groups_[static_cast<size_t>(g)];
-  consensus::Group cg = grp.group_template;
-  cg.self = grp.hosts[static_cast<size_t>(j)]->id();
-  return std::make_unique<harness::LogServer>(
-      *grp.hosts[static_cast<size_t>(j)], std::move(cg), cfg_.costs,
-      grp.protocol, cfg_.timing, grp.stores[static_cast<size_t>(j)].get());
-}
-
 void ShardedCluster::build() {
   PRAFT_CHECK_MSG(groups_.empty(), "build called twice");
   for (int m = 0; m < cfg_.num_machines; ++m) {
     machine_cpus_.push_back(std::make_unique<sim::SerialResource>());
   }
-  groups_.resize(static_cast<size_t>(cfg_.num_groups));
   // First pass: every group's hosts, so member ids are known before any
   // server starts. Replicas co-located on one machine share that machine's
   // serial CPU (and its site for latency purposes) but keep distinct
   // network endpoints — one process per group per machine.
+  groups_.reserve(static_cast<size_t>(cfg_.num_groups));
   for (int g = 0; g < cfg_.num_groups; ++g) {
-    Group& grp = groups_[static_cast<size_t>(g)];
-    grp.protocol = protocol_of(g);
+    harness::ReplicaGroup& grp = groups_.emplace_back(sim_, net_, cfg_.costs);
     for (int j = 0; j < cfg_.replicas_per_group; ++j) {
       const int m = member_machine(g, j);
-      grp.hosts.push_back(std::make_unique<harness::NodeHost>(
-          sim_, net_, machine_site(m), 0.0,
-          machine_cpus_[static_cast<size_t>(m)].get()));
-      grp.group_template.members.push_back(grp.hosts.back()->id());
-      grp.stores.push_back(std::make_unique<storage::DurableStore>());
+      grp.add_member(std::make_unique<harness::NodeHost>(
+                         sim_, net_, machine_site(m), 0.0,
+                         machine_cpus_[static_cast<size_t>(m)].get()),
+                     m);
     }
-    grp.group_template.self = kNoNode;
   }
   for (int g = 0; g < cfg_.num_groups; ++g) {
-    Group& grp = groups_[static_cast<size_t>(g)];
-    for (int j = 0; j < cfg_.replicas_per_group; ++j) {
-      grp.servers.push_back(make_group_server(g, j));
-      grp.servers.back()->start();
-    }
+    group(g).start(protocol_of(g), cfg_.timing);
   }
   // Client path: each group's contact is its preferred-leader replica
   // (member 0) under the placement policy.
@@ -85,16 +67,11 @@ void ShardedCluster::build() {
   }
 }
 
-int ShardedCluster::leader_of(int g) const {
-  const Group& grp = groups_[static_cast<size_t>(g)];
-  for (size_t j = 0; j < grp.servers.size(); ++j) {
-    if (grp.servers[j] == nullptr) continue;  // crashed, awaiting restart
-    const NodeId id = grp.servers[j]->id();
-    // A crashed or fault-cut replica may still believe it leads.
-    if (!net_.node_up(id) || net_.faults().is_down(id, sim_.now())) continue;
-    if (grp.servers[j]->is_leader()) return static_cast<int>(j);
-  }
-  return -1;
+std::vector<harness::ReplicaGroup*> ShardedCluster::groups() {
+  std::vector<harness::ReplicaGroup*> out;
+  out.reserve(groups_.size());
+  for (harness::ReplicaGroup& g : groups_) out.push_back(&g);
+  return out;
 }
 
 int ShardedCluster::establish_leaders(Duration deadline) {
@@ -124,89 +101,11 @@ int ShardedCluster::establish_leaders(Duration deadline) {
   return have;
 }
 
-std::vector<NodeId> ShardedCluster::machine_node_ids(int m) const {
-  std::vector<NodeId> ids;
-  for (int g = 0; g < num_groups(); ++g) {
-    for (int j = 0; j < replicas_per_group(); ++j) {
-      if (member_machine(g, j) == m) ids.push_back(replica_id(g, j));
-    }
-  }
-  return ids;
-}
-
-void ShardedCluster::crash_group_replica(int g, int j) {
-  Group& grp = groups_[static_cast<size_t>(g)];
-  auto& server = grp.servers[static_cast<size_t>(j)];
-  if (server == nullptr) return;  // already down
-  if (auto* ls = dynamic_cast<harness::LogServer*>(server.get())) {
-    // The incarnation's coverage counters die with it; bank them first.
-    retired_revocations_ += ls->node_iface().revocations_started();
-    retired_pipeline_rollbacks_ += ls->node_iface().pipeline_rollbacks();
-  }
-  harness::NodeHost& host = *grp.hosts[static_cast<size_t>(j)];
-  // Same ordering discipline as Cluster::crash_replica: invalidate every
-  // scheduled closure and unbind deliveries BEFORE freeing the node.
-  host.invalidate_scheduled();
-  host.detach();
-  server.reset();
-  grp.stores[static_cast<size_t>(j)]->drop_unsynced();
-}
-
-void ShardedCluster::install_probes_on(int g, int j) {
-  Group& grp = groups_[static_cast<size_t>(g)];
-  auto* ls = dynamic_cast<harness::LogServer*>(
-      grp.servers[static_cast<size_t>(j)].get());
-  if (ls == nullptr) return;
-  if (grp.apply_probe) ls->set_apply_probe(grp.apply_probe);
-  if (grp.snapshot_probe) ls->set_snapshot_probe(grp.snapshot_probe);
-  const NodeId id = ls->id();
-  if (grp.watermark_probe) {
-    ls->node_iface().set_watermark_probe(
-        [probe = grp.watermark_probe, id](consensus::LogIndex commit,
-                                          consensus::LogIndex applied) {
-          probe(id, commit, applied);
-        });
-  }
-  if (grp.hard_state_probe) {
-    ls->node_iface().set_hard_state_probe(
-        [probe = grp.hard_state_probe, id](const consensus::HardState& hs) {
-          probe(id, hs);
-        });
-  }
-}
-
-void ShardedCluster::restart_group_replica(int g, int j) {
-  Group& grp = groups_[static_cast<size_t>(g)];
-  if (replica_up(g, j)) return;
-  grp.servers[static_cast<size_t>(j)] = make_group_server(g, j);
-  install_probes_on(g, j);
-  grp.servers[static_cast<size_t>(j)]->start();
-  ++restarts_;
-  if (grp.restart_probe) {
-    auto* ls = dynamic_cast<harness::LogServer*>(
-        grp.servers[static_cast<size_t>(j)].get());
-    PRAFT_CHECK(ls != nullptr);
-    grp.restart_probe(ls->id(), ls->node_iface().hard_state(), ls->recovery(),
-                      ls->node_iface().applied_index());
-  }
-}
-
-void ShardedCluster::crash_machine(int m) {
-  for (int g = 0; g < num_groups(); ++g) {
-    for (int j = 0; j < replicas_per_group(); ++j) {
-      if (member_machine(g, j) == m) crash_group_replica(g, j);
-    }
-  }
-}
-
-void ShardedCluster::restart_machine(int m) {
-  for (int g = 0; g < num_groups(); ++g) {
-    for (int j = 0; j < replicas_per_group(); ++j) {
-      if (member_machine(g, j) == m && !replica_up(g, j)) {
-        restart_group_replica(g, j);
-      }
-    }
-  }
+int64_t ShardedCluster::sum(
+    int64_t (harness::ReplicaGroup::*counter)() const) const {
+  int64_t total = 0;
+  for (const harness::ReplicaGroup& g : groups_) total += (g.*counter)();
+  return total;
 }
 
 void ShardedCluster::add_clients(int per_machine, const kv::WorkloadConfig& wl,
@@ -222,10 +121,14 @@ void ShardedCluster::add_clients(int per_machine, const kv::WorkloadConfig& wl,
       client_hosts_.push_back(
           std::make_unique<harness::NodeHost>(sim_, net_, machine_site(m)));
       kv::WorkloadGenerator gen(cfg, m, sim_.rng().split());
-      ShardClient::Options copt;
+      harness::ClientOptions copt;
       copt.start_at = start_at;
-      clients_.push_back(std::make_unique<ShardClient>(
-          *client_hosts_.back(), *router_, std::move(gen), metrics_, copt));
+      clients_.push_back(std::make_unique<harness::ClosedLoopClient>(
+          *client_hosts_.back(),
+          [router = router_.get()](const kv::Command& cmd) {
+            return router->target_of(cmd.key);
+          },
+          std::move(gen), metrics_, copt));
       if (reply_probe_) clients_.back()->set_reply_probe(reply_probe_);
       clients_.back()->start();
     }
@@ -238,40 +141,12 @@ uint64_t ShardedCluster::client_retries() const {
   return total;
 }
 
-void ShardedCluster::install_apply_probe(int g, ApplyProbe probe) {
-  groups_[static_cast<size_t>(g)].apply_probe = std::move(probe);
-  for (int j = 0; j < replicas_per_group(); ++j) {
-    if (replica_up(g, j)) install_probes_on(g, j);
-  }
-}
-
-void ShardedCluster::install_watermark_probe(int g, WatermarkProbe probe) {
-  groups_[static_cast<size_t>(g)].watermark_probe = std::move(probe);
-  for (int j = 0; j < replicas_per_group(); ++j) {
-    if (replica_up(g, j)) install_probes_on(g, j);
-  }
-}
-
-void ShardedCluster::install_snapshot_probe(int g, SnapshotProbe probe) {
-  groups_[static_cast<size_t>(g)].snapshot_probe = std::move(probe);
-  for (int j = 0; j < replicas_per_group(); ++j) {
-    if (replica_up(g, j)) install_probes_on(g, j);
-  }
-}
-
-void ShardedCluster::install_hard_state_probe(int g, HardStateProbe probe) {
-  groups_[static_cast<size_t>(g)].hard_state_probe = std::move(probe);
-  for (int j = 0; j < replicas_per_group(); ++j) {
-    if (replica_up(g, j)) install_probes_on(g, j);
-  }
-}
-
-void ShardedCluster::set_restart_probe(int g, RestartProbe probe) {
-  groups_[static_cast<size_t>(g)].restart_probe = std::move(probe);
-}
-
 void ShardedCluster::install_reply_probe(ReplyProbe probe) {
-  reply_probe_ = std::move(probe);
+  reply_probe_ = [this, probe = std::move(probe)](
+                     const kv::Command& cmd, uint64_t value, bool ok,
+                     Time sent_at, Time recv_at) {
+    probe(map_.owner_of(cmd.key), cmd, value, ok, sent_at, recv_at);
+  };
   for (auto& c : clients_) c->set_reply_probe(reply_probe_);
 }
 

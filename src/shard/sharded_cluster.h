@@ -11,9 +11,9 @@
 #include "harness/cost_model.h"
 #include "harness/host.h"
 #include "harness/metrics.h"
+#include "harness/replica_group.h"
 #include "harness/server.h"
 #include "kv/workload.h"
-#include "shard/client.h"
 #include "shard/router.h"
 #include "shard/shard_map.h"
 #include "sim/network.h"
@@ -51,12 +51,11 @@ struct ShardedClusterConfig {
 };
 
 /// Builds and owns a sharded deployment over ONE shared simulated runtime:
-/// a simulator + network, M machine CPUs, N groups of name-built replica
-/// servers (each group its own consensus::Group, DurableStores and
-/// independent leader), the ShardMap/ShardRouter client path, and sharded
-/// closed-loop clients. The per-group surface mirrors harness::Cluster
-/// (probes, crash/restart, leader queries) so chaos invariants run
-/// unchanged per group; machine-level crash/restart and fault targeting
+/// a simulator + network, M machine CPUs, N harness::ReplicaGroups of
+/// name-built replica servers (each its own consensus::Group, DurableStores
+/// and independent leader), the ShardMap/ShardRouter client path, and
+/// routed closed-loop clients. The per-group calls below forward to the
+/// group's ReplicaGroup; machine-level crash/restart and fault targeting
 /// hit every group a machine serves at once.
 class ShardedCluster {
  public:
@@ -81,22 +80,27 @@ class ShardedCluster {
   [[nodiscard]] const ShardRouter& router() const { return *router_; }
   [[nodiscard]] const std::string& protocol_of(int g) const;
 
-  // -- Per-group accessors (the chaos GroupView surface) -------------------
+  // -- Per-group accessors -------------------------------------------------
+  [[nodiscard]] harness::ReplicaGroup& group(int g) {
+    return groups_[static_cast<size_t>(g)];
+  }
+  [[nodiscard]] const harness::ReplicaGroup& group(int g) const {
+    return groups_[static_cast<size_t>(g)];
+  }
+  /// Every group, in group order (the machine-level helpers' input).
+  [[nodiscard]] std::vector<harness::ReplicaGroup*> groups();
   [[nodiscard]] harness::ReplicaServer& server(int g, int j) {
-    return *groups_[static_cast<size_t>(g)].servers[static_cast<size_t>(j)];
+    return group(g).server(j);
   }
   [[nodiscard]] bool replica_up(int g, int j) const {
-    return groups_[static_cast<size_t>(g)].servers[static_cast<size_t>(j)] !=
-           nullptr;
+    return group(g).up(j);
   }
   [[nodiscard]] NodeId replica_id(int g, int j) const {
-    return groups_[static_cast<size_t>(g)]
-        .hosts[static_cast<size_t>(j)]
-        ->id();
+    return group(g).id(j);
   }
   /// Member index currently leading group `g` (net-visible replicas only),
   /// or -1.
-  [[nodiscard]] int leader_of(int g) const;
+  [[nodiscard]] int leader_of(int g) const { return group(g).leader(); }
 
   /// Triggers each group's preferred leader and waits until every group
   /// with an elected-leader protocol leads. Returns how many groups have a
@@ -105,30 +109,28 @@ class ShardedCluster {
   int establish_leaders(Duration deadline = sec(30));
 
   // -- Machine-level chaos -------------------------------------------------
-  /// Every replica endpoint on machine `m` (valid while crashed, too) — the
-  /// unit fault plans target: cutting a machine cuts one replica of every
-  /// group placed there.
-  [[nodiscard]] std::vector<NodeId> machine_node_ids(int m) const;
   /// Power-cuts machine `m`: every group replica it hosts is destroyed
   /// (counters banked, scheduled callbacks invalidated, unsynced durable
   /// writes dropped). Group replicas elsewhere keep running.
-  void crash_machine(int m);
+  void crash_machine(int m) { harness::crash_machine(groups(), m); }
   /// Rebuilds every crashed replica hosted on machine `m` from its durable
   /// image and starts it.
-  void restart_machine(int m);
-  [[nodiscard]] int64_t restarts() const { return restarts_; }
+  void restart_machine(int m) { harness::restart_machine(groups(), m); }
+  [[nodiscard]] int64_t restarts() const {
+    return sum(&harness::ReplicaGroup::restarts);
+  }
   [[nodiscard]] int64_t retired_revocations() const {
-    return retired_revocations_;
+    return sum(&harness::ReplicaGroup::retired_revocations);
   }
   [[nodiscard]] int64_t retired_pipeline_rollbacks() const {
-    return retired_pipeline_rollbacks_;
+    return sum(&harness::ReplicaGroup::retired_pipeline_rollbacks);
   }
 
   // -- Clients -------------------------------------------------------------
-  /// Adds `per_machine` sharded closed-loop clients next to every machine,
-  /// starting at `start_at`. Each client draws keys from its machine's
-  /// partition of the key space and routes every command through the
-  /// ShardRouter to the owning group.
+  /// Adds `per_machine` closed-loop clients next to every machine, starting
+  /// at `start_at`. Each client draws keys from its machine's partition of
+  /// the key space and routes every command through the ShardRouter to the
+  /// owning group.
   void add_clients(int per_machine, const kv::WorkloadConfig& wl,
                    Time start_at);
   void stop_clients() {
@@ -136,26 +138,18 @@ class ShardedCluster {
   }
   [[nodiscard]] uint64_t client_retries() const;
 
-  // -- Per-group trace hooks (chaos/invariant checking) --------------------
-  using ApplyProbe = std::function<void(NodeId, consensus::LogIndex,
-                                        const kv::Command&)>;
-  using WatermarkProbe = std::function<void(NodeId, consensus::LogIndex,
-                                            consensus::LogIndex)>;
-  using SnapshotProbe =
-      std::function<void(NodeId, consensus::LogIndex, uint64_t)>;
-  using HardStateProbe =
-      std::function<void(NodeId, const consensus::HardState&)>;
-  using RestartProbe = std::function<void(
-      NodeId, const consensus::HardState&, const storage::RecoveryStats&,
-      consensus::LogIndex)>;
-  /// Group-tagged client reply probe (one probe observes every client).
-  using ReplyProbe = ShardClient::ReplyProbe;
+  // -- Trace hooks (chaos/invariant checking) ------------------------------
+  // Replica-side probes live on group(g); the apply probe is forwarded here.
+  using ApplyProbe = harness::ReplicaGroup::ApplyProbe;
+  /// Client reply probe tagged with the group that owns the command's key
+  /// (one probe observes every client).
+  using ReplyProbe = std::function<void(int group, const kv::Command& cmd,
+                                        uint64_t value, bool ok, Time sent_at,
+                                        Time recv_at)>;
 
-  void install_apply_probe(int g, ApplyProbe probe);
-  void install_watermark_probe(int g, WatermarkProbe probe);
-  void install_snapshot_probe(int g, SnapshotProbe probe);
-  void install_hard_state_probe(int g, HardStateProbe probe);
-  void set_restart_probe(int g, RestartProbe probe);
+  void install_apply_probe(int g, ApplyProbe probe) {
+    group(g).install_apply_probe(std::move(probe));
+  }
   void install_reply_probe(ReplyProbe probe);
 
   // -- Run control ---------------------------------------------------------
@@ -166,27 +160,12 @@ class ShardedCluster {
   harness::Metrics& metrics() { return metrics_; }
 
  private:
-  struct Group {
-    std::vector<std::unique_ptr<harness::NodeHost>> hosts;
-    std::vector<std::unique_ptr<harness::ReplicaServer>> servers;
-    std::vector<std::unique_ptr<storage::DurableStore>> stores;
-    consensus::Group group_template;  // self = kNoNode; members = node ids
-    std::string protocol;
-    // Probes, re-applied to every restarted incarnation.
-    ApplyProbe apply_probe;
-    WatermarkProbe watermark_probe;
-    SnapshotProbe snapshot_probe;
-    HardStateProbe hard_state_probe;
-    RestartProbe restart_probe;
-  };
-
   [[nodiscard]] SiteId machine_site(int m) const {
     return static_cast<SiteId>(m % net_.latency().num_sites());
   }
-  std::unique_ptr<harness::ReplicaServer> make_group_server(int g, int j);
-  void install_probes_on(int g, int j);
-  void crash_group_replica(int g, int j);
-  void restart_group_replica(int g, int j);
+  /// A per-group counter summed over every group.
+  [[nodiscard]] int64_t sum(
+      int64_t (harness::ReplicaGroup::*counter)() const) const;
 
   ShardedClusterConfig cfg_;
   sim::Simulator sim_;
@@ -195,13 +174,10 @@ class ShardedCluster {
   ShardMap map_;
   std::unique_ptr<ShardRouter> router_;
   std::vector<std::unique_ptr<sim::SerialResource>> machine_cpus_;
-  std::vector<Group> groups_;
+  std::vector<harness::ReplicaGroup> groups_;
   std::vector<std::unique_ptr<harness::NodeHost>> client_hosts_;
-  std::vector<std::unique_ptr<ShardClient>> clients_;
-  ReplyProbe reply_probe_;
-  int64_t restarts_ = 0;
-  int64_t retired_revocations_ = 0;
-  int64_t retired_pipeline_rollbacks_ = 0;
+  std::vector<std::unique_ptr<harness::ClosedLoopClient>> clients_;
+  harness::ClosedLoopClient::ReplyProbe reply_probe_;
 };
 
 }  // namespace praft::shard

@@ -107,8 +107,10 @@ TEST(ClientTest, RetriesAfterTimeout) {
   harness::ClosedLoopClient::Options copt;
   copt.retry_timeout = sec(1);
   harness::Metrics metrics;
-  harness::ClosedLoopClient client(host, cluster.server(0).id(),
-                                   std::move(gen), metrics, copt);
+  const NodeId dead = cluster.server(0).id();
+  harness::ClosedLoopClient client(
+      host, [dead](const kv::Command&) { return dead; }, std::move(gen),
+      metrics, copt);
   client.start();
   cluster.run_for(sec(5));
   EXPECT_GE(client.retries(), 3u);

@@ -37,37 +37,6 @@ shard::ShardedClusterConfig small_config(int groups, int machines,
   return cfg;
 }
 
-chaos::GroupView view_of(shard::ShardedCluster& cluster, int g) {
-  chaos::GroupView v;
-  v.num_replicas = cluster.replicas_per_group();
-  v.replica_up = [&cluster, g](int j) { return cluster.replica_up(g, j); };
-  v.server = [&cluster, g](int j) -> harness::ReplicaServer& {
-    return cluster.server(g, j);
-  };
-  return v;
-}
-
-/// Wires one full InvariantChecker into group `g` (the same probes the
-/// sharded chaos runner installs).
-void attach_group(shard::ShardedCluster& cluster, int g,
-                  chaos::InvariantChecker& chk) {
-  cluster.install_apply_probe(
-      g, [&chk](NodeId r, consensus::LogIndex i, const kv::Command& c) {
-        chk.on_apply(r, i, c);
-      });
-  cluster.install_watermark_probe(
-      g, [&chk](NodeId r, consensus::LogIndex commit,
-                consensus::LogIndex applied) {
-        chk.on_watermark(r, commit, applied);
-      });
-  cluster.set_restart_probe(
-      g, [&chk](NodeId r, const consensus::HardState& hs,
-                const storage::RecoveryStats& stats,
-                consensus::LogIndex applied) {
-        chk.on_restart(r, hs, stats, applied);
-      });
-}
-
 TEST(ShardMapTest, DeterministicAcrossInstances) {
   shard::ShardMap a(8), b(8);
   for (uint64_t k = 0; k < 1000; ++k) {
@@ -187,8 +156,8 @@ TEST(ShardedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
   }
 
   chaos::InvariantChecker chk0, chk1;
-  attach_group(cluster, 0, chk0);
-  attach_group(cluster, 1, chk1);
+  chk0.attach(cluster.group(0));
+  chk1.attach(cluster.group(1));
   ASSERT_EQ(cluster.establish_leaders(), 2);
 
   kv::WorkloadConfig wl;
@@ -202,8 +171,8 @@ TEST(ShardedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
   cluster.stop_clients();
   cluster.run_for(sec(5));
 
-  chk0.finalize(view_of(cluster, 0));
-  chk1.finalize(view_of(cluster, 1));
+  chk0.finalize(cluster.group(0));
+  chk1.finalize(cluster.group(1));
   EXPECT_TRUE(chk0.ok()) << (chk0.violations().empty()
                                  ? ""
                                  : chk0.violations().front());
@@ -229,7 +198,7 @@ TEST(ShardedClusterTest, MixedProtocolGroupsConvergeTogether) {
   std::vector<std::unique_ptr<chaos::InvariantChecker>> chks;
   for (int g = 0; g < 4; ++g) {
     chks.push_back(std::make_unique<chaos::InvariantChecker>());
-    attach_group(cluster, g, *chks.back());
+    chks.back()->attach(cluster.group(g));
   }
   cluster.install_reply_probe([&chks](int g, const kv::Command& cmd,
                                       uint64_t value, bool ok, Time, Time) {
@@ -245,7 +214,7 @@ TEST(ShardedClusterTest, MixedProtocolGroupsConvergeTogether) {
   cluster.run_for(sec(3));
 
   for (int g = 0; g < 4; ++g) {
-    chks[static_cast<size_t>(g)]->finalize(view_of(cluster, g));
+    chks[static_cast<size_t>(g)]->finalize(cluster.group(g));
     EXPECT_TRUE(chks[static_cast<size_t>(g)]->ok())
         << cluster.protocol_of(g) << ": "
         << (chks[static_cast<size_t>(g)]->violations().empty()
