@@ -31,7 +31,9 @@ struct Deployment {
   void note(const std::string& event) {
     for (auto& chk : chks) chk->note(event);
   }
-  /// What the fault notes call a machine.
+  /// What the fault notes call a machine. A flat cluster's machine is its
+  /// replica, and the notes feed the trace fingerprint, so the flat wording
+  /// stays.
   [[nodiscard]] const char* unit() const {
     return groups.size() == 1 ? "replica" : "machine";
   }
