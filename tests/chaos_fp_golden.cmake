@@ -15,7 +15,11 @@ set(legs
     "--seeds=3 --restarts --compaction-cap=64"
     "--seeds=3 --groups=3 --restarts"
     "--seeds=2 --wan --restarts"
-    "--seed-file=tools/chaos_corpus.txt")
+    "--seed-file=tools/chaos_corpus.txt"
+    # Mencius under heavy churn: snapshot installs, revocations and restarts
+    # exercise every path that moves its slot and owner-floor bookkeeping.
+    "--protocol=mencius --seeds=40 --restarts --compaction-cap=16"
+    "--protocol=mencius --seeds=40 --wan --restarts --compaction-cap=64")
 set(golden "${SOURCE_DIR}/tests/golden/chaos_fp.txt")
 
 set(actual "")
