@@ -26,11 +26,6 @@ MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
   rank_ = group_.rank_of(group_.self);
   n_ = group_.n();
   next_own_ = rank_;
-  for (NodeId m : group_.members) {
-    owner_floor_[m] = 0;
-    owner_rev_floor_[m] = -1;
-    last_heard_[m] = 0;
-  }
   // Write-ahead mirroring: persist_slot() routes a slot's full durable
   // state (value ballot, revocation promise, decided flag) through this hook
   // into one coalescing WAL record per slot.
@@ -77,18 +72,20 @@ const kv::Command* MenciusNode::decided_at(LogIndex i) const {
   return &it->second;
 }
 
-LogIndex MenciusNode::own_decided_floor() const {
-  // Smallest own slot not known decided. Own slots below the apply floor
-  // are decided by construction; walk the residue class from there.
+LogIndex MenciusNode::own_decided_floor() {
+  // Own slots below the apply floor are decided by construction; resume the
+  // residue-class walk where the last call stopped. Unused slots
+  // (>= next_own_) are undecided by definition.
   const LogIndex floor = afloor();
-  LogIndex f = floor + ((rank_ - floor) % n_ + n_) % n_;
-  while (true) {
-    if (f >= next_own_) break;  // unused slots are undecided by definition
-    const Slot* s = slot_if(f);
-    if (s == nullptr || s->st != St::kDecided) break;
-    f += n_;
+  if (own_decided_ < floor) {
+    own_decided_ = floor + ((rank_ - floor) % n_ + n_) % n_;
   }
-  return f;
+  while (own_decided_ < next_own_) {
+    const Slot* s = slot_if(own_decided_);
+    if (s == nullptr || s->st != St::kDecided) break;
+    own_decided_ += n_;
+  }
+  return own_decided_;
 }
 
 // ---------------------------------------------------------------------------
@@ -120,7 +117,7 @@ LogIndex MenciusNode::submit(const kv::Command& cmd) {
   s.proposed_at = env_.now();
   s.own_pending_ack = true;
   own_unacked_.push_back(i);
-  slot_got_value(i, s);
+  count_op(cmd, +1);
   persist_slot(i);
   persister_.hard_state();  // next_own_ moved: never reuse this slot
   // The owner's implicit self-accept counts toward the ballot-0 quorum only
@@ -246,10 +243,14 @@ void MenciusNode::skip_own_upto(LogIndex boundary) {
 // Slot state transitions.
 // ---------------------------------------------------------------------------
 
-void MenciusNode::slot_got_value(LogIndex /*i*/, Slot& s) {
-  if (s.cmd.is_noop()) return;
-  ++unapplied_ops_[s.cmd.key];
-  if (s.cmd.is_write()) ++unapplied_writes_[s.cmd.key];
+void MenciusNode::count_op(const kv::Command& cmd, int delta) {
+  if (cmd.is_noop()) return;
+  const auto bump = [&](std::unordered_map<uint64_t, int>& counts) {
+    const auto it = counts.try_emplace(cmd.key, 0).first;
+    if ((it->second += delta) == 0) counts.erase(it);
+  };
+  bump(unapplied_ops_);
+  if (cmd.is_write()) bump(unapplied_writes_);
 }
 
 void MenciusNode::decide(LogIndex i, const kv::Command& cmd) {
@@ -268,10 +269,7 @@ void MenciusNode::decide(LogIndex i, const kv::Command& cmd) {
         own_rev_floor_ = std::max(own_rev_floor_, i);
         persister_.hard_state();
       }
-      if (!s.cmd.is_noop()) {
-        --unapplied_ops_[s.cmd.key];
-        if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-      }
+      count_op(s.cmd, -1);
       if (s.own_pending_ack) {
         // Our proposal lost its slot to a revoker's no-op: re-propose it on
         // a fresh own slot (the client sees one completion; the server
@@ -281,14 +279,11 @@ void MenciusNode::decide(LogIndex i, const kv::Command& cmd) {
         submit(lost);
       }
       s.cmd = cmd;
-      if (!cmd.is_noop()) {
-        ++unapplied_ops_[cmd.key];
-        if (cmd.is_write()) ++unapplied_writes_[cmd.key];
-      }
+      count_op(cmd, +1);
     }
   } else {
     s.cmd = cmd;
-    slot_got_value(i, s);
+    count_op(cmd, +1);
   }
   s.st = St::kDecided;
   s.bal = Ballot{kDecidedBal, kNoNode};
@@ -383,7 +378,7 @@ bool MenciusNode::revocation_done() const {
 }
 
 void MenciusNode::on_snapshot_xfer(const SnapshotXfer& m) {
-  last_heard_[m.from] = env_.now();
+  owners_[m.from].last_heard = env_.now();
   if (!applier_.install_snapshot(m.snap)) return;
   ++snapshots_installed_;
   if (m.snap.last_index > snap_.last_index) snap_ = m.snap;
@@ -397,10 +392,7 @@ void MenciusNode::on_snapshot_xfer(const SnapshotXfer& m) {
   // un-acked own proposals (their slots were decided without us; the client
   // retries through the server adapter).
   slots_.set_floor(m.snap.last_index, [this](LogIndex, const Slot& s) {
-    if (s.st != St::kEmpty && !s.cmd.is_noop()) {
-      --unapplied_ops_[s.cmd.key];
-      if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-    }
+    if (s.st != St::kEmpty) count_op(s.cmd, -1);
   });
   max_seen_ = std::max(max_seen_, m.snap.last_index);
   while (next_own_ < afloor()) next_own_ += n_;
@@ -419,10 +411,7 @@ void MenciusNode::on_slot_applied(LogIndex i, const kv::Command& cmd) {
   auto it = slots_.lookup(i);
   PRAFT_CHECK(it != slots_.end());
   Slot& s = it->second;
-  if (!s.cmd.is_noop()) {
-    --unapplied_ops_[s.cmd.key];
-    if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-  }
+  count_op(s.cmd, -1);
   if (s.own_pending_ack && acked_) acked_(s.cmd);
   if (apply_) apply_(i, cmd);
   decided_history_.emplace_back(i, cmd);
@@ -450,34 +439,28 @@ void MenciusNode::try_ack_own() {
     own_unacked_.clear();
     return;
   }
-  for (auto it = own_unacked_.begin(); it != own_unacked_.end();) {
-    const LogIndex i = *it;
-    if (i < afloor()) {
-      // Acked at apply time (or already re-proposed); drop the tracker.
-      it = own_unacked_.erase(it);
-      continue;
-    }
-    Slot* s = slots_.find(i);
-    if (s == nullptr) {
-      it = own_unacked_.erase(it);
-      continue;
-    }
-    if (!s->own_pending_ack) {
-      it = own_unacked_.erase(it);
-      continue;
-    }
+  // own_unacked_ ascends and an early ack needs every earlier slot known
+  // (i <= info_floor_), so the scan stops at the first slot above the info
+  // floor; survivors are compacted in place.
+  size_t kept = 0;
+  size_t k = 0;
+  for (; k < own_unacked_.size() && own_unacked_[k] <= info_floor_; ++k) {
+    const LogIndex i = own_unacked_[k];
+    // Below the apply floor: acked at apply time (or already re-proposed).
+    Slot* s = i < afloor() ? nullptr : slots_.find(i);
+    if (s == nullptr || !s->own_pending_ack) continue;
     // Early ack (the Mencius commutativity optimization, §5.2): our value is
     // committed on a majority AND every earlier unexecuted slot is known and
     // commutes with it.
-    if (s->st == St::kDecided && info_floor_ >= i &&
-        commutes_below(i, s->cmd)) {
+    if (s->st == St::kDecided && commutes_below(i, s->cmd)) {
       s->own_pending_ack = false;
       acked_(s->cmd);
-      it = own_unacked_.erase(it);
       continue;
     }
-    ++it;
+    own_unacked_[kept++] = i;
   }
+  own_unacked_.erase(own_unacked_.begin() + static_cast<long>(kept),
+                     own_unacked_.begin() + static_cast<long>(k));
 }
 
 // ---------------------------------------------------------------------------
@@ -486,29 +469,29 @@ void MenciusNode::try_ack_own() {
 
 void MenciusNode::note_owner_watermark(NodeId owner, LogIndex decided_floor,
                                        LogIndex rev_floor) {
-  owner_floor_[owner] = std::max(owner_floor_[owner], decided_floor);
-  owner_rev_floor_[owner] = std::max(owner_rev_floor_[owner], rev_floor);
+  OwnerView& view = owners_[owner];
+  view.floor = std::max(view.floor, decided_floor);
+  view.rev_floor = std::max(view.rev_floor, rev_floor);
   if (owner == group_.self) return;
   // Auto-decide: a ballot-0 value from `owner` below its decided watermark
   // (and above its revocation floor) IS the decided value — the owner is the
-  // only ballot-0 proposer of its slots.
-  const int orank = group_.rank_of(owner);
+  // only ballot-0 proposer of its slots. Both floors only rise, so the scan
+  // resumes where the last one stopped.
   const LogIndex base = afloor();
-  LogIndex i = base + ((orank - base) % n_ + n_) % n_;
-  const LogIndex floor = owner_floor_[owner];
-  const LogIndex rf = owner_rev_floor_[owner];
-  for (; i < floor; i += n_) {
-    if (i <= rf) continue;  // revoked zone: explicit decides only
+  LogIndex& i = view.scan;
+  if (i < base) i = base + ((group_.rank_of(owner) - base) % n_ + n_) % n_;
+  for (; i < view.floor; i += n_) {
+    if (i <= view.rev_floor) continue;  // revoked zone: explicit decides only
     Slot* s = slots_.find(i);
-    if (s == nullptr) continue;
-    if (s->st == St::kValued && s->bal == Ballot{0, owner}) {
+    if (s != nullptr && s->st == St::kValued && s->bal == Ballot{0, owner}) {
       decide(i, s->cmd);
     }
   }
 }
 
 void MenciusNode::on_accept_own(const AcceptOwn& m) {
-  last_heard_[m.owner] = env_.now();
+  OwnerView& view = owners_[m.owner];
+  view.last_heard = env_.now();
   AcceptOwnOk ok;
   ok.acceptor = group_.self;
   AcceptOwnRej rej;
@@ -531,22 +514,24 @@ void MenciusNode::on_accept_own(const AcceptOwn& m) {
         ok.indexes.push_back(item.index);
       } else {
         rej.indexes.push_back(item.index);
-        rej.jump_past = std::max(rej.jump_past, owner_rev_floor_[m.owner]);
+        rej.jump_past = std::max(rej.jump_past, view.rev_floor);
       }
       continue;
     }
     Slot& s = slot(item.index);
     if (s.promised > Ballot{0, m.owner}) {
       rej.indexes.push_back(item.index);
-      rej.jump_past = std::max(rej.jump_past, owner_rev_floor_[m.owner]);
+      rej.jump_past = std::max(rej.jump_past, view.rev_floor);
       continue;
     }
     if (s.st == St::kEmpty) {
       s.st = St::kValued;
       s.cmd = item.cmd;
       s.bal = Ballot{0, m.owner};
-      slot_got_value(item.index, s);
+      count_op(s.cmd, +1);
       persist_slot(item.index);
+      // The owner's watermark may have overtaken this accept: rescan here.
+      view.scan = std::min(view.scan, item.index);
     }
     ok.indexes.push_back(item.index);
   }
@@ -628,7 +613,7 @@ void MenciusNode::on_accept_own_rej(const AcceptOwnRej& m) {
 }
 
 void MenciusNode::on_skip_range(const SkipRange& m) {
-  last_heard_[m.owner] = env_.now();
+  owners_[m.owner].last_heard = env_.now();
   const int orank = group_.rank_of(m.owner);
   LogIndex i = m.lo + (((orank - m.lo) % n_) + n_) % n_;
   for (; i < m.hi; i += n_) {
@@ -640,7 +625,7 @@ void MenciusNode::on_skip_range(const SkipRange& m) {
 }
 
 void MenciusNode::on_status(const StatusBeat& m) {
-  last_heard_[m.from] = env_.now();
+  owners_[m.from].last_heard = env_.now();
   // A peer's slot consumption drags our unused turns forward even when we
   // never see its accepts directly (e.g. they raced past us).
   note_owner_watermark(m.from, m.decided_floor, m.rev_floor);
@@ -792,19 +777,10 @@ void MenciusNode::on_rev_prepare_ok(const RevPrepareOk& m) {
       Slot& s = slot(i);
       // Self-accept (the ack joins the tally via the fsync barrier below).
       if (s.st != St::kDecided) {
-        if (s.st == St::kValued && !(s.cmd == cmd)) {
-          if (!s.cmd.is_noop()) {
-            --unapplied_ops_[s.cmd.key];
-            if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-          }
+        if (s.st == St::kEmpty || !(s.cmd == cmd)) {
+          if (s.st == St::kValued) count_op(s.cmd, -1);
           s.cmd = cmd;
-          if (!cmd.is_noop()) {
-            ++unapplied_ops_[cmd.key];
-            if (cmd.is_write()) ++unapplied_writes_[cmd.key];
-          }
-        } else if (s.st == St::kEmpty) {
-          s.cmd = cmd;
-          slot_got_value(i, s);
+          count_op(cmd, +1);
         }
         s.st = St::kValued;
         s.bal = rev_.bal;
@@ -858,23 +834,17 @@ void MenciusNode::on_rev_accept(const RevAccept& m) {
     }
     if (s.st != St::kDecided) {
       if (s.st == St::kValued && !(s.cmd == item.cmd)) {
-        if (!s.cmd.is_noop()) {
-          --unapplied_ops_[s.cmd.key];
-          if (s.cmd.is_write()) --unapplied_writes_[s.cmd.key];
-        }
+        count_op(s.cmd, -1);
         if (s.own_pending_ack) {
           const kv::Command lost = s.cmd;
           s.own_pending_ack = false;
           submit(lost);
         }
         s.cmd = item.cmd;
-        if (!item.cmd.is_noop()) {
-          ++unapplied_ops_[item.cmd.key];
-          if (item.cmd.is_write()) ++unapplied_writes_[item.cmd.key];
-        }
+        count_op(item.cmd, +1);
       } else if (s.st == St::kEmpty) {
         s.cmd = item.cmd;
-        slot_got_value(item.index, s);
+        count_op(item.cmd, +1);
       }
       s.st = St::kValued;
       s.bal = m.bal;
@@ -961,7 +931,7 @@ storage::RecoveryStats MenciusNode::recover(const storage::DurableImage& img) {
           sl.acks = {group_.self};  // our accept IS durable — it was replayed
         }
       }
-      slot_got_value(r.index, sl);
+      count_op(sl.cmd, +1);
     }
     max_seen_ = std::max(max_seen_, r.index);
     ++stats.replayed;
@@ -1045,7 +1015,7 @@ void MenciusNode::maintenance() {
     if (blocker != group_.self) {
       const Message learn{LearnReq{group_.self, afloor(), hi}};
       persister_.send(blocker, learn, wire_size(learn));
-      if (now - last_heard_[blocker] > opt_.revoke_timeout) {
+      if (now - owners_[blocker].last_heard > opt_.revoke_timeout) {
         start_revocation(blocker, afloor(), max_seen_ + 1);
       }
     } else {

@@ -209,7 +209,9 @@ class MenciusNode : public consensus::NodeIface {
                             LogIndex rev_floor);
   void skip_own_upto(LogIndex boundary);  // skip unused own slots < boundary
   void decide(LogIndex i, const kv::Command& cmd);
-  void slot_got_value(LogIndex i, Slot& s);
+  /// Adds `delta` to the commutativity counters of `cmd`'s key (a count
+  /// back at zero is erased, so the maps stay the size of the backlog).
+  void count_op(const kv::Command& cmd, int delta);
   void advance_floors();
   void advance_floors_inner();
   void on_slot_applied(LogIndex i, const kv::Command& cmd);
@@ -222,7 +224,9 @@ class MenciusNode : public consensus::NodeIface {
   /// the index predates the history window). O(log |history|): entries are
   /// appended in slot order.
   [[nodiscard]] const kv::Command* decided_at(LogIndex i) const;
-  [[nodiscard]] LogIndex own_decided_floor() const;
+  /// Smallest own slot not known decided: a cursor that only moves forward
+  /// (afloor() and next_own_ only rise, and decided is final).
+  [[nodiscard]] LogIndex own_decided_floor();
   /// Exclusive execution floor: slots < afloor() are executed.
   [[nodiscard]] LogIndex afloor() const { return applier_.next_index(); }
 
@@ -240,6 +244,7 @@ class MenciusNode : public consensus::NodeIface {
   LogIndex next_own_ = 0;            // smallest unused own slot
   LogIndex max_seen_ = -1;           // largest slot index observed anywhere
   LogIndex own_rev_floor_ = -1;      // highest own slot known revoked
+  LogIndex own_decided_ = -1;        // own_decided_floor() cursor
 
   // Shared runtime machinery. Mencius slots are 0-based, so the applier
   // starts at -1; the status/maintenance beat rides the heartbeat interval.
@@ -247,10 +252,17 @@ class MenciusNode : public consensus::NodeIface {
   consensus::Batcher batcher_;
   consensus::Applier applier_;
 
-  // Per-owner published watermarks.
-  std::unordered_map<NodeId, LogIndex> owner_floor_;
-  std::unordered_map<NodeId, LogIndex> owner_rev_floor_;
-  std::unordered_map<NodeId, Time> last_heard_;
+  // Per-owner published watermarks, plus the auto-decide cursor of
+  // note_owner_watermark: the owner's slots in [afloor(), scan) hold no
+  // ballot-0 value of its left to decide (on_accept_own rewinds it when a
+  // value lands below).
+  struct OwnerView {
+    LogIndex floor = 0;
+    LogIndex rev_floor = -1;
+    LogIndex scan = -1;
+    Time last_heard = 0;
+  };
+  std::unordered_map<NodeId, OwnerView> owners_;
 
   // Commutativity bookkeeping over unexecuted-but-valued slots.
   std::unordered_map<uint64_t, int> unapplied_ops_;
