@@ -23,11 +23,11 @@ void ClosedLoopClient::issue_next() {
   if (stopped_) return;
   current_ = gen_.next(host_.id(), next_seq_++);
   in_flight_ = true;
+  sent_at_ = host_.now();  // latency spans every retry of this op
   transmit();
 }
 
 void ClosedLoopClient::transmit() {
-  sent_at_ = host_.now();
   ClientRequest req{current_};
   host_.send(route_(current_), Message{req}, wire_size(req));
   arm_retry(current_.seq);

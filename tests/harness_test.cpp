@@ -117,6 +117,43 @@ TEST(ClientTest, RetriesAfterTimeout) {
   EXPECT_EQ(client.completed(), 0u);
 }
 
+TEST(ClientTest, LatencyCountsFromFirstSend) {
+  // The client's replica is down for 2.5 s while its first op retries every
+  // second: the recorded latency spans the whole outage, not just the
+  // attempt that got through (after the heal the replica forwards it to
+  // whoever leads).
+  harness::ClusterConfig cfg = test::lan_config(7);
+  cfg.num_replicas = 3;
+  harness::Cluster cluster(cfg);
+  cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+      test::fast_options<raft::Options>()));
+  ASSERT_EQ(cluster.establish_leader(0), 0);
+  const NodeId replica = cluster.server(0).id();
+  const Time down_at = cluster.sim().now();
+  cluster.net().faults().crash(replica, down_at, down_at + msec(2500));
+  kv::WorkloadGenerator gen(test::small_workload(), 0, Rng(1));
+  harness::ClosedLoopClient::Options copt;
+  copt.start_at = down_at;
+  copt.retry_timeout = sec(1);
+  harness::Metrics metrics;
+  metrics.set_window(0, kTimeMax);
+  harness::ClosedLoopClient client(
+      cluster.make_host(0), [replica](const kv::Command&) { return replica; },
+      std::move(gen), metrics, copt);
+  Duration first_latency = -1;
+  client.set_reply_probe(
+      [&](const kv::Command&, uint64_t, bool, Time sent_at, Time recv_at) {
+        if (first_latency < 0) first_latency = recv_at - sent_at;
+      });
+  client.start();
+  cluster.run_for(sec(5));
+  ASSERT_GE(client.retries(), 2u);
+  ASSERT_GT(client.completed(), 0u);
+  EXPECT_GE(first_latency, msec(2500));
+  EXPECT_GE(std::max(metrics.reads(0).max(), metrics.writes(0).max()),
+            msec(2500));
+}
+
 // ---------------------------------------------------------------------------
 // Experiment-runner smoke tests: every system of Figs. 9/10 boots, elects,
 // commits and reports sane figures end-to-end (parameterized).
