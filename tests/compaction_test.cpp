@@ -53,7 +53,7 @@ TEST(ContiguousLogCompactionTest, CompactToMovesBaseAndKeepsSuffix) {
   EXPECT_EQ(log.at(7).value, 700);
   EXPECT_EQ(log.at(10).value, 1000);
   // Reads into the compacted prefix are protocol bugs.
-  EXPECT_THROW(log.at(5), CheckFailure);
+  EXPECT_THROW((void)log.at(5), CheckFailure);
 }
 
 TEST(ContiguousLogCompactionTest, CompactToSameBaseIsANoOp) {
@@ -214,7 +214,7 @@ TEST(CompactionTriggerTest, IntervalOnlyPolicyCompactsUnderLightLoad) {
   // still advance the compaction floor on every replica — including IDLE
   // ones after traffic stops, where no apply advance re-evaluates the
   // trigger (heartbeat/maintenance ticks carry it instead).
-  for (const std::string protocol : consensus::protocol_names()) {
+  for (const std::string& protocol : consensus::protocol_names()) {
     harness::ClusterConfig cfg;
     cfg.num_replicas = 3;
     cfg.seed = 13;
@@ -385,7 +385,7 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, SnapshotCatchUpTest,
 // ---------------------------------------------------------------------------
 
 TEST(CompactionEdgeTest, SnapshotExactlyAtCommitFloor) {
-  for (const std::string protocol : consensus::protocol_names()) {
+  for (const std::string& protocol : consensus::protocol_names()) {
     harness::ClusterConfig cfg;
     cfg.num_replicas = 3;
     cfg.seed = 7;
@@ -445,7 +445,7 @@ TEST(CompactionEdgeTest, SnapshotExactlyAtCommitFloor) {
 // ---------------------------------------------------------------------------
 
 TEST(CompactionEdgeTest, InstallDuringPartition) {
-  for (const std::string protocol : consensus::protocol_names()) {
+  for (const std::string& protocol : consensus::protocol_names()) {
     harness::ClusterConfig cfg;
     cfg.num_replicas = 5;
     cfg.seed = 21;

@@ -20,6 +20,7 @@
 #include "scripted_env.h"
 #include "storage/persister.h"
 #include "storage/wal.h"
+#include "test_util.h"
 
 using namespace praft;
 
@@ -196,7 +197,7 @@ TEST(RaftDurabilityTest, VoteIsOnDiskBeforeTheReplyLeaves) {
   node.start();
 
   raft::RequestVote rv{/*term=*/5, /*candidate=*/1, 0, 0};
-  node.on_packet(net::Packet{1, 0, 64, raft::Message{rv}});
+  node.on_packet(test::packet(1, 0, 64, raft::Message{rv}));
   // The vote is granted in memory immediately...
   EXPECT_EQ(node.current_term(), 5);
   // ...but the reply must NOT leave before the fsync barrier clears, and
@@ -225,7 +226,7 @@ TEST(RaftDurabilityTest, SkipVoteFsyncBugLeaksTheReply) {
   node.start();
 
   raft::RequestVote rv{/*term=*/5, /*candidate=*/1, 0, 0};
-  node.on_packet(net::Packet{1, 0, 64, raft::Message{rv}});
+  node.on_packet(test::packet(1, 0, 64, raft::Message{rv}));
   // The buggy node replies immediately, while its durable vote is stale —
   // exactly the window the chaos checker's regression invariant convicts.
   ASSERT_EQ(env.take_for(1).size(), 1u);

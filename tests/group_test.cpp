@@ -28,7 +28,7 @@ TEST(GroupTest, RankAndMembership) {
   EXPECT_FALSE(g.contains(99));
   EXPECT_EQ(g.rank_of(10), 0);
   EXPECT_EQ(g.rank_of(12), 2);
-  EXPECT_THROW(g.rank_of(99), CheckFailure);
+  EXPECT_THROW((void)g.rank_of(99), CheckFailure);
 }
 
 TEST(GroupTest, ValidateRejectsNonMemberSelf) {

@@ -5,6 +5,7 @@
 
 #include "mencius/node.h"
 #include "scripted_env.h"
+#include "test_util.h"
 
 namespace praft {
 namespace {
@@ -39,7 +40,7 @@ const M* find_sent(ScriptedEnv& env, NodeId to) {
 }
 
 net::Packet packet(NodeId from, NodeId to, mencius::Message m) {
-  return net::Packet{from, to, mencius::wire_size(m), std::move(m)};
+  return test::packet(from, to, mencius::wire_size(m), std::move(m));
 }
 
 class RevocationFixture : public ::testing::Test {

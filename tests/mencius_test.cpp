@@ -51,7 +51,7 @@ TEST(MenciusUnitTest, SeeingOthersSlotsSkipsOwnTurns) {
   mencius::AcceptOwn ao;
   ao.owner = 11;
   ao.items = {mencius::OwnItem{7, kv::Command{kv::Op::kPut, 5, 5, 8, 9, 1}}};
-  n.on_packet(net::Packet{11, 10, 64, mencius::Message{ao}});
+  n.on_packet(test::packet(11, 10, 64, mencius::Message{ao}));
   EXPECT_EQ(n.slots_skipped(), 3);
   EXPECT_EQ(n.next_own(), 9);
   env.advance(msec(5));  // flush
@@ -83,7 +83,7 @@ TEST(MenciusUnitTest, QuorumAcksDecideOwnSlot) {
   mencius::AcceptOwnOk ok;
   ok.acceptor = 11;
   ok.indexes = {0};
-  n.on_packet(net::Packet{11, 10, 48, mencius::Message{ok}});
+  n.on_packet(test::packet(11, 10, 48, mencius::Message{ok}));
   // Majority (self + 11) reached: decided; slot 0 has no predecessors so it
   // executes AND acks.
   ASSERT_EQ(applied.size(), 1u);
@@ -106,14 +106,14 @@ TEST(MenciusUnitTest, CommutativeOpAckedBeforeExecution) {
   mencius::AcceptOwn ao;
   ao.owner = 10;
   ao.items = {mencius::OwnItem{0, kv::Command{kv::Op::kPut, 77, 1, 8, 9, 1}}};
-  n.on_packet(net::Packet{10, 11, 64, mencius::Message{ao}});
+  n.on_packet(test::packet(10, 11, 64, mencius::Message{ao}));
   // Our op on key 5 lands at slot 1.
   const kv::Command mine{kv::Op::kPut, 5, 2, 8, 0, 1};
   ASSERT_EQ(n.submit(mine), 1);
   mencius::AcceptOwnOk ok;
   ok.acceptor = 12;
   ok.indexes = {1};
-  n.on_packet(net::Packet{12, 11, 48, mencius::Message{ok}});
+  n.on_packet(test::packet(12, 11, 48, mencius::Message{ok}));
   // Slot 0 is valued-but-undecided: cannot execute slot 1, but the keys
   // commute, so the client is acked early (the Mencius optimization).
   EXPECT_TRUE(applied.empty());
@@ -126,18 +126,22 @@ TEST(MenciusUnitTest, ConflictingOpWaitsForExecution) {
   mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
   std::vector<kv::Command> acked;
   n.set_acked([&](const kv::Command& c) { acked.push_back(c); });
+  std::vector<consensus::LogIndex> applied;
+  n.set_apply([&](consensus::LogIndex i, const kv::Command&) {
+    applied.push_back(i);
+  });
   n.start();
   // Owner 10's slot 0 holds the SAME key (undecided).
   mencius::AcceptOwn ao;
   ao.owner = 10;
   ao.items = {mencius::OwnItem{0, kv::Command{kv::Op::kPut, 5, 1, 8, 9, 1}}};
-  n.on_packet(net::Packet{10, 11, 64, mencius::Message{ao}});
+  n.on_packet(test::packet(10, 11, 64, mencius::Message{ao}));
   const kv::Command mine{kv::Op::kPut, 5, 2, 8, 0, 1};
   ASSERT_EQ(n.submit(mine), 1);
   mencius::AcceptOwnOk ok;
   ok.acceptor = 12;
   ok.indexes = {1};
-  n.on_packet(net::Packet{12, 11, 48, mencius::Message{ok}});
+  n.on_packet(test::packet(12, 11, 48, mencius::Message{ok}));
   EXPECT_TRUE(acked.empty());  // conflicting: must wait for slot 0
   // Slot 0 decides via owner 10's watermark; now both execute and ack fires.
   mencius::StatusBeat sb;
@@ -145,9 +149,95 @@ TEST(MenciusUnitTest, ConflictingOpWaitsForExecution) {
   sb.next_own = 3;
   sb.decided_floor = 3;
   sb.rev_floor = -1;
-  n.on_packet(net::Packet{10, 11, 40, mencius::Message{sb}});
+  n.on_packet(test::packet(10, 11, 40, mencius::Message{sb}));
   ASSERT_EQ(acked.size(), 1u);
   EXPECT_TRUE(acked[0] == mine);
+  EXPECT_EQ(applied, (std::vector<consensus::LogIndex>{0, 1}));
+
+  // Both key-5 puts executed, so the key's conflict count is back at zero:
+  // a second put on it early-acks behind valued slots of other keys.
+  ao.items = {mencius::OwnItem{3, kv::Command{kv::Op::kPut, 77, 3, 8, 9, 2}}};
+  n.on_packet(test::packet(10, 11, 64, mencius::Message{ao}));
+  mencius::AcceptOwn from12;
+  from12.owner = 12;
+  from12.items = {
+      mencius::OwnItem{2, kv::Command{kv::Op::kPut, 88, 4, 8, 9, 3}}};
+  n.on_packet(test::packet(12, 11, 64, mencius::Message{from12}));
+  const kv::Command again{kv::Op::kPut, 5, 5, 8, 0, 2};
+  ASSERT_EQ(n.submit(again), 4);
+  ok.indexes = {4};
+  n.on_packet(test::packet(12, 11, 48, mencius::Message{ok}));
+  ASSERT_EQ(acked.size(), 2u);
+  EXPECT_TRUE(acked[1] == again);
+  EXPECT_EQ(applied.size(), 2u);  // slots 2 and 3 are still undecided
+}
+
+// Scans the outbox for the decided floor carried by the latest StatusBeat.
+consensus::LogIndex beat_floor(const test::ScriptedEnv& env) {
+  consensus::LogIndex floor = -1;
+  for (const auto& sent : env.outbox) {
+    const auto* m = std::any_cast<mencius::Message>(&sent.payload);
+    if (m == nullptr) continue;
+    if (const auto* sb = std::get_if<mencius::StatusBeat>(m)) {
+      floor = sb->decided_floor;
+    }
+  }
+  return floor;
+}
+
+TEST(MenciusUnitTest, DecidedFloorWaitsForOwnGapThenJumpsPastRun) {
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(10, {10, 11, 12}), env, unit_options());
+  n.start();
+  for (uint64_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(n.submit(kv::Command{kv::Op::kPut, k, k, 8, 0, k + 1}),
+              static_cast<consensus::LogIndex>(3 * k));
+  }
+  mencius::AcceptOwnOk ok;
+  ok.acceptor = 11;
+  ok.indexes = {0};
+  n.on_packet(test::packet(11, 10, 48, mencius::Message{ok}));  // executes
+  // Own slots 6 and 9 decide ahead of slot 3.
+  ok.indexes = {6, 9};
+  n.on_packet(test::packet(11, 10, 48, mencius::Message{ok}));
+  env.clear();
+  env.advance(msec(50));  // status beat
+  EXPECT_EQ(beat_floor(env), 3);
+  // The gap fills: the floor passes the whole decided run to next_own.
+  ok.indexes = {3};
+  n.on_packet(test::packet(11, 10, 48, mencius::Message{ok}));
+  env.clear();
+  env.advance(msec(50));
+  EXPECT_EQ(beat_floor(env), 12);
+  EXPECT_EQ(n.next_own(), 12);
+}
+
+TEST(MenciusUnitTest, LateAcceptBelowPublishedOwnerFloorAutoDecides) {
+  test::ScriptedEnv env;
+  mencius::MenciusNode n(group_of(11, {10, 11, 12}), env, unit_options());
+  std::vector<consensus::LogIndex> applied;
+  n.set_apply([&](consensus::LogIndex i, const kv::Command&) {
+    applied.push_back(i);
+  });
+  n.start();
+  // Owner 10 decided its slots 0 and 3; its status beat overtakes the
+  // AcceptOwn that carries them, and peer 12 skips its turns below 6.
+  mencius::StatusBeat sb;
+  sb.from = 10;
+  sb.next_own = 6;
+  sb.decided_floor = 6;
+  n.on_packet(test::packet(10, 11, 40, mencius::Message{sb}));
+  n.on_packet(test::packet(12, 11, 40,
+                           mencius::Message{mencius::SkipRange{12, 0, 6}}));
+  EXPECT_TRUE(applied.empty());
+  // The accept lands below the floor already published: both values are
+  // decided, our own turn at slot 1 is skipped, and slots 0-3 execute.
+  mencius::AcceptOwn ao;
+  ao.owner = 10;
+  ao.items = {mencius::OwnItem{0, kv::Command{kv::Op::kPut, 1, 1, 8, 9, 1}},
+              mencius::OwnItem{3, kv::Command{kv::Op::kPut, 2, 2, 8, 9, 2}}};
+  n.on_packet(test::packet(10, 11, 64, mencius::Message{ao}));
+  EXPECT_EQ(applied, (std::vector<consensus::LogIndex>{0, 1, 2, 3}));
 }
 
 TEST(MenciusUnitTest, SkipRangeDecidesForeignSlots) {
@@ -165,11 +255,11 @@ TEST(MenciusUnitTest, SkipRangeDecidesForeignSlots) {
   mencius::AcceptOwnOk ok;
   ok.acceptor = 10;
   ok.indexes = {1};
-  n.on_packet(net::Packet{10, 11, 48, mencius::Message{ok}});
-  n.on_packet(net::Packet{10, 11, 40,
-                          mencius::Message{mencius::SkipRange{10, 0, 3}}});
-  n.on_packet(net::Packet{12, 11, 40,
-                          mencius::Message{mencius::SkipRange{12, 0, 3}}});
+  n.on_packet(test::packet(10, 11, 48, mencius::Message{ok}));
+  n.on_packet(test::packet(10, 11, 40,
+                           mencius::Message{mencius::SkipRange{10, 0, 3}}));
+  n.on_packet(test::packet(12, 11, 40,
+                           mencius::Message{mencius::SkipRange{12, 0, 3}}));
   ASSERT_EQ(applied.size(), 3u);  // slots 0,1,2
 }
 

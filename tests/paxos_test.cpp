@@ -28,7 +28,7 @@ paxos::Options unit_options() {
 }
 
 net::Packet packet(NodeId from, NodeId to, paxos::Message m) {
-  return net::Packet{from, to, paxos::wire_size(m), std::move(m)};
+  return test::packet(from, to, paxos::wire_size(m), std::move(m));
 }
 
 TEST(PaxosUnitTest, BallotOrdering) {

@@ -309,8 +309,8 @@ TEST(Pipeline, StaleAckAfterStepDownIsInert) {
   env.advance(msec(400));
   ASSERT_EQ(node.role(), raft::Role::kCandidate);
   const consensus::Term t = node.current_term();
-  node.on_packet(net::Packet{
-      1, 0, 0, std::any(raft::Message{raft::VoteReply{t, 1, true}})});
+  node.on_packet(
+      test::packet(1, 0, 0, raft::Message{raft::VoteReply{t, 1, true}}));
   ASSERT_TRUE(node.is_leader());
   ASSERT_GE(node.submit(kv::Command{kv::Op::kPut, 1, 2, 8, 3, 4}), 0);
   env.advance(msec(2));  // flush: entry 1 now in flight to both peers
@@ -320,14 +320,14 @@ TEST(Pipeline, StaleAckAfterStepDownIsInert) {
   raft::AppendEntries ae;
   ae.term = t + 1;
   ae.leader = 2;
-  node.on_packet(net::Packet{2, 0, 0, std::any(raft::Message{ae})});
+  node.on_packet(test::packet(2, 0, 0, raft::Message{ae}));
   ASSERT_FALSE(node.is_leader());
   EXPECT_EQ(node.pipeline_rollbacks(), 0);
 
   // The old regime's ack finally arrives, then time passes the retransmit
   // timeout. Neither may produce an AppendEntries or a loss rollback.
-  node.on_packet(net::Packet{
-      1, 0, 0, std::any(raft::Message{raft::AppendReply{t, 1, true, 1, 0}})});
+  node.on_packet(test::packet(
+      1, 0, 0, raft::Message{raft::AppendReply{t, 1, true, 1, 0}}));
   env.clear();
   env.advance(msec(700));  // past pipeline_retransmit_timeout
   EXPECT_EQ(node.pipeline_rollbacks(), 0);

@@ -32,7 +32,7 @@ raft::Options unit_options() {
 }
 
 net::Packet packet(NodeId from, NodeId to, raft::Message m) {
-  return net::Packet{from, to, raft::wire_size(m), std::move(m)};
+  return test::packet(from, to, raft::wire_size(m), std::move(m));
 }
 
 TEST(RaftUnitTest, CandidateBroadcastsRequestVote) {

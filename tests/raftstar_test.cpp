@@ -28,7 +28,7 @@ raftstar::Options unit_options() {
 }
 
 net::Packet packet(NodeId from, NodeId to, raftstar::Message m) {
-  return net::Packet{from, to, raftstar::wire_size(m), std::move(m)};
+  return test::packet(from, to, raftstar::wire_size(m), std::move(m));
 }
 
 raftstar::AppendEntries make_append(consensus::Term term, NodeId leader,

@@ -1,13 +1,27 @@
 #pragma once
 
+#include <any>
 #include <map>
 #include <memory>
 
 #include "common/types.h"
 #include "harness/cluster.h"
 #include "harness/log_server.h"
+#include "net/packet.h"
 
 namespace praft::test {
+
+/// A hand-built packet for feeding a node directly: `bytes` is the modeled
+/// wire size, and there is no pooled frame (the network codec never ran).
+inline net::Packet packet(NodeId from, NodeId to, size_t bytes,
+                          std::any payload) {
+  net::Packet p;
+  p.from = from;
+  p.to = to;
+  p.bytes = bytes;
+  p.payload = std::move(payload);
+  return p;
+}
 
 /// Records every (index, command) applied by any replica and flags the
 /// moment two replicas disagree about one index — the core agreement

@@ -21,6 +21,7 @@
 #include "raft/wire.h"
 #include "raftstar/wire.h"
 #include "scripted_env.h"
+#include "test_util.h"
 
 namespace praft {
 namespace {
@@ -476,8 +477,8 @@ TEST(Batcher, DeposedRaftLeaderFlushIsInert) {
   env.advance(msec(400));  // election timeout: candidate at some term t
   ASSERT_EQ(node.role(), raft::Role::kCandidate);
   const consensus::Term t = node.current_term();
-  node.on_packet(net::Packet{
-      1, 0, 0, std::any(raft::Message{raft::VoteReply{t, 1, true}})});
+  node.on_packet(
+      test::packet(1, 0, 0, raft::Message{raft::VoteReply{t, 1, true}}));
   ASSERT_TRUE(node.is_leader());
   ASSERT_GE(node.submit(kv::Command{kv::Op::kPut, 1, 2, 8, 3, 4}), 0);
   env.clear();
@@ -488,7 +489,7 @@ TEST(Batcher, DeposedRaftLeaderFlushIsInert) {
   ae.prev_index = 0;
   ae.prev_term = 0;
   ae.commit = 0;
-  node.on_packet(net::Packet{2, 0, 0, std::any(raft::Message{ae})});
+  node.on_packet(test::packet(2, 0, 0, raft::Message{ae}));
   ASSERT_FALSE(node.is_leader());
   env.clear();
   env.advance(msec(20));  // past the armed batch_delay
