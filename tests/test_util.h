@@ -3,6 +3,7 @@
 #include <any>
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "common/types.h"
 #include "harness/cluster.h"
