@@ -1,9 +1,12 @@
 #pragma once
 
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "common/check.h"
 #include "common/types.h"
+#include "consensus/types.h"
 
 namespace praft::consensus {
 
@@ -63,5 +66,23 @@ class QuorumTracker {
   int needed_;
   std::vector<NodeId> acks_;
 };
+
+/// The commit quorum's order statistic, shared by Raft and Raft*: the k-th
+/// largest of {`self`, every peer's match index}, i.e. the highest index that
+/// at least k replicas hold. nullopt when fewer than k replicas are known.
+/// Allocation-free; O(n^2) over the group, which is a handful of replicas.
+[[nodiscard]] inline std::optional<LogIndex> quorum_index(
+    LogIndex self, const std::map<NodeId, LogIndex>& peers, int k) {
+  std::optional<LogIndex> best;
+  const auto consider = [&](LogIndex v) {
+    if (best && v <= *best) return;
+    int holders = self >= v ? 1 : 0;
+    for (const auto& [peer, match] : peers) holders += match >= v ? 1 : 0;
+    if (holders >= k) best = v;
+  };
+  consider(self);
+  for (const auto& [peer, match] : peers) consider(match);
+  return best;
+}
 
 }  // namespace praft::consensus

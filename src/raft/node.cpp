@@ -344,22 +344,18 @@ void RaftNode::on_append_reply(const AppendReply& m) {
 }
 
 void RaftNode::advance_commit() {
-  // Highest N replicated on a majority with log[N].term == current term
-  // (§5.4.2: never commit old-term entries by counting).
-  for (LogIndex n = last_index(); n > commit_index(); --n) {
-    if (term_at(n) != term_) break;
-    // Self counts only once its own entries are durable (the mirror's
-    // note_appended barrier advances the durable index) — a leader whose
-    // disk lags may not treat its volatile log as a replica.
-    int count = mirror_.durable_index() >= n ? 1 : 0;
-    for (const auto& [peer, match] : match_index_) {
-      if (match >= n) ++count;
-    }
-    if (count >= opt_.commit_quorum(group_.majority())) {
-      commit_to(n);
-      break;
-    }
-  }
+  // Highest index held by a quorum, committed only at a current-term entry
+  // (§5.4.2: never commit old-term entries by counting). Log terms never
+  // decrease, so if that index fails the check every lower one does too.
+  // Self counts only its durable prefix (the mirror's note_appended
+  // barrier advances it): a leader whose disk lags may not treat its
+  // volatile log as a replica.
+  const std::optional<LogIndex> quorum = consensus::quorum_index(
+      mirror_.durable_index(), match_index_,
+      opt_.commit_quorum(group_.majority()));
+  if (!quorum) return;
+  const LogIndex n = std::min(*quorum, last_index());
+  if (n > commit_index() && term_at(n) == term_) commit_to(n);
 }
 
 void RaftNode::commit_to(LogIndex target) {

@@ -176,8 +176,8 @@ class RaftNode : public consensus::NodeIface {
   // Candidate state.
   consensus::QuorumTracker votes_;
 
-  // Leader state. Ordered maps: advance_commit iterates match_index_, and
-  // quorum counting must visit peers in a seed-stable order (lint rule D1).
+  // Leader state. Ordered maps: advance_commit's quorum_index iterates
+  // match_index_, and must visit peers in a seed-stable order (lint rule D1).
   std::map<NodeId, LogIndex> next_index_;
   std::map<NodeId, LogIndex> match_index_;
   // Per-peer in-flight window: replicate_to pumps batches until it closes;

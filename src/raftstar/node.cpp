@@ -458,23 +458,15 @@ void RaftStarNode::on_append_reply(const AppendReply& m) {
   }
 }
 
-LogIndex RaftStarNode::quorum_match_index() const {
-  std::vector<LogIndex> matches;
-  // Self counts only its durable prefix (the mirror's note_appended barrier
-  // advances it) — same rule as RaftNode::advance_commit.
-  matches.push_back(mirror_.durable_index());
-  for (const auto& [peer, match] : match_index_) matches.push_back(match);
-  std::sort(matches.begin(), matches.end(), std::greater<>());
-  const auto k = static_cast<size_t>(opt_.commit_quorum(group_.majority()) - 1);
-  // A durability barrier can clear before the leader maps are (re)built —
-  // with fewer known replicas than the quorum, nothing is committable.
-  if (k >= matches.size()) return 0;
-  return matches[k];
-}
-
 void RaftStarNode::advance_commit() {
   if (role_ != Role::kLeader) return;
-  const LogIndex target = quorum_match_index();
+  // Self counts only its durable prefix, as in RaftNode::advance_commit; a
+  // durability barrier can clear before the leader maps are (re)built, and
+  // with fewer known replicas than the quorum nothing is committable.
+  const LogIndex target =
+      consensus::quorum_index(mirror_.durable_index(), match_index_,
+                              opt_.commit_quorum(group_.majority()))
+          .value_or(0);
   // No current-term check: every successful reply re-accepted the covered
   // prefix at this term's ballot (LeaderLearn in Fig. 2b).
   LogIndex allowed = commit_index();

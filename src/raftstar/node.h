@@ -123,10 +123,6 @@ class RaftStarNode : public consensus::NodeIface {
   [[nodiscard]] NodeId id() const override { return group_.self; }
   [[nodiscard]] const consensus::Group& group() const { return group_; }
 
-  /// The f+1'th largest replicated index (self included) — what the commit
-  /// would be without any gate. Exposed for PQL's LeaderLearn.
-  [[nodiscard]] LogIndex quorum_match_index() const;
-
   /// Observer invoked for every successful AppendReply the leader receives
   /// (non-mutating hook per §4.2 — it may read but never mutates Raft* state;
   /// Raft*-PQL uses it to collect lease-holder acknowledgements).
@@ -220,8 +216,8 @@ class RaftStarNode : public consensus::NodeIface {
   // installed in BecomeLeader before safe-value selection.
   consensus::Snapshot election_snap_;
 
-  // Ordered maps: quorum_match_index iterates match_index_, and the visit
-  // order must be seed-stable (lint rule D1).
+  // Ordered maps: advance_commit's quorum_index iterates match_index_, and
+  // the visit order must be seed-stable (lint rule D1).
   std::map<NodeId, LogIndex> next_index_;
   std::map<NodeId, LogIndex> match_index_;
   // Per-peer in-flight window (consensus::PeerPipeline; see RaftNode).

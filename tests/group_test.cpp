@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+
 #include "common/check.h"
 #include "consensus/group.h"
 #include "consensus/types.h"
@@ -52,6 +55,24 @@ TEST(QuorumTrackerTest, DedupesAcks) {
 TEST(QuorumTrackerTest, ZeroNeededIsImmediatelyReached) {
   QuorumTracker t(0);
   EXPECT_TRUE(t.reached());
+}
+
+TEST(QuorumIndexTest, KthLargestOfSelfAndPeers) {
+  const std::map<NodeId, LogIndex> peers{{1, 10}, {2, 7}, {3, 3}, {4, 3}};
+  EXPECT_EQ(quorum_index(10, peers, 1), 10);
+  EXPECT_EQ(quorum_index(10, peers, 2), 10);
+  EXPECT_EQ(quorum_index(10, peers, 3), 7);
+  EXPECT_EQ(quorum_index(10, peers, 4), 3);
+  EXPECT_EQ(quorum_index(10, peers, 5), 3);
+  EXPECT_EQ(quorum_index(0, peers, 3), 3);  // self need not lead
+  EXPECT_EQ(quorum_index(0, peers, 5), 0);
+}
+
+TEST(QuorumIndexTest, NothingWithFewerReplicasThanTheQuorum) {
+  const std::map<NodeId, LogIndex> peers{{1, 4}, {2, 9}};
+  EXPECT_EQ(quorum_index(7, peers, 4), std::nullopt);
+  EXPECT_EQ(quorum_index(7, {}, 1), 7);
+  EXPECT_EQ(quorum_index(7, {}, 2), std::nullopt);
 }
 
 TEST(BallotTest, LexicographicOrder) {

@@ -190,6 +190,103 @@ TEST(RaftUnitTest, LeaderStepsDownOnHigherTerm) {
   EXPECT_EQ(n.current_term(), 99);
 }
 
+// Commit rule: the quorum order statistic of {own durable index, peers'
+// match indexes}, committed only at a current-term entry (§5.4.2).
+
+/// Makes node 0 of {0..4} leader at term 1 and fills its log to index 10
+/// (the leader's no-op, then nine puts). Diskless, so all of it is durable.
+void lead_with_ten_entries(raft::RaftNode& n) {
+  n.start();
+  n.force_election();
+  n.on_packet(packet(1, 0, raft::Message{raft::VoteReply{1, 1, true}}));
+  n.on_packet(packet(2, 0, raft::Message{raft::VoteReply{1, 2, true}}));
+  ASSERT_TRUE(n.is_leader());
+  for (uint64_t k = 1; k <= 9; ++k) {
+    n.submit(kv::Command{kv::Op::kPut, k, k, 8, 0, k});
+  }
+  ASSERT_EQ(n.last_index(), 10);
+}
+
+void ack(raft::RaftNode& n, consensus::Term term, NodeId peer,
+         consensus::LogIndex match) {
+  n.on_packet(packet(peer, n.id(),
+                     raft::Message{raft::AppendReply{term, peer, true, match,
+                                                     0}}));
+}
+
+TEST(RaftUnitTest, PriorTermEntriesCommitOnlyWithACurrentTermEntry) {
+  ScriptedEnv env;
+  raft::RaftNode n(group_of(0, {0, 1, 2}), env, unit_options());
+  std::vector<consensus::LogIndex> applied;
+  n.set_apply([&](consensus::LogIndex i, const kv::Command&) {
+    applied.push_back(i);
+  });
+  n.start();
+  // Leader 1 (term 1) replicates two entries here, but never commits them.
+  raft::AppendEntries ae;
+  ae.term = 1;
+  ae.leader = 1;
+  ae.prev_index = 0;
+  ae.prev_term = 0;
+  ae.entries = {raft::Entry{1, kv::Command{kv::Op::kPut, 1, 11, 8, 9, 1}},
+                raft::Entry{1, kv::Command{kv::Op::kPut, 2, 22, 8, 9, 2}}};
+  n.on_packet(packet(1, 0, raft::Message{ae}));
+  ASSERT_EQ(n.last_index(), 2);
+  // We win term 2; our no-op lands at index 3.
+  n.force_election();
+  n.on_packet(packet(2, 0, raft::Message{raft::VoteReply{2, 2, true}}));
+  ASSERT_TRUE(n.is_leader());
+  ASSERT_EQ(n.last_index(), 3);
+  ASSERT_EQ(n.entry_at(3).term, 2);
+
+  // Every replica holds the term-1 entries, yet counting replicas of an
+  // old-term entry must not commit it.
+  ack(n, 2, 1, 2);
+  ack(n, 2, 2, 2);
+  EXPECT_EQ(n.commit_index(), 0);
+  EXPECT_TRUE(applied.empty());
+  // Once the term-2 no-op reaches a majority, it commits the prefix with it.
+  ack(n, 2, 2, 3);
+  EXPECT_EQ(n.commit_index(), 3);
+  EXPECT_EQ(applied, (std::vector<consensus::LogIndex>{1, 2, 3}));
+}
+
+TEST(RaftUnitTest, OutOfOrderAcksCommitTheMajorityMatch) {
+  ScriptedEnv env;
+  raft::RaftNode n(group_of(0, {0, 1, 2, 3, 4}), env, unit_options());
+  lead_with_ten_entries(n);
+  // Sorted, the durable indexes run {10 (self), 10, 7, 3, 3}: with three of
+  // five needed, exactly 7 is committed — whatever order the acks take.
+  ack(n, 1, 3, 3);
+  EXPECT_EQ(n.commit_index(), 0);
+  ack(n, 1, 1, 10);
+  EXPECT_EQ(n.commit_index(), 3);
+  ack(n, 1, 4, 3);
+  EXPECT_EQ(n.commit_index(), 3);
+  ack(n, 1, 2, 7);
+  EXPECT_EQ(n.commit_index(), 7);
+  ack(n, 1, 4, 2);  // a stale ack never lowers a match index
+  EXPECT_EQ(n.commit_index(), 7);
+}
+
+TEST(RaftUnitTest, CommitQuorumIsTheKthLargestMatch) {
+  // unsafe_commit_quorum = k commits the k-th largest of the five durable
+  // indexes {10, 10, 7, 3, 3}; with k above the group size, nothing commits.
+  for (const auto& [k, want] : std::vector<std::pair<int, consensus::LogIndex>>{
+           {1, 10}, {2, 10}, {3, 7}, {4, 3}, {5, 3}, {6, 0}}) {
+    ScriptedEnv env;
+    raft::Options opt = unit_options();
+    opt.unsafe_commit_quorum = k;
+    raft::RaftNode n(group_of(0, {0, 1, 2, 3, 4}), env, opt);
+    lead_with_ten_entries(n);
+    ack(n, 1, 1, 10);
+    ack(n, 1, 2, 7);
+    ack(n, 1, 3, 3);
+    ack(n, 1, 4, 3);
+    EXPECT_EQ(n.commit_index(), want) << "k = " << k;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-level tests over the simulated network.
 // ---------------------------------------------------------------------------
