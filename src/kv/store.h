@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "kv/command.h"
@@ -39,6 +38,14 @@ struct StoreImage {
 /// The replicated state machine: a key -> (value token, version) map.
 /// Deterministic and side-effect free; every replica applies the same command
 /// sequence and must reach the same state (checked in tests by fingerprint).
+///
+/// Storage is one flat open-addressing table (power-of-two slots, linear
+/// probing over a mixed key): every replica of every group holds the whole
+/// key space, so a node per key would cost a cache miss per apply. Keys are
+/// never erased — only restore() rebuilds — so probing needs no tombstones.
+/// A slot is empty iff its version is 0: a stored key has been put at least
+/// once, so its version is >= 1, and key 0 (the workload's hot key) needs no
+/// reserved sentinel.
 class KvStore {
  public:
   ApplyResult apply(const Command& cmd);
@@ -47,7 +54,7 @@ class KvStore {
   /// reads; the *protocol* is responsible for deciding when this is legal).
   [[nodiscard]] uint64_t read_local(uint64_t key) const;
 
-  [[nodiscard]] size_t size() const { return map_.size(); }
+  [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] uint64_t applied_count() const { return applied_; }
 
   /// Order-insensitive fingerprint of the full state; equal states hash equal.
@@ -62,11 +69,22 @@ class KvStore {
   void restore(const StoreImage& img);
 
  private:
-  struct Cell {
+  struct Slot {
+    uint64_t key = 0;
     uint64_t value = 0;
-    uint64_t version = 0;
+    uint64_t version = 0;  // 0 = empty slot
   };
-  std::unordered_map<uint64_t, Cell> map_;
+
+  /// Position of the slot holding `key`, or of the empty slot where it
+  /// would go. Requires a non-empty table.
+  [[nodiscard]] size_t slot_of(uint64_t key) const;
+  /// The slot holding `key`, or nullptr.
+  [[nodiscard]] const Slot* find(uint64_t key) const;
+  /// Moves every stored key into a fresh table of `capacity` slots.
+  void rehash(size_t capacity);
+
+  std::vector<Slot> slots_;  // empty until the first put
+  size_t size_ = 0;          // occupied slots, kept <= 3/4 of slots_
   uint64_t applied_ = 0;
 };
 
