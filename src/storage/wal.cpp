@@ -33,11 +33,25 @@ void DurableStore::apply(const StagedOp& op) {
   if (const auto* rec = std::get_if<WalRecord>(&op)) {
     bytes_synced_ += rec->wire_bytes();
     if (rec->index <= snapshot_floor()) return;  // already inside the snapshot
-    records_[rec->index] = *rec;
+    if (slots_.empty()) first_ = rec->index;
+    // Open the slots between the current ends and the record's index.
+    for (; rec->index < first_; --first_) slots_.emplace_front();
+    while (rec->index >= first_ + static_cast<consensus::LogIndex>(
+                                      slots_.size())) {
+      slots_.emplace_back();
+    }
+    Slot& slot = slots_[static_cast<size_t>(rec->index - first_)];
+    if (!slot.present) ++live_;
+    slot.present = true;
+    slot.rec = *rec;  // coalesce: the newest record for an index wins
     return;
   }
   if (const auto* tr = std::get_if<Truncate>(&op)) {
-    records_.erase(records_.upper_bound(tr->last_kept), records_.end());
+    while (!slots_.empty() && wal_tail() > tr->last_kept) {
+      if (slots_.back().present) --live_;
+      slots_.pop_back();
+    }
+    trim();
     bytes_synced_ += 16;
     return;
   }
@@ -46,7 +60,18 @@ void DurableStore::apply(const StagedOp& op) {
   if (!snap.valid() || snap.last_index <= snapshot_floor()) return;
   snap_ = snap;
   // The snapshot substitutes for replaying everything it covers.
-  records_.erase(records_.begin(), records_.upper_bound(snap.last_index));
+  for (; !slots_.empty() && first_ <= snap.last_index; ++first_) {
+    if (slots_.front().present) --live_;
+    slots_.pop_front();
+  }
+  trim();
+}
+
+void DurableStore::trim() {
+  while (!slots_.empty() && !slots_.back().present) slots_.pop_back();
+  for (; !slots_.empty() && !slots_.front().present; ++first_) {
+    slots_.pop_front();
+  }
 }
 
 void DurableStore::commit_through(uint64_t seq) {
@@ -77,8 +102,10 @@ DurableImage DurableStore::image() const {
   DurableImage img;
   img.hard = hard_;
   img.snap = snap_;
-  img.records.reserve(records_.size());
-  for (const auto& [idx, rec] : records_) img.records.push_back(rec);
+  img.records.reserve(live_);
+  for (const Slot& slot : slots_) {
+    if (slot.present) img.records.push_back(slot.rec);
+  }
   return img;
 }
 

@@ -1,8 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
+#include <deque>
 #include <variant>
 #include <vector>
 
@@ -110,9 +109,11 @@ class DurableStore {
   /// Highest durable record index, or the snapshot floor when the WAL is
   /// empty (the recovery replay bound's upper end).
   [[nodiscard]] consensus::LogIndex wal_tail() const {
-    return records_.empty() ? snapshot_floor() : records_.rbegin()->first;
+    return slots_.empty() ? snapshot_floor()
+                          : first_ + static_cast<consensus::LogIndex>(
+                                         slots_.size() - 1);
   }
-  [[nodiscard]] size_t wal_records() const { return records_.size(); }
+  [[nodiscard]] size_t wal_records() const { return live_; }
 
   /// The modeled disk this store syncs through (queueing = fsync backlog).
   [[nodiscard]] sim::SerialResource& disk() { return disk_; }
@@ -131,12 +132,26 @@ class DurableStore {
       std::variant<consensus::HardState, WalRecord, Truncate,
                    consensus::Snapshot>;
 
+  /// One WAL position; absent slots fill the gaps between staged indices.
+  struct Slot {
+    bool present = false;
+    WalRecord rec;
+  };
+
   void apply(const StagedOp& op);
+  /// Drops absent slots from both ends, so that the WAL is empty or its
+  /// front and back slots are present.
+  void trim();
 
   // Durable state.
   consensus::HardState hard_;
   consensus::Snapshot snap_;
-  std::map<consensus::LogIndex, WalRecord> records_;
+  // The WAL, indexed by position: slots_[k] holds index first_ + k. Raft
+  // and Raft* write contiguous runs; MultiPaxos and Mencius leave gaps and
+  // may write below the front. A deque grows at either end without copying.
+  std::deque<Slot> slots_;
+  consensus::LogIndex first_ = 0;
+  size_t live_ = 0;  // present slots
   bool any_synced_ = false;
 
   // Staged (volatile) mutations, in staging order. base_seq_ is the sequence

@@ -121,6 +121,63 @@ TEST(DurableStoreTest, SnapshotSubstitutesForTheWalPrefix) {
   EXPECT_EQ(store.wal_records(), 2u);
 }
 
+// MultiPaxos and Mencius stage sparse positions, in any order.
+TEST(DurableStoreTest, GappedAndOutOfOrderIndicesKeepTheirPositions) {
+  storage::DurableStore store;
+  const auto commit = [&] { store.commit_through(store.staged_seq()); };
+  // The WAL holds exactly `want` (ascending) and ends at `tail`.
+  const auto expect_wal = [&](std::vector<consensus::LogIndex> want,
+                              consensus::LogIndex tail) {
+    std::vector<consensus::LogIndex> got;
+    for (const storage::WalRecord& r : store.image().records) {
+      got.push_back(r.index);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(store.wal_records(), want.size());
+    EXPECT_EQ(store.wal_tail(), tail);
+  };
+
+  store.stage_record(record_at(10, 1));
+  store.stage_record(record_at(14, 1));  // leaves 11..13 open
+  store.stage_record(record_at(12, 1));  // inside the gap
+  store.stage_record(record_at(7, 1));   // below the front
+  commit();
+  expect_wal({7, 10, 12, 14}, 14);
+
+  store.stage_record(record_at(12, 2));  // overwrite inside the gapped run
+  commit();
+  expect_wal({7, 10, 12, 14}, 14);
+  EXPECT_EQ(store.image().records[2].term, 2);
+
+  store.stage_truncate_after(13);  // lands in a gap
+  commit();
+  expect_wal({7, 10, 12}, 12);
+
+  consensus::Snapshot snap;
+  snap.last_index = 8;  // lands in a gap
+  store.stage_snapshot(snap);
+  commit();
+  expect_wal({10, 12}, 12);
+
+  store.stage_record(record_at(5, 1));  // at or below the floor: dead
+  store.stage_record(record_at(9, 1));  // above the floor, below the front
+  store.stage_record(record_at(11, 1));
+  commit();
+  expect_wal({9, 10, 11, 12}, 12);
+
+  store.stage_truncate_after(8);  // below the front: the WAL empties
+  commit();
+  expect_wal({}, 8);  // an empty WAL ends at the snapshot floor
+
+  store.stage_record(record_at(20, 3));
+  commit();
+  expect_wal({20}, 20);
+  snap.last_index = 30;  // beyond every record
+  store.stage_snapshot(snap);
+  commit();
+  expect_wal({}, 30);
+}
+
 // ---------------------------------------------------------------------------
 // Persister: fsync barriers and group commit.
 // ---------------------------------------------------------------------------
