@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -10,36 +11,44 @@ EventId EventQueue::schedule_at(Time at, UniqueFunction<void()> fn) {
   PRAFT_CHECK(fn != nullptr);
   if (at < now_) at = now_;
   const EventId id = next_id_++;
-  heap_.push(Event{at, id, std::move(fn)});
+  heap_.push_back(Event{at, id, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   return id;
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id != kNoEvent) cancelled_.insert(id);
+  // Only a pending id may enter cancelled_: pending() subtracts its size.
+  const bool in_heap = std::any_of(heap_.begin(), heap_.end(),
+                                   [id](const Event& e) { return e.id == id; });
+  if (in_heap) cancelled_.insert(id);
+}
+
+void EventQueue::drop_cancelled() {
+  while (!heap_.empty() && !cancelled_.empty() &&
+         cancelled_.erase(heap_.front().id) > 0) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
 }
 
 bool EventQueue::step() {
-  while (!heap_.empty()) {
-    // priority_queue::top() is const; the function object is moved out via
-    // const_cast which is safe because we pop immediately afterwards.
-    Event ev = std::move(const_cast<Event&>(heap_.top()));
-    heap_.pop();
-    if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    PRAFT_CHECK(ev.at >= now_);
-    now_ = ev.at;
-    ++fired_;
-    ev.fn();
-    return true;
-  }
-  return false;
+  drop_cancelled();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  PRAFT_CHECK(ev.at >= now_);
+  now_ = ev.at;
+  ++fired_;
+  ev.fn();
+  return true;
 }
 
 void EventQueue::run_until(Time t) {
-  while (!heap_.empty() && heap_.top().at <= t) {
-    if (!step()) break;
+  // A cancelled event at the top must not let a later one slip past `t`.
+  for (drop_cancelled(); !heap_.empty() && heap_.front().at <= t;
+       drop_cancelled()) {
+    step();
   }
   if (now_ < t) now_ = t;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -23,6 +22,8 @@ class EventQueue {
   EventId schedule_at(Time at, UniqueFunction<void()> fn);
 
   /// Cancels a pending event; no-op if it already fired or was cancelled.
+  /// O(pending): it looks the id up in the heap (nothing on the simulator's
+  /// hot path cancels).
   void cancel(EventId id);
 
   /// Runs the earliest pending event. Returns false when the queue is empty.
@@ -56,8 +57,12 @@ class EventQueue {
     }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
-  std::unordered_set<EventId> cancelled_;
+  /// Discards cancelled events from the top of the heap, so the top is the
+  /// next event to fire.
+  void drop_cancelled();
+
+  std::vector<Event> heap_;  // std::push_heap / std::pop_heap under Later
+  std::unordered_set<EventId> cancelled_;  // ids still in heap_
   Time now_ = 0;
   EventId next_id_ = 1;
   uint64_t fired_ = 0;

@@ -45,6 +45,51 @@ TEST(EventQueueTest, CancelSuppresses) {
   EXPECT_EQ(count, 1);
 }
 
+TEST(EventQueueTest, RunUntilSkipsCancelledTopWithoutOvershooting) {
+  // A cancelled event at the heap top must not let run_until fire the next
+  // event past its deadline.
+  EventQueue q;
+  int count = 0;
+  const EventId early = q.schedule_at(50, [&] { ++count; });
+  q.schedule_at(150, [&] { ++count; });
+  q.cancel(early);
+  q.run_until(100);
+  EXPECT_EQ(count, 0);
+  EXPECT_EQ(q.now(), 100);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_until(200);
+  EXPECT_EQ(count, 1);
+  EXPECT_EQ(q.now(), 200);
+}
+
+TEST(EventQueueTest, CancelAfterFireIsANoop) {
+  EventQueue q;
+  int count = 0;
+  const EventId id = q.schedule_at(10, [&] { ++count; });
+  q.run_all();
+  q.cancel(id);  // already fired
+  q.cancel(id);
+  q.cancel(kNoEvent);
+  EXPECT_EQ(q.pending(), 0u);
+  q.schedule_at(20, [&] { ++count; });
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_all();
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueueTest, CancelTwiceCountsOnce) {
+  EventQueue q;
+  const EventId id = q.schedule_at(10, [] {});
+  q.schedule_at(20, [] {});
+  q.cancel(id);
+  q.cancel(id);
+  EXPECT_EQ(q.pending(), 1u);
+  q.run_all();
+  EXPECT_EQ(q.events_fired(), 1u);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
 TEST(EventQueueTest, RunUntilAdvancesClock) {
   EventQueue q;
   int count = 0;
