@@ -23,16 +23,25 @@ namespace {
 std::atomic<uint64_t> g_allocs{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// The replacements stay out of line. Inlined into a caller, they would show
+// GCC a `new` expression paired with a bare free() and trip
+// -Wmismatched-new-delete, although malloc/free is the matching pair here.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 // NOTE: this TU intentionally avoids gtest; the ScriptedEnv equivalent below
 // is minimal and local.
@@ -125,8 +134,9 @@ raft::Message make_append(int entries) {
   ae.prev_term = 6;
   ae.commit = 40;
   for (int i = 0; i < entries; ++i) {
-    ae.entries.push_back(raft::Entry{7, kv::Command{kv::Op::kPut, 100 + i,
-                                                    200 + i, 8, 3, 50 + i}});
+    const auto k = static_cast<uint64_t>(i);
+    ae.entries.push_back(raft::Entry{7, kv::Command{kv::Op::kPut, 100 + k,
+                                                    200 + k, 8, 3, 50 + k}});
   }
   return raft::Message{ae};
 }

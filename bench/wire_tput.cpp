@@ -24,8 +24,9 @@ raft::Message make_append(int entries) {
   ae.prev_term = 6;
   ae.commit = 40;
   for (int i = 0; i < entries; ++i) {
-    ae.entries.push_back(raft::Entry{7, kv::Command{kv::Op::kPut, 100 + i,
-                                                    200 + i, 8, 3, 50 + i}});
+    const auto k = static_cast<uint64_t>(i);
+    ae.entries.push_back(raft::Entry{7, kv::Command{kv::Op::kPut, 100 + k,
+                                                    200 + k, 8, 3, 50 + k}});
   }
   return raft::Message{ae};
 }
