@@ -46,9 +46,10 @@ bool EventQueue::step() {
 
 void EventQueue::run_until(Time t) {
   // A cancelled event at the top must not let a later one slip past `t`.
-  for (drop_cancelled(); !heap_.empty() && heap_.front().at <= t;
-       drop_cancelled()) {
+  drop_cancelled();
+  while (!heap_.empty() && heap_.front().at <= t) {
     step();
+    drop_cancelled();
   }
   if (now_ < t) now_ = t;
 }
