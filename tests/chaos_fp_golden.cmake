@@ -19,7 +19,11 @@ set(legs
     # Mencius under heavy churn: snapshot installs, revocations and restarts
     # exercise every path that moves its slot and owner-floor bookkeeping.
     "--protocol=mencius --seeds=40 --restarts --compaction-cap=16"
-    "--protocol=mencius --seeds=40 --wan --restarts --compaction-cap=64")
+    "--protocol=mencius --seeds=40 --wan --restarts --compaction-cap=64"
+    # MultiPaxos snapshot paths: installs after compaction, restarts that
+    # recover from a snapshot plus WAL suffix, flat and sharded.
+    "--protocol=multipaxos --seeds=40 --restarts --compaction-cap=16"
+    "--protocol=multipaxos --seeds=20 --groups=3 --restarts --compaction-cap=64")
 set(golden "${SOURCE_DIR}/tests/golden/chaos_fp.txt")
 
 set(actual "")
