@@ -1,11 +1,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
+#include "consensus/slot_table.h"
 #include "consensus/types.h"
 
 namespace praft::consensus {
@@ -112,13 +112,11 @@ class ContiguousLog {
 /// waits at the first gap. Slots materialize on first touch and may be
 /// pruned once executed (Mencius), or wholesale below a checkpoint floor
 /// (compaction: slots at or below the floor live only in the snapshot).
+/// Slots sit in a position-indexed SlotTable, so a reference from
+/// materialize() survives growth at either end.
 template <typename S>
 class SparseLog {
  public:
-  using Map = std::map<LogIndex, S>;
-  using iterator = typename Map::iterator;
-  using const_iterator = typename Map::const_iterator;
-
   /// Persistence hook (src/storage): sparse protocols mutate slot fields in
   /// place, so the container cannot observe every change — instead the
   /// protocol calls persist(i) after each mutation block and the hook
@@ -133,8 +131,7 @@ class SparseLog {
   /// the slot does not exist (e.g. already pruned) or no hook is installed.
   void persist(LogIndex i) {
     if (!on_update_) return;
-    auto it = slots_.find(i);
-    if (it != slots_.end()) on_update_(i, it->second);
+    if (const S* s = slots_.find(i)) on_update_(i, *s);
   }
 
   /// Materializes (default-constructs) the slot on first touch — unlike
@@ -143,38 +140,28 @@ class SparseLog {
   /// floor check keeps one from resurrecting a compacted slot.
   [[nodiscard]] S& materialize(LogIndex i) {
     PRAFT_CHECK(i > floor_);
-    return slots_[i];
+    return slots_.materialize(i);
   }
 
-  [[nodiscard]] const S* find(LogIndex i) const {
-    auto it = slots_.find(i);
-    return it == slots_.end() ? nullptr : &it->second;
-  }
+  [[nodiscard]] const S* find(LogIndex i) const { return slots_.find(i); }
+  [[nodiscard]] S* find(LogIndex i) { return slots_.find(i); }
 
-  [[nodiscard]] S* find(LogIndex i) {
-    auto it = slots_.find(i);
-    return it == slots_.end() ? nullptr : &it->second;
-  }
-
-  [[nodiscard]] iterator lookup(LogIndex i) { return slots_.find(i); }
-  void erase(iterator it) { slots_.erase(it); }
+  /// Prunes slot `i` (no-op when absent).
+  void erase(LogIndex i) { slots_.erase(i); }
 
   /// Checkpoint floor: slots at or below it are pruned and may never be
   /// re-materialized (their decisions live in the snapshot). Monotone.
   [[nodiscard]] LogIndex floor() const { return floor_; }
 
   /// Raises the floor and prunes every slot at or below it. `cleanup` is
-  /// invoked for each pruned (index, slot) before erasure — protocols
-  /// release per-slot bookkeeping (Mencius commutativity counters) there.
+  /// invoked for each pruned (index, slot) before erasure, in ascending
+  /// index order — protocols release per-slot bookkeeping (Mencius
+  /// commutativity counters) there.
   template <typename Cleanup>
   void set_floor(LogIndex new_floor, Cleanup&& cleanup) {
     if (new_floor <= floor_) return;
     floor_ = new_floor;
-    auto it = slots_.begin();
-    while (it != slots_.end() && it->first <= floor_) {
-      cleanup(it->first, it->second);
-      it = slots_.erase(it);
-    }
+    slots_.erase_through(floor_, cleanup);
   }
 
   void set_floor(LogIndex new_floor) {
@@ -182,14 +169,11 @@ class SparseLog {
   }
 
   [[nodiscard]] bool empty() const { return slots_.empty(); }
+  /// Live slots (what resident_log_entries() reports).
   [[nodiscard]] size_t size() const { return slots_.size(); }
-  [[nodiscard]] iterator begin() { return slots_.begin(); }
-  [[nodiscard]] iterator end() { return slots_.end(); }
-  [[nodiscard]] const_iterator begin() const { return slots_.begin(); }
-  [[nodiscard]] const_iterator end() const { return slots_.end(); }
 
  private:
-  Map slots_;
+  SlotTable<S> slots_;
   LogIndex floor_ = -1;  // below any real position (0-based Mencius included)
   UpdateHook on_update_;
 };

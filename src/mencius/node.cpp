@@ -408,15 +408,14 @@ void MenciusNode::on_slot_applied(LogIndex i, const kv::Command& cmd) {
   // Apply-time bookkeeping around the shared applier: release commutativity
   // counters, late-ack our own proposal, retain the decided value for
   // revocation prepares, then prune the slot.
-  auto it = slots_.lookup(i);
-  PRAFT_CHECK(it != slots_.end());
-  Slot& s = it->second;
-  count_op(s.cmd, -1);
-  if (s.own_pending_ack && acked_) acked_(s.cmd);
+  Slot* s = slots_.find(i);
+  PRAFT_CHECK(s != nullptr);
+  count_op(s->cmd, -1);
+  if (s->own_pending_ack && acked_) acked_(s->cmd);
   if (apply_) apply_(i, cmd);
   decided_history_.emplace_back(i, cmd);
   if (decided_history_.size() > kHistoryCap) decided_history_.pop_front();
-  slots_.erase(it);
+  slots_.erase(i);
 }
 
 bool MenciusNode::commutes_below(LogIndex /*i*/,

@@ -16,7 +16,7 @@ NodeId Network::add_node(SiteId site, net::DeliverFn deliver,
   PRAFT_CHECK(site >= 0 && site < latency_.num_sites());
   PRAFT_CHECK(deliver != nullptr);
   nodes_.push_back(Node{site, std::move(deliver),
-                        EgressLink(egress_bytes_per_us), true});
+                        EgressLink(egress_bytes_per_us), true, {}});
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -85,10 +85,9 @@ void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
                          sim_.rng().chance(faults_.reorder_rate());
   if (!reordered) {
     // FIFO per link: protocols in the paper's testbed ran over TCP streams.
-    const uint64_t link = (static_cast<uint64_t>(static_cast<uint32_t>(from))
-                           << 32) |
-                          static_cast<uint32_t>(to);
-    Time& last = last_arrival_[link];
+    const auto dst = static_cast<size_t>(to);
+    if (dst >= src.last_arrival.size()) src.last_arrival.resize(dst + 1, 0);
+    Time& last = src.last_arrival[dst];
     if (arrival <= last) arrival = last + 1;
     last = arrival;
   }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -68,6 +67,10 @@ class Network {
     net::DeliverFn deliver;
     EgressLink egress;
     bool up = true;
+    // Per-link FIFO ordering (TCP semantics): jitter may stretch but never
+    // reorder a (src, dst) stream. last_arrival[dst] is the latest arrival
+    // scheduled on the link to dst; grown on demand, a new link starts at 0.
+    std::vector<Time> last_arrival;
   };
 
   [[nodiscard]] bool usable(NodeId n, Time t) const;
@@ -79,9 +82,6 @@ class Network {
   FaultPlan faults_;
   net::BufferPool pool_;
   std::vector<Node> nodes_;
-  // Per-link FIFO ordering (TCP semantics): jitter may stretch but never
-  // reorder a (src, dst) stream. Key = src * 2^32 + dst.
-  std::unordered_map<uint64_t, Time> last_arrival_;
   uint64_t messages_sent_ = 0;
   uint64_t messages_delivered_ = 0;
   uint64_t bytes_sent_ = 0;

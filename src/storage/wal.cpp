@@ -33,25 +33,11 @@ void DurableStore::apply(const StagedOp& op) {
   if (const auto* rec = std::get_if<WalRecord>(&op)) {
     bytes_synced_ += rec->wire_bytes();
     if (rec->index <= snapshot_floor()) return;  // already inside the snapshot
-    if (slots_.empty()) first_ = rec->index;
-    // Open the slots between the current ends and the record's index.
-    for (; rec->index < first_; --first_) slots_.emplace_front();
-    while (rec->index >= first_ + static_cast<consensus::LogIndex>(
-                                      slots_.size())) {
-      slots_.emplace_back();
-    }
-    Slot& slot = slots_[static_cast<size_t>(rec->index - first_)];
-    if (!slot.present) ++live_;
-    slot.present = true;
-    slot.rec = *rec;  // coalesce: the newest record for an index wins
+    wal_.materialize(rec->index) = *rec;  // coalesce: the newest record wins
     return;
   }
   if (const auto* tr = std::get_if<Truncate>(&op)) {
-    while (!slots_.empty() && wal_tail() > tr->last_kept) {
-      if (slots_.back().present) --live_;
-      slots_.pop_back();
-    }
-    trim();
+    wal_.erase_after(tr->last_kept);
     bytes_synced_ += 16;
     return;
   }
@@ -60,18 +46,8 @@ void DurableStore::apply(const StagedOp& op) {
   if (!snap.valid() || snap.last_index <= snapshot_floor()) return;
   snap_ = snap;
   // The snapshot substitutes for replaying everything it covers.
-  for (; !slots_.empty() && first_ <= snap.last_index; ++first_) {
-    if (slots_.front().present) --live_;
-    slots_.pop_front();
-  }
-  trim();
-}
-
-void DurableStore::trim() {
-  while (!slots_.empty() && !slots_.back().present) slots_.pop_back();
-  for (; !slots_.empty() && !slots_.front().present; ++first_) {
-    slots_.pop_front();
-  }
+  wal_.erase_through(snap.last_index,
+                     [](consensus::LogIndex, const WalRecord&) {});
 }
 
 void DurableStore::commit_through(uint64_t seq) {
@@ -102,10 +78,10 @@ DurableImage DurableStore::image() const {
   DurableImage img;
   img.hard = hard_;
   img.snap = snap_;
-  img.records.reserve(live_);
-  for (const Slot& slot : slots_) {
-    if (slot.present) img.records.push_back(slot.rec);
-  }
+  img.records.reserve(wal_.size());
+  wal_.for_each([&img](consensus::LogIndex, const WalRecord& r) {
+    img.records.push_back(r);
+  });
   return img;
 }
 

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <variant>
 #include <vector>
 
+#include "consensus/slot_table.h"
 #include "consensus/snapshot.h"
 #include "consensus/types.h"
 #include "sim/resources.h"
@@ -109,11 +109,9 @@ class DurableStore {
   /// Highest durable record index, or the snapshot floor when the WAL is
   /// empty (the recovery replay bound's upper end).
   [[nodiscard]] consensus::LogIndex wal_tail() const {
-    return slots_.empty() ? snapshot_floor()
-                          : first_ + static_cast<consensus::LogIndex>(
-                                         slots_.size() - 1);
+    return wal_.empty() ? snapshot_floor() : wal_.back_index();
   }
-  [[nodiscard]] size_t wal_records() const { return live_; }
+  [[nodiscard]] size_t wal_records() const { return wal_.size(); }
 
   /// The modeled disk this store syncs through (queueing = fsync backlog).
   [[nodiscard]] sim::SerialResource& disk() { return disk_; }
@@ -132,26 +130,14 @@ class DurableStore {
       std::variant<consensus::HardState, WalRecord, Truncate,
                    consensus::Snapshot>;
 
-  /// One WAL position; absent slots fill the gaps between staged indices.
-  struct Slot {
-    bool present = false;
-    WalRecord rec;
-  };
-
   void apply(const StagedOp& op);
-  /// Drops absent slots from both ends, so that the WAL is empty or its
-  /// front and back slots are present.
-  void trim();
 
   // Durable state.
   consensus::HardState hard_;
   consensus::Snapshot snap_;
-  // The WAL, indexed by position: slots_[k] holds index first_ + k. Raft
-  // and Raft* write contiguous runs; MultiPaxos and Mencius leave gaps and
-  // may write below the front. A deque grows at either end without copying.
-  std::deque<Slot> slots_;
-  consensus::LogIndex first_ = 0;
-  size_t live_ = 0;  // present slots
+  // The WAL, one record per position. Raft and Raft* write contiguous runs;
+  // MultiPaxos and Mencius leave gaps and may write below the front.
+  consensus::SlotTable<WalRecord> wal_;
   bool any_synced_ = false;
 
   // Staged (volatile) mutations, in staging order. base_seq_ is the sequence
