@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "chaos/runner.h"
 #include "common/check.h"
@@ -113,6 +114,29 @@ TEST(SparseLogFloorTest, SetFloorPrunesAndRunsCleanup) {
   // The floor is monotone: lowering it is a no-op.
   log.set_floor(2);
   EXPECT_EQ(log.floor(), 4);
+}
+
+TEST(SparseLogFloorTest, CleanupSeesOnlyPresentSlotsInAscendingOrder) {
+  consensus::SparseLog<int> log;
+  for (const LogIndex i : {30, 4, 17, 9, 12, 25}) {
+    log.materialize(i) = static_cast<int>(i);
+  }
+  log.erase(12);  // a hole between present slots
+  std::vector<LogIndex> seen;
+  auto record = [&](LogIndex i, const int& v) {
+    EXPECT_EQ(v, i);
+    seen.push_back(i);
+  };
+  log.set_floor(20, record);
+  EXPECT_EQ(seen, (std::vector<LogIndex>{4, 9, 17}));
+  EXPECT_EQ(log.size(), 2u);
+  // A floor inside the gap between 25 and 30 prunes 25 only.
+  seen.clear();
+  log.set_floor(27, record);
+  EXPECT_EQ(seen, (std::vector<LogIndex>{25}));
+  EXPECT_EQ(log.size(), 1u);
+  ASSERT_NE(log.find(30), nullptr);
+  EXPECT_EQ(*log.find(30), 30);
 }
 
 TEST(SparseLogFloorTest, MaterializeBelowFloorIsABug) {

@@ -1,13 +1,21 @@
 // Tests for the shared consensus runtime layer: epoch-guarded timers,
-// batching, sparse-log gap/watermark behaviour, and the runtime protocol
-// registry that instantiates all four protocols by name.
+// batching, sparse-log gap/watermark behaviour and storage, and the runtime
+// protocol registry that instantiates all four protocols by name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/check.h"
+#include "common/rng.h"
 #include "consensus/applier.h"
 #include "consensus/batcher.h"
 #include "consensus/log.h"
 #include "consensus/registry.h"
+#include "consensus/slot_table.h"
 #include "consensus/timer.h"
 #include "scripted_env.h"
 
@@ -226,6 +234,168 @@ TEST(ApplierTest, UnboundedDrainForZeroBasedSlots) {
   applier.drain(get);
   EXPECT_EQ(applies, 4);
   EXPECT_EQ(applier.next_index(), 4);
+}
+
+// ---------------------------------------------------------------------------
+// SparseLog storage: the position-indexed slot table against a std::map.
+// ---------------------------------------------------------------------------
+
+struct ModelSlot {
+  int64_t v = -1;
+  std::string tag;  // non-trivial, so a stale or moved cell would show
+};
+
+TEST(SparseLogModelTest, RandomOpsAgreeWithAMapReference) {
+  using consensus::LogIndex;
+  consensus::SparseLog<ModelSlot> log;
+  std::map<LogIndex, int64_t> ref;
+  LogIndex floor = -1;
+  int64_t stamp = 0;
+  Rng rng(17);
+
+  // Mostly around the live window; some below its front, some far above
+  // its back (capped, so the table stays a few thousand cells wide).
+  auto pick = [&]() -> LogIndex {
+    const LogIndex base = floor + 1;
+    const LogIndex lo = ref.empty() ? base : ref.begin()->first;
+    const LogIndex hi = ref.empty() ? base : ref.rbegin()->first;
+    switch (rng.below(8)) {
+      case 0:
+        return std::max(base, lo - rng.range(1, 16));
+      case 1:
+        return std::min(hi + rng.range(64, 2048), base + 8192);
+      default:
+        return rng.range(std::max(base, lo - 2), hi + 2);
+    }
+  };
+  auto agrees = [&](LogIndex i) -> ::testing::AssertionResult {
+    const ModelSlot* s = std::as_const(log).find(i);
+    const auto it = ref.find(i);
+    if (it == ref.end()) {
+      if (s == nullptr) return ::testing::AssertionSuccess();
+      return ::testing::AssertionFailure() << "phantom slot at " << i;
+    }
+    if (s == nullptr) {
+      return ::testing::AssertionFailure() << "lost slot at " << i;
+    }
+    if (s->v != it->second || s->tag != std::to_string(it->second)) {
+      return ::testing::AssertionFailure()
+             << "slot " << i << " holds " << s->v << ", want " << it->second;
+    }
+    return ::testing::AssertionSuccess();
+  };
+
+  for (int op = 0; op < 120000; ++op) {
+    LogIndex i = floor + 1;
+    const uint64_t kind = rng.below(10);
+    if (kind < 4) {
+      // materialize: a fresh slot is default-constructed, an existing one
+      // keeps its value.
+      i = pick();
+      ModelSlot& s = log.materialize(i);
+      const auto it = ref.find(i);
+      ASSERT_EQ(s.v, it == ref.end() ? -1 : it->second) << "op " << op;
+      s.v = ++stamp;
+      s.tag = std::to_string(s.v);
+      ref[i] = s.v;
+    } else if (kind < 8) {
+      // erase at the front, the back, the middle, or (maybe) a hole.
+      if (!ref.empty()) {
+        switch (rng.below(4)) {
+          case 0:
+            i = ref.begin()->first;
+            break;
+          case 1:
+            i = ref.rbegin()->first;
+            break;
+          case 2:
+            i = ref.lower_bound(rng.range(ref.begin()->first,
+                                          ref.rbegin()->first))
+                    ->first;
+            break;
+          default:
+            i = pick();
+        }
+      }
+      log.erase(i);
+      ref.erase(i);
+    } else if (kind < 9) {
+      // set_floor: usually a small raise, sometimes a no-op lowering,
+      // sometimes past every slot.
+      i = rng.chance(0.05) && !ref.empty()
+              ? ref.rbegin()->first + rng.range(0, 3)
+              : floor + rng.range(-2, 40);
+      std::vector<std::pair<LogIndex, int64_t>> seen;
+      log.set_floor(i, [&](LogIndex j, const ModelSlot& s) {
+        seen.emplace_back(j, s.v);
+      });
+      std::vector<std::pair<LogIndex, int64_t>> want;
+      if (i > floor) {
+        floor = i;
+        while (!ref.empty() && ref.begin()->first <= floor) {
+          want.emplace_back(*ref.begin());
+          ref.erase(ref.begin());
+        }
+      }
+      ASSERT_EQ(seen, want) << "op " << op;
+      ASSERT_EQ(log.floor(), floor);
+    } else {
+      i = pick();  // read-only probe
+    }
+    ASSERT_EQ(log.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(log.empty(), ref.empty());
+    for (const LogIndex j : {i - 1, i, i + 1, pick(), floor, floor + 1}) {
+      ASSERT_TRUE(agrees(j)) << "op " << op;
+    }
+    if (!ref.empty()) {
+      ASSERT_TRUE(agrees(ref.begin()->first)) << "op " << op;
+      ASSERT_TRUE(agrees(ref.rbegin()->first)) << "op " << op;
+    }
+  }
+}
+
+TEST(SlotTableTest, BothEndsStayPresent) {
+  consensus::SlotTable<int> t;
+  t.materialize(10) = 1;
+  t.materialize(14) = 2;
+  t.materialize(20) = 3;
+  EXPECT_EQ(t.back_index(), 20);
+  t.erase(20);  // the back trims across the hole to 14
+  EXPECT_EQ(t.back_index(), 14);
+  t.erase_after(11);
+  EXPECT_EQ(t.back_index(), 10);
+  EXPECT_EQ(t.size(), 1u);
+  t.erase(10);
+  EXPECT_TRUE(t.empty());
+  t.materialize(3) = 4;  // an emptied table restarts at any index
+  EXPECT_EQ(t.back_index(), 3);
+  EXPECT_EQ(*t.find(3), 4);
+}
+
+TEST(SparseLogModelTest, LiveSlotsNeverMoveAsTheTableGrows) {
+  // Protocols hold Instance& / Slot& across later materialize() calls, so
+  // growth at either end must leave every live slot where it is.
+  using consensus::LogIndex;
+  consensus::SparseLog<ModelSlot> log;
+  ModelSlot& mid = log.materialize(5000);
+  mid.v = 42;
+  mid.tag = "held";
+  ModelSlot* low = &log.materialize(4000);
+  ModelSlot* high = &log.materialize(6000);
+  for (LogIndex i = 4999; i >= 1; --i) log.materialize(i).v = i;  // front
+  for (LogIndex i = 5001; i <= 40000; ++i) log.materialize(i).v = i;  // back
+  log.materialize(500000).v = 7;  // one far jump past the back
+  log.erase(1);                   // trims the front
+  log.erase(500000);              // trims the back across the far gap
+  EXPECT_EQ(log.find(5000), &mid);
+  EXPECT_EQ(&log.materialize(5000), &mid);
+  EXPECT_EQ(mid.v, 42);
+  EXPECT_EQ(mid.tag, "held");
+  EXPECT_EQ(log.find(4000), low);
+  EXPECT_EQ(low->v, 4000);
+  EXPECT_EQ(log.find(6000), high);
+  EXPECT_EQ(high->v, 6000);
+  EXPECT_EQ(log.size(), 39999u);  // 2..40000
 }
 
 // ---------------------------------------------------------------------------

@@ -336,6 +336,55 @@ TEST_F(NetworkFixture, FifoIsPerLinkNotGlobal) {
   EXPECT_EQ(*net::payload_as<int>(received_[2][0]), 2);
 }
 
+TEST_F(NetworkFixture, FifoHoldsBothWaysAndForLateDestinations) {
+  // Each source keeps one FIFO clock per destination. The two directions of
+  // a pair are separate links, a destination registered after the sender's
+  // first send grows the sender's clocks without disturbing the links
+  // already in flight, and one source's links never wait for each other.
+  const NodeId a = add(LatencyMatrix::kOregon);
+  const NodeId b = add(LatencyMatrix::kSeoul);
+  NodeId c = kNoNode;
+  std::vector<int> sent_ab, sent_ba, sent_ac, sent_ca;
+  int next = 0;
+  for (int round = 0; round < 8; ++round) {
+    if (round == 3) c = add(LatencyMatrix::kOhio);
+    for (int i = 0; i < 25; ++i) {
+      net_.send(a, b, next, 10);
+      sent_ab.push_back(next++);
+      net_.send(b, a, next, 10);
+      sent_ba.push_back(next++);
+      if (c == kNoNode) continue;
+      net_.send(a, c, next, 10);
+      sent_ac.push_back(next++);
+      net_.send(c, a, next, 10);
+      sent_ca.push_back(next++);
+    }
+    sim_.run_for(msec(1));  // the next round departs while this one flies
+  }
+  sim_.run_for(msec(300));
+
+  auto stream = [&](NodeId from, NodeId to) {
+    std::vector<int> got;
+    for (const net::Packet& p : received_[static_cast<size_t>(to)]) {
+      if (p.from == from) got.push_back(*net::payload_as<int>(p));
+    }
+    return got;
+  };
+  EXPECT_EQ(stream(a, b), sent_ab);
+  EXPECT_EQ(stream(b, a), sent_ba);
+  EXPECT_EQ(stream(a, c), sent_ac);
+  EXPECT_EQ(stream(c, a), sent_ca);
+
+  // Sent to far Seoul first, the message to near Ohio still lands first.
+  net_.send(a, b, -1, 10);
+  net_.send(a, c, -2, 10);
+  sim_.run_for(msec(45));
+  EXPECT_EQ(*net::payload_as<int>(received_[static_cast<size_t>(c)].back()),
+            -2);
+  EXPECT_NE(*net::payload_as<int>(received_[static_cast<size_t>(b)].back()),
+            -1);
+}
+
 TEST_F(NetworkFixture, CountersTrack) {
   const NodeId a = add(0);
   const NodeId b = add(0);
