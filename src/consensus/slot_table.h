@@ -94,13 +94,11 @@ class SlotTable {
     trim();
   }
 
-  /// Calls `fn(index, value)` on every present value, ascending.
+  /// Calls `fn(value)` on every present value, in ascending index order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    LogIndex i = first_;
     for (const std::optional<T>& c : cells_) {
-      if (c) fn(i, *c);
-      ++i;
+      if (c) fn(*c);
     }
   }
 

@@ -79,9 +79,7 @@ DurableImage DurableStore::image() const {
   img.hard = hard_;
   img.snap = snap_;
   img.records.reserve(wal_.size());
-  wal_.for_each([&img](consensus::LogIndex, const WalRecord& r) {
-    img.records.push_back(r);
-  });
+  wal_.for_each([&img](const WalRecord& r) { img.records.push_back(r); });
   return img;
 }
 
