@@ -41,10 +41,8 @@ class SlotTable {
   /// The value at `i`, default-constructed on first touch. Opens absent
   /// cells between the current ends and `i`.
   [[nodiscard]] T& materialize(LogIndex i) {
-    if (cells_.empty()) {
-      first_ = i;
-      cells_.emplace_back();
-    } else if (i < first_) {
+    if (cells_.empty()) first_ = i;
+    if (i < first_) {
       cells_.insert(cells_.begin(), static_cast<size_t>(first_ - i),
                     std::nullopt);
       first_ = i;
@@ -62,10 +60,8 @@ class SlotTable {
 
   /// Drops the value at `i` (no-op when absent).
   void erase(LogIndex i) {
-    if (i < first_ || i > back_index()) return;
-    std::optional<T>& c = cells_[static_cast<size_t>(i - first_)];
-    if (!c) return;
-    c.reset();
+    if (find(i) == nullptr) return;
+    cells_[static_cast<size_t>(i - first_)].reset();
     --live_;
     trim();
   }
