@@ -26,7 +26,7 @@ struct Outcome {
 };
 
 consensus::NodeIface& iface(harness::Cluster& cluster, int i) {
-  return dynamic_cast<harness::LogServer&>(cluster.server(i)).node_iface();
+  return cluster.server(i).node_iface();
 }
 
 Outcome run_one(const std::string& protocol, size_t compaction_cap) {

@@ -43,9 +43,7 @@ struct Outcome {
 };
 
 consensus::NodeIface& iface(harness::Cluster& cluster, int i) {
-  auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(i));
-  PRAFT_CHECK(ls != nullptr);
-  return ls->node_iface();
+  return cluster.server(i).node_iface();
 }
 
 Outcome run_one(const std::string& protocol, const Config& cfg) {
@@ -95,10 +93,8 @@ Outcome run_one(const std::string& protocol, const Config& cfg) {
   }
   const Time t0 = cluster.sim().now();
   cluster.restart_replica(victim);
-  auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(victim));
-  PRAFT_CHECK(ls != nullptr);
-  out.replayed = ls->recovery().replayed;
-  out.snapshot_floor = ls->recovery().snapshot_floor;
+  out.replayed = cluster.server(victim).recovery().replayed;
+  out.snapshot_floor = cluster.server(victim).recovery().snapshot_floor;
   const Time limit = t0 + sec(30);
   while (cluster.sim().now() < limit) {
     cluster.run_for(msec(10));

@@ -13,11 +13,11 @@ int main() {
   harness::ClusterConfig cfg;
   cfg.seed = 99;
   harness::Cluster cluster(cfg);
-  cluster.build_replicas([&](harness::NodeHost& host,
-                             const consensus::Group& group)
-                             -> std::unique_ptr<harness::ReplicaServer> {
-    return std::make_unique<harness::RaftStarServer>(host, group, cfg.costs);
-  });
+  cluster.build_replicas(
+      [&](harness::NodeHost& host, const consensus::Group& group) {
+        return std::make_unique<harness::LogServer>(host, group, cfg.costs,
+                                                    "raftstar");
+      });
   const int leader = cluster.establish_leader(0);
   std::printf("t=%.1fs initial leader: replica %d\n",
               static_cast<double>(cluster.sim().now()) / 1e6, leader);

@@ -15,7 +15,7 @@ int main() {
   harness::Cluster cluster(cfg);
   cluster.build_replicas([&](harness::NodeHost& host,
                              const consensus::Group& group)
-                             -> std::unique_ptr<harness::ReplicaServer> {
+                             -> std::unique_ptr<harness::LogServer> {
     return std::make_unique<pql::RaftStarPqlServer>(host, group, cfg.costs);
   });
   cluster.establish_leader(0);

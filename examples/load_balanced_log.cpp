@@ -16,7 +16,7 @@ int main() {
   std::vector<mencius::MenciusServer*> servers;
   cluster.build_replicas([&](harness::NodeHost& host,
                              const consensus::Group& group)
-                             -> std::unique_ptr<harness::ReplicaServer> {
+                             -> std::unique_ptr<harness::LogServer> {
     auto s = std::make_unique<mencius::MenciusServer>(host, group, cfg.costs);
     servers.push_back(s.get());
     return s;

@@ -293,10 +293,9 @@ void InvariantChecker::on_restart(NodeId replica,
 void InvariantChecker::sample_memory(const harness::ReplicaGroup& group) {
   if (memory_cap_ == 0) return;
   for (int i = 0; i < group.size(); ++i) {
-    // Down (crashed, awaiting restart) members have no LogServer.
-    const harness::LogServer* ls = group.log_server(i);
-    if (ls == nullptr) continue;
-    const size_t compactable = ls->node_iface().compactable_entries();
+    if (!group.up(i)) continue;  // crashed, awaiting restart
+    const size_t compactable =
+        group.server(i).node_iface().compactable_entries();
     if (compactable > memory_cap_) {
       char buf[192];
       std::snprintf(buf, sizeof(buf),
@@ -412,7 +411,7 @@ void InvariantChecker::finalize(const harness::ReplicaGroup& group) {
       violation(buf);
       continue;
     }
-    const harness::ReplicaServer& server = group.server(i);
+    const harness::LogServer& server = group.server(i);
     const auto st = replicas_.find(server.id());
     const consensus::LogIndex applied =
         st == replicas_.end() ? 0 : st->second.last_applied;

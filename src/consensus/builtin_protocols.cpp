@@ -42,11 +42,14 @@ void register_builtin_protocols(ProtocolRegistry& reg) {
                                               options_from<paxos::Options>(t),
                                               store);
   });
-  // Registry-selected Mencius runs behind the generic LogServer, which
-  // replies at apply time only — the early-ack (commit + commutativity)
-  // optimization and revocation-aware reply tracking need the dedicated
-  // mencius::MenciusServer adapter (SystemKind::kRaftStarMencius). Safe and
-  // convergent either way; measurement-grade numbers come from the latter.
+  // Registry-selected Mencius runs behind the plain LogServer, which
+  // replies when an op applies. The early ack (commit + commutativity
+  // check) is mencius::MenciusServer: a LogServer over MenciusNode whose
+  // request hook proposes locally and replies on the node's ack
+  // (SystemKind::kRaftStarMencius). Acking early here too would move every
+  // registry-built Mencius trajectory (chaos fingerprints, BENCH_pipeline
+  // rows), so it is not the default. Safe and convergent either way;
+  // measurement-grade latencies come from MenciusServer.
   reg.add("mencius", [](Group g, Env& env, const TimingOptions& t,
                         storage::DurableStore* store) {
     return std::make_unique<mencius::MenciusNode>(

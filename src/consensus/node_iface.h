@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+
 #include "consensus/snapshot.h"
 #include "consensus/types.h"
 #include "net/packet.h"
@@ -22,6 +24,14 @@ class NodeIface {
 
   /// Feeds a network packet whose payload holds this protocol's message.
   virtual void on_packet(const net::Packet& p) = 0;
+
+  /// How many log entries `p` carries when its payload is this protocol's
+  /// message (the harness bills each one), or std::nullopt when the payload
+  /// belongs to another family. Harness adapters bill and drop foreign
+  /// packets by it, so a lease message reaching a plain replica never gets
+  /// to on_packet.
+  [[nodiscard]] virtual std::optional<size_t> entries_in(
+      const net::Packet& p) const = 0;
 
   /// Proposes `cmd`. Returns the assigned log position, or -1 when this
   /// node cannot propose right now (not the leader).

@@ -10,9 +10,9 @@
 #include "harness/client.h"
 #include "harness/cost_model.h"
 #include "harness/host.h"
+#include "harness/log_server.h"
 #include "harness/metrics.h"
 #include "harness/replica_group.h"
-#include "harness/server.h"
 #include "kv/workload.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
@@ -108,7 +108,7 @@ class Cluster {
   Metrics& metrics() { return metrics_; }
   ReplicaGroup& group() { return group_; }
   [[nodiscard]] const ReplicaGroup& group() const { return group_; }
-  ReplicaServer& server(int i) { return group_.server(i); }
+  LogServer& server(int i) { return group_.server(i); }
   [[nodiscard]] int num_replicas() const { return group_.size(); }
   [[nodiscard]] const consensus::Group& group_template() const {
     return group_.group_template();

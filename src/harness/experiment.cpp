@@ -32,32 +32,31 @@ LatencySummary summarize(const Histogram& h) {
 
 namespace {
 
+/// The registry protocol a run builds by name: `protocol` when set, else the
+/// log-only system's own; "" for the systems whose adapter adds an
+/// optimization (PQL, LL, Mencius early ack).
+std::string registry_name(const ExperimentConfig& cfg) {
+  if (!cfg.protocol.empty()) return cfg.protocol;
+  switch (cfg.system) {
+    case SystemKind::kRaft: return "raft";
+    case SystemKind::kRaftStar: return "raftstar";
+    case SystemKind::kPaxos: return "multipaxos";
+    default: return "";
+  }
+}
+
 // Protocol Options default-construct to the paper's WAN-scale timing
 // (consensus::TimingOptions), so factories pass no explicit options.
 Cluster::ServerFactory make_server_factory(const ExperimentConfig& cfg,
                                            const CostModel& costs) {
-  if (!cfg.protocol.empty()) {
-    // Runtime selection through the protocol registry; TimingOptions
-    // defaults are the paper's WAN-scale values.
-    const std::string protocol = cfg.protocol;
+  if (const std::string protocol = registry_name(cfg); !protocol.empty()) {
+    // Runtime selection through the protocol registry.
     const consensus::TimingOptions timing = cfg.timing;
     return [costs, protocol, timing](NodeHost& h, const consensus::Group& g) {
       return std::make_unique<LogServer>(h, g, costs, protocol, timing);
     };
   }
   switch (cfg.system) {
-    case SystemKind::kRaft:
-      return [costs](NodeHost& h, const consensus::Group& g) {
-        return std::make_unique<RaftServer>(h, g, costs);
-      };
-    case SystemKind::kRaftStar:
-      return [costs](NodeHost& h, const consensus::Group& g) {
-        return std::make_unique<RaftStarServer>(h, g, costs);
-      };
-    case SystemKind::kPaxos:
-      return [costs](NodeHost& h, const consensus::Group& g) {
-        return std::make_unique<PaxosServer>(h, g, costs);
-      };
     case SystemKind::kRaftStarPql:
       return [costs, cfg](NodeHost& h, const consensus::Group& g) {
         pql::PqlOptions popt;  // PQL paper leases: 2 s / 0.5 s renew (§5.1)
@@ -75,6 +74,8 @@ Cluster::ServerFactory make_server_factory(const ExperimentConfig& cfg,
         mopt.decide_own_skips = cfg.mencius_full_port;
         return std::make_unique<mencius::MenciusServer>(h, g, costs, mopt);
       };
+    default:
+      break;
   }
   PRAFT_CHECK_MSG(false, "unknown system");
   return {};

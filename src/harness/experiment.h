@@ -24,10 +24,12 @@ struct ExperimentConfig {
   SystemKind system = SystemKind::kRaft;
   /// When non-empty, overrides `system`: the replicas run this consensus
   /// registry protocol ("raft", "raftstar", "multipaxos", "mencius", ...)
-  /// behind the generic LogServer adapter, selected at runtime.
+  /// behind the generic LogServer adapter, selected at runtime. kRaft,
+  /// kRaftStar and kPaxos build by registry name too.
   std::string protocol;
   /// Protocol timing knobs (election/heartbeat cadence, batching, pipeline
-  /// window). Only honoured on the registry path (`protocol` non-empty).
+  /// window). Honoured by every replica built by registry name (the two
+  /// cases above); PQL, LL and Mencius keep the defaults.
   consensus::TimingOptions timing;
   /// When >= 0, replaces the aws5 geo matrix with a uniform all-pairs RTT
   /// (sim::LatencyMatrix flat constructor) — the pipelining bench sweeps

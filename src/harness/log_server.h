@@ -1,5 +1,6 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -7,13 +8,12 @@
 #include "common/check.h"
 #include "consensus/node_iface.h"
 #include "consensus/registry.h"
-#include "harness/protocols.h"
 #include "harness/server.h"
 
 namespace praft::harness {
 
-/// Replica adapter for log-replicating protocols: client requests (reads AND
-/// writes — the paper's baselines persist reads in the log, §4.4 "Paxos
+/// The replica adapter every protocol runs behind: client requests (reads
+/// AND writes — the paper's baselines persist reads in the log, §4.4 "Paxos
 /// Quorum Lease") are submitted at the leader; follower replicas forward to
 /// the leader etcd-style and relay the reply.
 ///
@@ -21,6 +21,8 @@ namespace praft::harness {
 /// (consensus::NodeIface): construct with a registry name to pick the
 /// protocol at runtime, or hand in a concretely-built node (see
 /// TypedLogServer below) when the adapter needs protocol-specific hooks.
+/// Optimizations that answer requests another way (PQL/LL local reads,
+/// Mencius early ack) override the one request hook, try_serve().
 class LogServer : public ReplicaServer {
  public:
   /// Selects the protocol by registry name ("raft", "raftstar",
@@ -35,14 +37,13 @@ class LogServer : public ReplicaServer {
       : LogServer(host, costs,
                   consensus::make_node(protocol, std::move(group), host,
                                        timing, store),
-                  protocol_cost(protocol), store) {}
+                  store) {}
 
   /// Wraps an already-constructed node (typed adapters, tests).
   LogServer(NodeHost& host, CostModel costs,
-            std::unique_ptr<consensus::NodeIface> node, ProtocolCost cost,
+            std::unique_ptr<consensus::NodeIface> node,
             storage::DurableStore* store = nullptr)
-      : ReplicaServer(host, costs), node_(std::move(node)),
-        cost_(std::move(cost)) {
+      : ReplicaServer(host, costs), node_(std::move(node)) {
     PRAFT_CHECK_MSG(node_ != nullptr, "LogServer needs a protocol node");
     node_->set_apply([this](consensus::LogIndex i, const kv::Command& c) {
       on_apply(i, c);
@@ -56,13 +57,8 @@ class LogServer : public ReplicaServer {
           store_.restore(img);
           // Replies pending at snapshot-covered indexes can never be served
           // from an apply anymore; drop them (clients retry end-to-end).
-          for (auto it = pending_.begin(); it != pending_.end();) {
-            if (it->first <= last_index) {
-              it = pending_.erase(it);
-            } else {
-              ++it;
-            }
-          }
+          pending_.erase(pending_.begin(),
+                         pending_.upper_bound(last_index));
           if (snapshot_probe_) {
             snapshot_probe_(id(), last_index, store_.fingerprint());
           }
@@ -120,12 +116,9 @@ class LogServer : public ReplicaServer {
       return;
     }
     if (handle_other(p)) return;
-    // With a protocol classifier, silently drop foreign packet families
-    // (a lease message reaching a plain replica, etc.) instead of letting
-    // the node CHECK-fail on them. Without one (a registry protocol with no
-    // cost traits), hand everything through.
-    if (cost_ && !cost_(p)) return;
-    node_->on_packet(p);
+    // Silently drop foreign packet families (a lease message reaching a
+    // plain replica, etc.) instead of letting the node CHECK-fail on them.
+    if (node_->entries_in(p)) node_->on_packet(p);
   }
 
   [[nodiscard]] Duration cost_of(const net::Packet& p) const override {
@@ -144,12 +137,10 @@ class LogServer : public ReplicaServer {
       }
       return costs_.receive_cost(p.bytes);
     }
-    if (cost_) {
-      if (const auto entries = cost_(p)) {
-        return costs_.message_base +
-               static_cast<Duration>(*entries) * costs_.entry_follower +
-               costs_.size_cost(p.bytes);
-      }
+    if (const auto entries = node_->entries_in(p)) {
+      return costs_.message_base +
+             static_cast<Duration>(*entries) * costs_.entry_follower +
+             costs_.size_cost(p.bytes);
     }
     return costs_.receive_cost(p.bytes);
   }
@@ -162,15 +153,26 @@ class LogServer : public ReplicaServer {
     return false;
   }
 
-  /// Subclasses may divert reads (lease-based local reads). Return true when
-  /// the request was fully handled.
-  virtual bool try_serve_read(const kv::Command& cmd, NodeId reply_to,
-                              bool via_forward, NodeId origin) {
+  /// The request hook: sees every client request this replica receives,
+  /// directly (`origin` == kNoNode) or forwarded by server `origin`. Return
+  /// true when the subclass took the request over — it answers through
+  /// reply(), now or later. Returning false submits it to the log at the
+  /// leader (forwarding or retrying as needed), answered at apply.
+  virtual bool try_serve(const kv::Command& cmd, NodeId origin) {
     (void)cmd;
-    (void)reply_to;
-    (void)via_forward;
     (void)origin;
     return false;
+  }
+
+  /// Answers `cmd` with `value`: to its client directly, or through a
+  /// ForwardReply to `origin` when another server forwarded the request.
+  void reply(const kv::Command& cmd, NodeId origin, uint64_t value) {
+    if (origin != kNoNode && origin != id()) {
+      ForwardReply fr{cmd, value, true};
+      host_.send(origin, Message{fr}, wire_size(fr));
+    } else {
+      reply_to_client(cmd.client, cmd.seq, value, true);
+    }
   }
 
   void on_harness_message(const Message& hm) {
@@ -185,14 +187,11 @@ class LogServer : public ReplicaServer {
   }
 
   void submit_or_forward(const kv::Command& cmd, NodeId origin) {
-    if (cmd.is_read() &&
-        try_serve_read(cmd, cmd.client, origin != kNoNode, origin)) {
-      return;
-    }
+    if (try_serve(cmd, origin)) return;
     if (node_->is_leader()) {
       const consensus::LogIndex idx = node_->submit(cmd);
       if (idx >= 0) {
-        pending_[idx] = PendingOp{cmd.client, origin, cmd.seq, cmd};
+        pending_[idx] = PendingOp{origin, cmd};
         return;
       }
     }
@@ -202,8 +201,9 @@ class LogServer : public ReplicaServer {
         Forward f{cmd, id()};
         host_.send(leader, Message{f}, wire_size(f));
       } else {
-        // No known leader yet (startup or failover window): re-attempt
-        // shortly instead of forcing the client into its long retry.
+        // No known leader yet (startup or failover window), or a full
+        // replication pipe here: re-attempt shortly instead of forcing the
+        // client into its long retry.
         host_.schedule(msec(100),
                        [this, cmd] { submit_or_forward(cmd, kNoNode); });
       }
@@ -218,17 +218,12 @@ class LogServer : public ReplicaServer {
     on_applied_hook(idx, cmd);
     auto it = pending_.find(idx);
     if (it == pending_.end()) return;
-    const PendingOp op = it->second;
-    pending_.erase(it);
     // A leader change may have replaced the entry at this index: reply only
     // when the committed command is the one we proposed.
-    if (!(op.cmd == cmd)) return;
-    if (op.origin != kNoNode && op.origin != id()) {
-      ForwardReply fr{cmd, res.value, true};
-      host_.send(op.origin, Message{fr}, wire_size(fr));
-    } else {
-      reply_to_client(op.client, op.seq, res.value, true);
-    }
+    const bool ours = it->second.cmd == cmd;
+    const NodeId origin = it->second.origin;
+    pending_.erase(it);
+    if (ours) reply(cmd, origin, res.value);
   }
 
   /// Subclass hook invoked after each apply (PQL wakes pending local reads).
@@ -239,36 +234,44 @@ class LogServer : public ReplicaServer {
   }
 
   std::unique_ptr<consensus::NodeIface> node_;
-  ProtocolCost cost_;
-  PendingMap pending_;
+
+ private:
+  /// A proposed client op awaiting its apply: the command (checked against
+  /// what commits, since a leader change may replace the entry) and the
+  /// forwarding server to relay the reply through (kNoNode: answer the
+  /// client directly).
+  struct PendingOp {
+    NodeId origin = kNoNode;
+    kv::Command cmd;
+  };
+
+  // Ordered by log index: a snapshot install drops the covered prefix, and
+  // any walk over the map must be seed-stable (lint rule D1).
+  std::map<consensus::LogIndex, PendingOp> pending_;
   ApplyProbe apply_probe_;
   SnapshotProbe snapshot_probe_;
   storage::RecoveryStats recovery_;
 };
 
-/// Typed wrapper for adapters (and tests) that need the concrete node type —
-/// PQL installs Raft*-specific observers, Mencius tests read skip counters.
-/// Everything else about the server is the runtime LogServer.
-template <typename P>
+/// A LogServer over a concretely-typed node, for adapters (and tests) that
+/// need the node's own API: PQL and LL install Raft*-specific observers,
+/// Mencius acks early, tests read skip counters. Arguments after `costs`
+/// (the protocol's Options) go to Node's constructor.
+template <typename Node>
 class TypedLogServer : public LogServer {
  public:
+  template <typename... NodeArgs>
   TypedLogServer(NodeHost& host, consensus::Group group, CostModel costs,
-                 typename P::Options opt = {})
+                 NodeArgs&&... node_args)
       : LogServer(host, costs,
-                  std::make_unique<typename P::Node>(std::move(group), host,
-                                                     opt),
-                  protocol_cost<P>()) {}
+                  std::make_unique<Node>(
+                      std::move(group), host,
+                      std::forward<NodeArgs>(node_args)...)) {}
 
-  typename P::Node& node() {
-    return static_cast<typename P::Node&>(*node_);
-  }
-  [[nodiscard]] const typename P::Node& node() const {
-    return static_cast<const typename P::Node&>(*node_);
+  Node& node() { return static_cast<Node&>(*node_); }
+  [[nodiscard]] const Node& node() const {
+    return static_cast<const Node&>(*node_);
   }
 };
-
-using RaftServer = TypedLogServer<RaftProtocol>;
-using RaftStarServer = TypedLogServer<RaftStarProtocol>;
-using PaxosServer = TypedLogServer<PaxosProtocol>;
 
 }  // namespace praft::harness

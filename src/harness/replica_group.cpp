@@ -1,7 +1,6 @@
 #include "harness/replica_group.h"
 
 #include "common/check.h"
-#include "harness/log_server.h"
 
 namespace praft::harness {
 
@@ -39,7 +38,7 @@ void ReplicaGroup::start(const std::string& protocol,
   }
 }
 
-std::unique_ptr<ReplicaServer> ReplicaGroup::make_named_server(int j) {
+std::unique_ptr<LogServer> ReplicaGroup::make_named_server(int j) {
   consensus::Group g = group_template_;
   g.self = id(j);
   return std::make_unique<LogServer>(*hosts_[static_cast<size_t>(j)],
@@ -54,20 +53,15 @@ int ReplicaGroup::member_on(int m) const {
   return -1;
 }
 
-LogServer* ReplicaGroup::log_server(int j) const {
-  return dynamic_cast<LogServer*>(servers_[static_cast<size_t>(j)].get());
-}
-
 void ReplicaGroup::crash(int j) {
   PRAFT_CHECK(j >= 0 && j < size());
   PRAFT_CHECK_MSG(!protocol_.empty(),
                   "crash/restart requires name-built replicas (durable store)");
   if (!up(j)) return;
-  if (const LogServer* ls = log_server(j)) {
-    // The incarnation's coverage counters die with it; bank them first.
-    retired_revocations_ += ls->node_iface().revocations_started();
-    retired_pipeline_rollbacks_ += ls->node_iface().pipeline_rollbacks();
-  }
+  // The incarnation's coverage counters die with it; bank them first.
+  const consensus::NodeIface& node = server(j).node_iface();
+  retired_revocations_ += node.revocations_started();
+  retired_pipeline_rollbacks_ += node.pipeline_rollbacks();
   NodeHost& host = *hosts_[static_cast<size_t>(j)];
   // Order matters: first make every pending timer/fsync callback a no-op and
   // unbind in-flight deliveries, THEN free the node they capture.
@@ -86,9 +80,9 @@ void ReplicaGroup::restart(int j) {
   servers_[static_cast<size_t>(j)]->start();
   ++restarts_;
   if (restart_probe_) {
-    LogServer* ls = log_server(j);
-    restart_probe_(ls->id(), ls->node_iface().hard_state(), ls->recovery(),
-                   ls->node_iface().applied_index());
+    const LogServer& ls = server(j);
+    restart_probe_(ls.id(), ls.node_iface().hard_state(), ls.recovery(),
+                   ls.node_iface().applied_index());
   }
 }
 
@@ -105,20 +99,19 @@ int ReplicaGroup::leader() const {
 }
 
 void ReplicaGroup::install_probes_on(int j) {
-  LogServer* ls = log_server(j);
-  if (ls == nullptr) return;
-  if (apply_probe_) ls->set_apply_probe(apply_probe_);
-  if (snapshot_probe_) ls->set_snapshot_probe(snapshot_probe_);
-  const NodeId node = ls->id();
+  LogServer& ls = server(j);
+  if (apply_probe_) ls.set_apply_probe(apply_probe_);
+  if (snapshot_probe_) ls.set_snapshot_probe(snapshot_probe_);
+  const NodeId node = ls.id();
   if (watermark_probe_) {
-    ls->node_iface().set_watermark_probe(
+    ls.node_iface().set_watermark_probe(
         [probe = watermark_probe_, node](consensus::LogIndex commit,
                                          consensus::LogIndex applied) {
           probe(node, commit, applied);
         });
   }
   if (hard_state_probe_) {
-    ls->node_iface().set_hard_state_probe(
+    ls.node_iface().set_hard_state_probe(
         [probe = hard_state_probe_, node](const consensus::HardState& hs) {
           probe(node, hs);
         });
@@ -128,7 +121,7 @@ void ReplicaGroup::install_probes_on(int j) {
 int ReplicaGroup::reinstall_probes() {
   int hooked = 0;
   for (int j = 0; j < size(); ++j) {
-    if (log_server(j) == nullptr) continue;
+    if (!up(j)) continue;
     install_probes_on(j);
     ++hooked;
   }
@@ -159,9 +152,7 @@ int64_t ReplicaGroup::live_sum(
     int64_t (consensus::NodeIface::*counter)() const) const {
   int64_t total = 0;
   for (int j = 0; j < size(); ++j) {
-    if (const LogServer* ls = log_server(j)) {
-      total += (ls->node_iface().*counter)();
-    }
+    if (up(j)) total += (server(j).node_iface().*counter)();
   }
   return total;
 }

@@ -10,14 +10,12 @@
 #include "consensus/timing.h"
 #include "harness/cost_model.h"
 #include "harness/host.h"
-#include "harness/server.h"
+#include "harness/log_server.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "storage/wal.h"
 
 namespace praft::harness {
-
-class LogServer;
 
 /// One consensus group and its whole replica lifecycle: hosts, servers,
 /// durable stores, the group template, installed probes, and the coverage
@@ -30,7 +28,7 @@ class ReplicaGroup {
   ReplicaGroup(sim::Simulator& sim, sim::Network& net, CostModel costs)
       : sim_(sim), net_(net), costs_(costs) {}
 
-  using ServerFactory = std::function<std::unique_ptr<ReplicaServer>(
+  using ServerFactory = std::function<std::unique_ptr<LogServer>(
       NodeHost& host, const consensus::Group& group)>;
 
   /// Adds member `size()` on `host`, placed on `machine`. Add every member
@@ -69,16 +67,13 @@ class ReplicaGroup {
   }
   /// The member placed on machine `m`, or -1 when the group has none there.
   [[nodiscard]] int member_on(int m) const;
-  [[nodiscard]] ReplicaServer& server(int j) {
+  /// Member `j`'s server; valid only while up(j).
+  [[nodiscard]] LogServer& server(int j) {
     return *servers_[static_cast<size_t>(j)];
   }
-  [[nodiscard]] const ReplicaServer& server(int j) const {
+  [[nodiscard]] const LogServer& server(int j) const {
     return *servers_[static_cast<size_t>(j)];
   }
-  /// Member `j` as a LogServer, or nullptr while it is down or when a
-  /// factory built another adapter. Probes and counters reach the protocol
-  /// node through it.
-  [[nodiscard]] LogServer* log_server(int j) const;
   [[nodiscard]] storage::DurableStore& store(int j) {
     return *stores_[static_cast<size_t>(j)];
   }
@@ -92,8 +87,7 @@ class ReplicaGroup {
 
   // -- Trace hooks ----------------------------------------------------------
   // Every probe is stored and re-applied to each restarted incarnation; the
-  // install_* calls return how many live members they hooked (only
-  // LogServer-based replicas expose the probes).
+  // install_* calls return how many live members they hooked.
 
   /// Observes every (replica, index, command) apply.
   using ApplyProbe =
@@ -146,7 +140,7 @@ class ReplicaGroup {
   }
 
  private:
-  std::unique_ptr<ReplicaServer> make_named_server(int j);
+  std::unique_ptr<LogServer> make_named_server(int j);
   /// `counter` summed over the live members' protocol nodes.
   [[nodiscard]] int64_t live_sum(
       int64_t (consensus::NodeIface::*counter)() const) const;
@@ -162,7 +156,7 @@ class ReplicaGroup {
   consensus::Group group_template_;  // self = kNoNode; members = node ids
   std::vector<std::unique_ptr<NodeHost>> hosts_;
   std::vector<int> machines_;
-  std::vector<std::unique_ptr<ReplicaServer>> servers_;
+  std::vector<std::unique_ptr<LogServer>> servers_;
   std::vector<std::unique_ptr<storage::DurableStore>> stores_;
 
   // Name-started configuration, retained so restart can rebuild.

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <map>
-
 #include "harness/cost_model.h"
 #include "harness/host.h"
 #include "harness/messages.h"
@@ -9,8 +7,8 @@
 
 namespace praft::harness {
 
-/// Base class for replica adapters: owns the KV state machine and the
-/// client-facing request plumbing; concrete adapters wire a protocol node in.
+/// Base of harness::LogServer, the one replica adapter: owns the KV state
+/// machine and the client-facing reply; LogServer wires a protocol node in.
 class ReplicaServer : public PacketHandler {
  public:
   ReplicaServer(NodeHost& host, CostModel costs)
@@ -45,19 +43,5 @@ class ReplicaServer : public PacketHandler {
   CostModel costs_;
   kv::KvStore store_;
 };
-
-/// Pending client-op bookkeeping shared by log-replicating adapters: maps a
-/// log index to where the reply must go once the entry executes.
-struct PendingOp {
-  NodeId client = kNoNode;   // reply directly to this client...
-  NodeId origin = kNoNode;   // ...or relay via this forwarding server
-  uint64_t seq = 0;
-  kv::Command cmd;           // for identity verification after leader changes
-};
-
-// Ordered: snapshot installation walks this map to drop covered replies, and
-// the walk order must be seed-stable (lint rule D1). Keys are log indexes,
-// so ordered erasure of the covered prefix is also the natural shape.
-using PendingMap = std::map<int64_t, PendingOp>;
 
 }  // namespace praft::harness

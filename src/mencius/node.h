@@ -70,6 +70,12 @@ class MenciusNode : public consensus::NodeIface {
 
   void start() override;
   void on_packet(const net::Packet& p) override;
+  [[nodiscard]] std::optional<size_t> entries_in(
+      const net::Packet& p) const override {
+    const auto* m = net::payload_as<Message>(p);
+    if (m == nullptr) return std::nullopt;
+    return entry_count(*m);
+  }
 
   /// Callbacks:
   ///  apply(index, cmd)  — in slot order, exactly once per slot;

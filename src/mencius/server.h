@@ -1,82 +1,40 @@
 #pragma once
 
-#include "harness/server.h"
+#include "harness/log_server.h"
 #include "mencius/node.h"
 
 namespace praft::mencius {
 
 /// Replica adapter for Raft*-Mencius: every replica serves its own region's
-/// clients directly (no forwarding — the point of the optimization, §A.3),
-/// acknowledges an op the moment the node says it is safe (committed +
-/// commutativity check), and applies the total order to the KV store.
-class MenciusServer : public harness::ReplicaServer {
+/// clients directly (no forwarding — the point of the optimization, §A.3)
+/// and acknowledges an op the moment the node says it is safe (committed +
+/// commutativity check), possibly before it executes. Applying the total
+/// order to the KV store is LogServer's.
+class MenciusServer : public harness::TypedLogServer<MenciusNode> {
  public:
   MenciusServer(harness::NodeHost& host, consensus::Group group,
                 harness::CostModel costs, Options opt = {})
-      : harness::ReplicaServer(host, costs),
-        node_(std::move(group), host, opt) {
-    node_.set_apply([this](consensus::LogIndex i, const kv::Command& c) {
-      on_apply(i, c);
-    });
-    node_.set_acked([this](const kv::Command& c) { on_acked(c); });
+      : TypedLogServer(host, std::move(group), costs, opt) {
+    node().set_acked([this](const kv::Command& c) { on_acked(c); });
   }
 
-  void start() override { node_.start(); }
-  /// Every replica is the default leader of its own slots.
-  [[nodiscard]] bool is_leader() const override { return true; }
-  [[nodiscard]] NodeId leader_hint() const override { return id(); }
-  [[nodiscard]] bool leaderless() const override { return true; }
-
-  MenciusNode& node() { return node_; }
-
-  void handle(const net::Packet& p) override {
-    if (net::payload_as<Message>(p) != nullptr) {
-      node_.on_packet(p);
-      return;
-    }
-    if (const auto* hm = net::payload_as<harness::Message>(p)) {
-      if (const auto* req = std::get_if<harness::ClientRequest>(hm)) {
-        node_.submit(req->cmd);
-      }
-    }
+ protected:
+  /// Proposes every request on this replica's own slots. The node acks it
+  /// exactly once (on_acked), also when it re-proposes the command on a
+  /// fresh slot after a revocation, so nothing here replies at apply. A
+  /// full replication pipe refuses the op: returning false hands it to
+  /// LogServer's short retry (whose own submit is refused the same way).
+  bool try_serve(const kv::Command& cmd, NodeId) override {
+    return node().submit(cmd) >= 0;
   }
-
-  [[nodiscard]] Duration cost_of(const net::Packet& p) const override {
-    if (!costs_.enabled) return 0;
-    if (const auto* hm = net::payload_as<harness::Message>(p)) {
-      if (std::holds_alternative<harness::ClientRequest>(*hm)) {
-        return costs_.client_request + costs_.size_cost(p.bytes);
-      }
-      return costs_.receive_cost(p.bytes);
-    }
-    if (const auto* pm = net::payload_as<Message>(p)) {
-      const auto entries = static_cast<Duration>(entry_count(*pm));
-      return costs_.message_base + entries * costs_.entry_follower +
-             costs_.size_cost(p.bytes);
-    }
-    return costs_.receive_cost(p.bytes);
-  }
-
-  using ApplyProbe =
-      std::function<void(NodeId, consensus::LogIndex, const kv::Command&)>;
-  void set_apply_probe(ApplyProbe probe) { apply_probe_ = std::move(probe); }
 
  private:
   void on_acked(const kv::Command& cmd) {
     if (cmd.client == kNoNode) return;
     // An early-acked read is safe precisely because no conflicting write is
     // pending (the commute check), so the local copy is current.
-    const uint64_t value = cmd.is_read() ? store_.read_local(cmd.key) : 0;
-    reply_to_client(cmd.client, cmd.seq, value, true);
+    reply(cmd, kNoNode, cmd.is_read() ? store_.read_local(cmd.key) : 0);
   }
-
-  void on_apply(consensus::LogIndex idx, const kv::Command& cmd) {
-    store_.apply(cmd);
-    if (apply_probe_) apply_probe_(id(), idx, cmd);
-  }
-
-  MenciusNode node_;
-  ApplyProbe apply_probe_;
 };
 
 }  // namespace praft::mencius

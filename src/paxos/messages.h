@@ -162,4 +162,11 @@ inline size_t wire_size(const Message& m) {
   return std::visit([](const auto& x) { return wire_size(x); }, m);
 }
 
+/// Log entries a message carries (for CPU cost accounting).
+inline size_t entry_count(const Message& m) {
+  if (const auto* ab = std::get_if<AcceptBatch>(&m)) return ab->cmds.size();
+  if (const auto* po = std::get_if<PrepareOk>(&m)) return po->accepted.size();
+  return 0;
+}
+
 }  // namespace praft::paxos

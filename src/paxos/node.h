@@ -42,6 +42,12 @@ class PaxosNode : public consensus::NodeIface {
 
   void start() override;
   void on_packet(const net::Packet& p) override;
+  [[nodiscard]] std::optional<size_t> entries_in(
+      const net::Packet& p) const override {
+    const auto* m = net::payload_as<Message>(p);
+    if (m == nullptr) return std::nullopt;
+    return entry_count(*m);
+  }
 
   /// Leader-only: assigns the command the next free instance. Returns the
   /// instance id, or -1 when not leader.

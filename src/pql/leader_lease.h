@@ -2,6 +2,7 @@
 
 #include "harness/log_server.h"
 #include "lease/manager.h"
+#include "raftstar/node.h"
 
 namespace praft::pql {
 
@@ -10,16 +11,16 @@ namespace praft::pql {
 /// clients still pay a WAN round trip to forward the read. Writes take the
 /// unmodified Raft* path (no holder gating — only the leader reads locally,
 /// and it observes every commit first).
-class LeaderLeaseServer : public harness::RaftStarServer {
+class LeaderLeaseServer
+    : public harness::TypedLogServer<raftstar::RaftStarNode> {
  public:
   LeaderLeaseServer(harness::NodeHost& host, consensus::Group group,
                     harness::CostModel costs, raftstar::Options opt = {},
                     lease::Options lopt = {})
-      : harness::RaftStarServer(host, group, costs, opt),
-        leases_(group, host, lopt) {}
+      : TypedLogServer(host, group, costs, opt), leases_(group, host, lopt) {}
 
   void start() override {
-    harness::RaftStarServer::start();
+    LogServer::start();
     leases_.start();
   }
 
@@ -34,19 +35,13 @@ class LeaderLeaseServer : public harness::RaftStarServer {
     return false;
   }
 
-  bool try_serve_read(const kv::Command& cmd, NodeId, bool,
-                      NodeId origin) override {
-    if (!node().is_leader() || !leases_.quorum_lease_active(host_.now())) {
+  bool try_serve(const kv::Command& cmd, NodeId origin) override {
+    if (!cmd.is_read() || !node().is_leader() ||
+        !leases_.quorum_lease_active(host_.now())) {
       return false;  // followers forward; an unleased leader uses the log
     }
     ++local_reads_;
-    const uint64_t value = store_.read_local(cmd.key);
-    if (origin != kNoNode && origin != id()) {
-      harness::ForwardReply fr{cmd, value, true};
-      host_.send(origin, harness::Message{fr}, harness::wire_size(fr));
-    } else {
-      reply_to_client(cmd.client, cmd.seq, value, true);
-    }
+    reply(cmd, origin, store_.read_local(cmd.key));
     return true;
   }
 

@@ -6,7 +6,7 @@ RaftStarPqlServer::RaftStarPqlServer(harness::NodeHost& host,
                                      consensus::Group group,
                                      harness::CostModel costs,
                                      raftstar::Options opt, PqlOptions popt)
-    : harness::RaftStarServer(host, group, costs, opt), popt_(popt),
+    : TypedLogServer(host, group, costs, opt), popt_(popt),
       leases_(group, host, popt.lease) {
   // Non-mutating hooks (§4.2): all PQL state lives in this adapter.
   node().set_entry_observer(
@@ -27,7 +27,7 @@ RaftStarPqlServer::RaftStarPqlServer(harness::NodeHost& host,
 }
 
 void RaftStarPqlServer::start() {
-  harness::RaftStarServer::start();
+  LogServer::start();
   leases_.start();
   arm_gate_retry();
 }
@@ -71,10 +71,11 @@ bool RaftStarPqlServer::commit_allowed(consensus::LogIndex i) const {
   return true;
 }
 
-bool RaftStarPqlServer::try_serve_read(const kv::Command& cmd, NodeId,
-                                       bool, NodeId origin) {
+bool RaftStarPqlServer::try_serve(const kv::Command& cmd, NodeId origin) {
   // LocalRead (Fig. 13): quorum lease + every write to the key committed.
-  if (!leases_.quorum_lease_active(host_.now())) return false;
+  if (!cmd.is_read() || !leases_.quorum_lease_active(host_.now())) {
+    return false;
+  }
   const consensus::LogIndex need = last_write_index(cmd.key);
   if (need <= node().commit_index()) {
     serve_read_now(cmd, origin);
@@ -86,13 +87,7 @@ bool RaftStarPqlServer::try_serve_read(const kv::Command& cmd, NodeId,
 
 void RaftStarPqlServer::serve_read_now(const kv::Command& cmd, NodeId origin) {
   ++local_reads_;
-  const uint64_t value = store_.read_local(cmd.key);
-  if (origin != kNoNode && origin != id()) {
-    harness::ForwardReply fr{cmd, value, true};
-    host_.send(origin, harness::Message{fr}, harness::wire_size(fr));
-  } else {
-    reply_to_client(cmd.client, cmd.seq, value, true);
-  }
+  reply(cmd, origin, store_.read_local(cmd.key));
 }
 
 void RaftStarPqlServer::on_applied_hook(consensus::LogIndex,

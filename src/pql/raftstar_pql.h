@@ -7,6 +7,7 @@
 
 #include "harness/log_server.h"
 #include "lease/manager.h"
+#include "raftstar/node.h"
 
 namespace praft::pql {
 
@@ -31,7 +32,8 @@ struct PqlOptions {
 ///  * Phase2b/appendOK: repliers piggyback the holders of leases THEY granted.
 ///  * LeaderLearn:  commit waits for appendOKs from every holder in
 ///                  (piggybacked holder sets ∪ leader's own grants).
-class RaftStarPqlServer : public harness::RaftStarServer {
+class RaftStarPqlServer
+    : public harness::TypedLogServer<raftstar::RaftStarNode> {
  public:
   RaftStarPqlServer(harness::NodeHost& host, consensus::Group group,
                     harness::CostModel costs, raftstar::Options opt = {},
@@ -52,13 +54,12 @@ class RaftStarPqlServer : public harness::RaftStarServer {
         return costs_.client_request;
       }
     }
-    return harness::RaftStarServer::cost_of(p);
+    return LogServer::cost_of(p);
   }
 
  protected:
   bool handle_other(const net::Packet& p) override;
-  bool try_serve_read(const kv::Command& cmd, NodeId reply_to,
-                      bool via_forward, NodeId origin) override;
+  bool try_serve(const kv::Command& cmd, NodeId origin) override;
   void on_applied_hook(consensus::LogIndex idx,
                        const kv::Command& cmd) override;
 

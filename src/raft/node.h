@@ -47,6 +47,12 @@ class RaftNode : public consensus::NodeIface {
 
   /// Feeds a network packet whose payload holds a raft::Message.
   void on_packet(const net::Packet& p) override;
+  [[nodiscard]] std::optional<size_t> entries_in(
+      const net::Packet& p) const override {
+    const auto* m = net::payload_as<Message>(p);
+    if (m == nullptr) return std::nullopt;
+    return entry_count(*m);
+  }
 
   /// Leader-only: appends `cmd` to the log and schedules replication.
   /// Returns the assigned index, or -1 when this node is not the leader.

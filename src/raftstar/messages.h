@@ -133,4 +133,10 @@ inline size_t wire_size(const Message& m) {
   return std::visit([](const auto& x) { return wire_size(x); }, m);
 }
 
+/// Log entries a message carries (for CPU cost accounting).
+inline size_t entry_count(const Message& m) {
+  const auto* ae = std::get_if<AppendEntries>(&m);
+  return ae == nullptr ? 0 : ae->entries.size();
+}
+
 }  // namespace praft::raftstar

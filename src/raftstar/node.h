@@ -49,6 +49,12 @@ class RaftStarNode : public consensus::NodeIface {
 
   void start() override;
   void on_packet(const net::Packet& p) override;
+  [[nodiscard]] std::optional<size_t> entries_in(
+      const net::Packet& p) const override {
+    const auto* m = net::payload_as<Message>(p);
+    if (m == nullptr) return std::nullopt;
+    return entry_count(*m);
+  }
 
   /// Leader-only append; returns assigned index or -1.
   LogIndex submit(const kv::Command& cmd) override;

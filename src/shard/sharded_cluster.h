@@ -11,8 +11,8 @@
 #include "harness/cost_model.h"
 #include "harness/host.h"
 #include "harness/metrics.h"
+#include "harness/log_server.h"
 #include "harness/replica_group.h"
-#include "harness/server.h"
 #include "kv/workload.h"
 #include "shard/router.h"
 #include "shard/shard_map.h"
@@ -89,7 +89,7 @@ class ShardedCluster {
   }
   /// Every group, in group order (the machine-level helpers' input).
   [[nodiscard]] std::vector<harness::ReplicaGroup*> groups();
-  [[nodiscard]] harness::ReplicaServer& server(int g, int j) {
+  [[nodiscard]] harness::LogServer& server(int g, int j) {
     return group(g).server(j);
   }
   [[nodiscard]] bool replica_up(int g, int j) const {

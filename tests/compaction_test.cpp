@@ -24,7 +24,7 @@ namespace {
 using consensus::LogIndex;
 
 consensus::NodeIface& iface(harness::Cluster& cluster, int i) {
-  return dynamic_cast<harness::LogServer&>(cluster.server(i)).node_iface();
+  return cluster.server(i).node_iface();
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@
 #include <string>
 #include <tuple>
 
+#include "paxos/node.h"
+#include "raft/node.h"
+#include "raftstar/node.h"
 #include "test_util.h"
 
 namespace praft {
@@ -30,13 +33,13 @@ harness::Cluster::ServerFactory factory_for(
     Proto p, std::shared_ptr<ApplyRecord> record) {
   switch (p) {
     case Proto::kRaft:
-      return test::make_factory<harness::RaftProtocol>(
+      return test::make_factory<raft::RaftNode>(
           test::fast_options<raft::Options>(), record);
     case Proto::kRaftStar:
-      return test::make_factory<harness::RaftStarProtocol>(
+      return test::make_factory<raftstar::RaftStarNode>(
           test::fast_options<raftstar::Options>(), record);
     case Proto::kPaxos:
-      return test::make_factory<harness::PaxosProtocol>(
+      return test::make_factory<paxos::PaxosNode>(
           test::fast_options<paxos::Options>(), record);
   }
   return {};

@@ -334,12 +334,6 @@ consensus::TimingOptions lan_durable_timing() {
   return t;
 }
 
-harness::LogServer& log_server(harness::Cluster& cluster, int i) {
-  auto* ls = dynamic_cast<harness::LogServer*>(&cluster.server(i));
-  EXPECT_NE(ls, nullptr);
-  return *ls;
-}
-
 void run_traffic(harness::Cluster& cluster, Duration d) {
   kv::WorkloadConfig wl;
   wl.read_fraction = 0.5;
@@ -371,7 +365,7 @@ TEST(CrashRestartTest, RecoveryRebuildsIdenticalStateAllProtocols) {
     }
     run_traffic(cluster, sec(4));
 
-    auto& before = log_server(cluster, victim).node_iface();
+    auto& before = cluster.server(victim).node_iface();
     const consensus::HardState hs_before = before.hard_state();
     const consensus::LogIndex applied_before = before.applied_index();
     ASSERT_GT(applied_before, 0);
@@ -379,7 +373,7 @@ TEST(CrashRestartTest, RecoveryRebuildsIdenticalStateAllProtocols) {
         cluster.server(victim).store().fingerprint();
 
     cluster.restart_replica(victim);
-    auto& ls = log_server(cluster, victim);
+    auto& ls = cluster.server(victim);
     // Hard state survives exactly (the quiesced cluster had synced it all).
     EXPECT_EQ(ls.node_iface().hard_state(), hs_before);
     const storage::RecoveryStats& stats = ls.recovery();
@@ -390,7 +384,7 @@ TEST(CrashRestartTest, RecoveryRebuildsIdenticalStateAllProtocols) {
                                                        stats.snapshot_floor)));
     // After rejoining, the replica re-converges to the exact same store.
     cluster.run_for(sec(5));
-    EXPECT_GE(log_server(cluster, victim).node_iface().applied_index(),
+    EXPECT_GE(cluster.server(victim).node_iface().applied_index(),
               applied_before)
         << protocol;
     EXPECT_EQ(cluster.server(victim).store().fingerprint(), fp_before);
@@ -416,7 +410,7 @@ TEST(CrashRestartTest, DurableHardStateTracksInMemoryAtQuiesce) {
       // Every hard-state change was followed by a dependent message, and
       // every message waited for its fsync: at quiesce, disk == memory.
       EXPECT_EQ(cluster.store_of(i).hard_state().term,
-                log_server(cluster, i).node_iface().hard_state().term)
+                cluster.server(i).node_iface().hard_state().term)
           << protocol << " replica " << i;
     }
   }

@@ -4,6 +4,7 @@
 #include "harness/cost_model.h"
 #include "harness/experiment.h"
 #include "harness/log_server.h"
+#include "raft/node.h"
 #include "test_util.h"
 
 namespace praft {
@@ -76,7 +77,7 @@ TEST(ClusterTest, DefaultSitesAssignRoundRobin) {
   harness::ClusterConfig cfg = test::lan_config(5);
   cfg.num_replicas = 5;
   harness::Cluster cluster(cfg);
-  cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+  cluster.build_replicas(test::make_factory<raft::RaftNode>(
       test::fast_options<raft::Options>()));
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(cluster.server(i).site(), i);
@@ -87,7 +88,7 @@ TEST(ClusterTest, DefaultSitesAssignRoundRobin) {
 TEST(ClusterTest, EstablishLeaderRespectsPreference) {
   for (int preferred : {0, 2, 4}) {
     harness::Cluster cluster(test::lan_config(6));
-    cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+    cluster.build_replicas(test::make_factory<raft::RaftNode>(
         test::fast_options<raft::Options>()));
     EXPECT_EQ(cluster.establish_leader(preferred), preferred);
   }
@@ -96,7 +97,7 @@ TEST(ClusterTest, EstablishLeaderRespectsPreference) {
 TEST(ClientTest, RetriesAfterTimeout) {
   // A cluster with a permanently-dead server: the client must keep retrying.
   harness::Cluster cluster(test::lan_config(7));
-  cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+  cluster.build_replicas(test::make_factory<raft::RaftNode>(
       test::fast_options<raft::Options>()));
   cluster.net().faults().crash(cluster.server(0).id(), 0, sec(600));
   cluster.metrics().set_window(0, kTimeMax);
@@ -125,7 +126,7 @@ TEST(ClientTest, LatencyCountsFromFirstSend) {
   harness::ClusterConfig cfg = test::lan_config(7);
   cfg.num_replicas = 3;
   harness::Cluster cluster(cfg);
-  cluster.build_replicas(test::make_factory<harness::RaftProtocol>(
+  cluster.build_replicas(test::make_factory<raft::RaftNode>(
       test::fast_options<raft::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   const NodeId replica = cluster.server(0).id();

@@ -270,7 +270,7 @@ TEST(MenciusUnitTest, SkipRangeDecidesForeignSlots) {
 harness::Cluster::ServerFactory mencius_factory(
     mencius::Options opt, std::shared_ptr<ApplyRecord> record = nullptr) {
   return [opt, record](harness::NodeHost& host, const consensus::Group& g)
-             -> std::unique_ptr<harness::ReplicaServer> {
+             -> std::unique_ptr<harness::LogServer> {
     harness::CostModel costs;
     costs.enabled = false;
     auto s = std::make_unique<mencius::MenciusServer>(host, g, costs, opt);
@@ -326,7 +326,7 @@ TEST(MenciusClusterTest, IdleRegionsSkipTheirTurns) {
   harness::Cluster cluster(test::lan_config(43));
   std::vector<mencius::MenciusServer*> servers;
   auto factory = [&servers](harness::NodeHost& host, const consensus::Group& g)
-      -> std::unique_ptr<harness::ReplicaServer> {
+      -> std::unique_ptr<harness::LogServer> {
     harness::CostModel costs;
     costs.enabled = false;
     auto s = std::make_unique<mencius::MenciusServer>(host, g, costs,

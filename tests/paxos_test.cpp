@@ -7,7 +7,6 @@
 namespace praft {
 namespace {
 
-using harness::PaxosProtocol;
 using test::ApplyRecord;
 using test::ScriptedEnv;
 
@@ -173,8 +172,8 @@ TEST(PaxosUnitTest, OutOfOrderChosenExecutesInOrder) {
 
 TEST(PaxosClusterTest, ElectsAndCommits) {
   harness::Cluster cluster(test::lan_config(21));
-  cluster.build_replicas(
-      test::make_factory<PaxosProtocol>(test::fast_options<paxos::Options>()));
+  cluster.build_replicas(test::make_factory<paxos::PaxosNode>(
+      test::fast_options<paxos::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.metrics().set_window(0, kTimeMax);
   cluster.add_clients(2, test::small_workload(), cluster.sim().now());
@@ -185,7 +184,7 @@ TEST(PaxosClusterTest, ElectsAndCommits) {
 TEST(PaxosClusterTest, FailoverPreservesAgreement) {
   auto record = std::make_shared<ApplyRecord>();
   harness::Cluster cluster(test::lan_config(22));
-  cluster.build_replicas(test::make_factory<PaxosProtocol>(
+  cluster.build_replicas(test::make_factory<paxos::PaxosNode>(
       test::fast_options<paxos::Options>(), record));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.add_clients(2, test::small_workload(), cluster.sim().now());
@@ -205,7 +204,7 @@ TEST(PaxosClusterTest, FailoverPreservesAgreement) {
 TEST(PaxosClusterTest, ConvergesUnderMessageLoss) {
   auto record = std::make_shared<ApplyRecord>();
   harness::Cluster cluster(test::lan_config(23));
-  cluster.build_replicas(test::make_factory<PaxosProtocol>(
+  cluster.build_replicas(test::make_factory<paxos::PaxosNode>(
       test::fast_options<paxos::Options>(), record));
   cluster.net().faults().set_drop_rate(0.05);
   ASSERT_GE(cluster.establish_leader(0), 0);

@@ -7,7 +7,6 @@
 
 #include "consensus/batcher.h"
 #include "consensus/pipeline.h"
-#include "harness/protocols.h"
 #include "paxos/node.h"
 #include "raft/node.h"
 #include "scripted_env.h"
@@ -352,9 +351,9 @@ TEST(Pipeline, PaxosHeartbeatNoBlanketResend) {
   harness::Cluster cluster(test::lan_config(81));
   paxos::Options opt = test::fast_options<paxos::Options>();
   cluster.build_replicas(
-      test::make_factory<harness::PaxosProtocol>(opt, record));
+      test::make_factory<paxos::PaxosNode>(opt, record));
   ASSERT_EQ(cluster.establish_leader(0), 0);
-  auto& leader = static_cast<harness::PaxosServer&>(cluster.server(0)).node();
+  auto& leader = cluster.server(0).node_iface();
 
   // Healthy phase: 50 commands replicate and choose normally.
   for (int i = 0; i < 50; ++i) {

@@ -120,7 +120,7 @@ TEST(PqlClusterTest, WritesWaitForAllLeaseHolders) {
   // Fig. 9b: PQL write latency exceeds plain Raft*'s because commit waits
   // for every lease holder, not just the fastest majority.
   harness::Cluster plain(test::wan_config(32));
-  plain.build_replicas(test::make_factory<harness::RaftStarProtocol>(
+  plain.build_replicas(test::make_factory<raftstar::RaftStarNode>(
       wan_rs_options()));
   ASSERT_EQ(plain.establish_leader(0), 0);
   plain.metrics().set_window(0, kTimeMax);
@@ -171,7 +171,7 @@ TEST(PqlClusterTest, LeaseLossFallsBackToLogReads) {
   std::vector<pql::RaftStarPqlServer*> servers;
   auto factory = [&servers](harness::NodeHost& host,
                             const consensus::Group& g)
-      -> std::unique_ptr<harness::ReplicaServer> {
+      -> std::unique_ptr<harness::LogServer> {
     harness::CostModel costs;
     costs.enabled = false;
     auto s = std::make_unique<pql::RaftStarPqlServer>(host, g, costs,
@@ -233,7 +233,7 @@ TEST_P(PqlAblationTest, LeaderGrantsDecideReadFreshness) {
   const NodeId seoul_id = 4;  // replica ids equal 0..4 by construction
   auto factory = [popt, seoul_id](harness::NodeHost& host,
                                   const consensus::Group& g)
-      -> std::unique_ptr<harness::ReplicaServer> {
+      -> std::unique_ptr<harness::LogServer> {
     harness::CostModel costs;
     costs.enabled = false;
     pql::PqlOptions p = popt;
@@ -293,7 +293,7 @@ INSTANTIATE_TEST_SUITE_P(BothPorts, PqlAblationTest, ::testing::Bool(),
 TEST(LeaderLeaseTest, OnlyLeaderReadsLocally) {
   harness::Cluster cluster(test::wan_config(37));
   auto factory = [](harness::NodeHost& host, const consensus::Group& g)
-      -> std::unique_ptr<harness::ReplicaServer> {
+      -> std::unique_ptr<harness::LogServer> {
     harness::CostModel costs;
     costs.enabled = false;
     return std::make_unique<pql::LeaderLeaseServer>(

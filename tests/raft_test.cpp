@@ -7,7 +7,6 @@
 namespace praft {
 namespace {
 
-using harness::RaftProtocol;
 using test::ApplyRecord;
 using test::ScriptedEnv;
 
@@ -294,7 +293,7 @@ TEST(RaftUnitTest, CommitQuorumIsTheKthLargestMatch) {
 TEST(RaftClusterTest, ElectsPreferredLeader) {
   harness::Cluster cluster(test::lan_config(1));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::fast_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::fast_options<raft::Options>()));
   EXPECT_EQ(cluster.establish_leader(2), 2);
   EXPECT_TRUE(cluster.server(2).is_leader());
 }
@@ -302,7 +301,7 @@ TEST(RaftClusterTest, ElectsPreferredLeader) {
 TEST(RaftClusterTest, SomeLeaderEmergesWithoutForcing) {
   harness::Cluster cluster(test::lan_config(2));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::fast_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::fast_options<raft::Options>()));
   cluster.run_for(sec(5));
   EXPECT_GE(cluster.leader_replica(), 0);
 }
@@ -310,7 +309,7 @@ TEST(RaftClusterTest, SomeLeaderEmergesWithoutForcing) {
 TEST(RaftClusterTest, ClientsCompleteOps) {
   harness::Cluster cluster(test::lan_config(3));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::fast_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::fast_options<raft::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.metrics().set_window(0, kTimeMax);
   cluster.add_clients(2, test::small_workload(), cluster.sim().now());
@@ -321,7 +320,7 @@ TEST(RaftClusterTest, ClientsCompleteOps) {
 TEST(RaftClusterTest, FollowerClientsAreForwarded) {
   harness::Cluster cluster(test::lan_config(4));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::fast_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::fast_options<raft::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.metrics().set_window(0, kTimeMax);
   // Clients exist at every site; sites 1..4 talk to follower replicas.
@@ -338,7 +337,7 @@ TEST(RaftClusterTest, FollowerClientsAreForwarded) {
 TEST(RaftClusterTest, ReplicasConvergeAfterQuiescence) {
   harness::Cluster cluster(test::lan_config(5));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::fast_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::fast_options<raft::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.add_clients(2, test::small_workload(), cluster.sim().now());
   cluster.run_for(sec(5));
@@ -351,7 +350,7 @@ TEST(RaftClusterTest, ReplicasConvergeAfterQuiescence) {
 TEST(RaftClusterTest, FailoverPreservesAgreement) {
   auto record = std::make_shared<ApplyRecord>();
   harness::Cluster cluster(test::lan_config(6));
-  cluster.build_replicas(test::make_factory<RaftProtocol>(
+  cluster.build_replicas(test::make_factory<raft::RaftNode>(
       test::fast_options<raft::Options>(), record));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.add_clients(2, test::small_workload(), cluster.sim().now());
@@ -376,7 +375,7 @@ TEST(RaftClusterTest, FailoverPreservesAgreement) {
 TEST(RaftClusterTest, MinorityPartitionDoesNotBlock) {
   harness::Cluster cluster(test::lan_config(7));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::fast_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::fast_options<raft::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.metrics().set_window(0, kTimeMax);
   cluster.add_clients(1, test::small_workload(), cluster.sim().now());
@@ -391,7 +390,7 @@ TEST(RaftClusterTest, MinorityPartitionDoesNotBlock) {
 TEST(RaftClusterTest, MajorityCrashBlocksThenRecovers) {
   harness::Cluster cluster(test::lan_config(8));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::fast_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::fast_options<raft::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.metrics().set_window(0, kTimeMax);
   cluster.add_clients(1, test::small_workload(), cluster.sim().now());
@@ -415,7 +414,7 @@ TEST(RaftClusterTest, WanReadsPayQuorumLatency) {
   // leader-site clients pay a WAN quorum round trip.
   harness::Cluster cluster(test::wan_config(9));
   cluster.build_replicas(
-      test::make_factory<RaftProtocol>(test::wan_options<raft::Options>()));
+      test::make_factory<raft::RaftNode>(test::wan_options<raft::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.metrics().set_window(0, kTimeMax);
   kv::WorkloadConfig wl = test::small_workload();

@@ -7,7 +7,6 @@
 namespace praft {
 namespace {
 
-using harness::RaftStarProtocol;
 using test::ApplyRecord;
 using test::ScriptedEnv;
 
@@ -332,7 +331,7 @@ TEST(RaftStarUnitTest, CommitGateBlocksAndRetries) {
 
 TEST(RaftStarClusterTest, ElectsAndCommits) {
   harness::Cluster cluster(test::lan_config(11));
-  cluster.build_replicas(test::make_factory<RaftStarProtocol>(
+  cluster.build_replicas(test::make_factory<raftstar::RaftStarNode>(
       test::fast_options<raftstar::Options>()));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.metrics().set_window(0, kTimeMax);
@@ -344,7 +343,7 @@ TEST(RaftStarClusterTest, ElectsAndCommits) {
 TEST(RaftStarClusterTest, FailoverPreservesAgreement) {
   auto record = std::make_shared<ApplyRecord>();
   harness::Cluster cluster(test::lan_config(12));
-  cluster.build_replicas(test::make_factory<RaftStarProtocol>(
+  cluster.build_replicas(test::make_factory<raftstar::RaftStarNode>(
       test::fast_options<raftstar::Options>(), record));
   ASSERT_EQ(cluster.establish_leader(0), 0);
   cluster.add_clients(2, test::small_workload(), cluster.sim().now());
@@ -364,7 +363,7 @@ TEST(RaftStarClusterTest, FailoverPreservesAgreement) {
 TEST(RaftStarClusterTest, ConvergesUnderMessageLoss) {
   auto record = std::make_shared<ApplyRecord>();
   harness::Cluster cluster(test::lan_config(13));
-  cluster.build_replicas(test::make_factory<RaftStarProtocol>(
+  cluster.build_replicas(test::make_factory<raftstar::RaftStarNode>(
       test::fast_options<raftstar::Options>(), record));
   cluster.net().faults().set_drop_rate(0.05);
   ASSERT_GE(cluster.establish_leader(0), 0);

@@ -114,7 +114,7 @@ TEST_P(ReplicaGroupLifecycleTest, RestartingAnUpReplicaCrashesItFirst) {
   run_for(msec(500));
   ASSERT_TRUE(g.up(victim));
   const int64_t live_rollbacks =
-      g.log_server(victim)->node_iface().pipeline_rollbacks();
+      g.server(victim).node_iface().pipeline_rollbacks();
 
   g.restart(victim);
   EXPECT_TRUE(g.up(victim));
@@ -123,7 +123,7 @@ TEST_P(ReplicaGroupLifecycleTest, RestartingAnUpReplicaCrashesItFirst) {
   EXPECT_EQ(g.retired_pipeline_rollbacks(), live_rollbacks);
   // ...and the new one was rebuilt from the durable image, not started
   // fresh.
-  EXPECT_TRUE(g.log_server(victim)->recovery().recovered);
+  EXPECT_TRUE(g.server(victim).recovery().recovered);
   run_for(msec(500));
   EXPECT_GE(g.leader(), 0);
 }
@@ -137,7 +137,7 @@ TEST_P(ReplicaGroupLifecycleTest, SecondCrashIsANoOpAndBanksOnce) {
   faults().set_drop_rate(0.0);
   const int leader = g.leader();
   ASSERT_GE(leader, 0);
-  const consensus::NodeIface& node = g.log_server(leader)->node_iface();
+  const consensus::NodeIface& node = g.server(leader).node_iface();
   const int64_t rollbacks = node.pipeline_rollbacks();
   const int64_t revocations = node.revocations_started();
   ASSERT_GT(rollbacks, 0);

@@ -87,13 +87,16 @@ inline harness::ClusterConfig wan_config(uint64_t seed) {
   return cfg;
 }
 
-template <typename P>
+/// Builds TypedLogServer<Node>s with the node's options `opt` and CPU costs
+/// off; `record`, when given, observes every apply.
+template <typename Node, typename Opt>
 harness::Cluster::ServerFactory make_factory(
-    typename P::Options opt, std::shared_ptr<ApplyRecord> record = nullptr) {
+    Opt opt, std::shared_ptr<ApplyRecord> record = nullptr) {
   return [opt, record](harness::NodeHost& host, const consensus::Group& g) {
     harness::CostModel costs;
     costs.enabled = false;
-    auto server = std::make_unique<harness::TypedLogServer<P>>(host, g, costs, opt);
+    auto server =
+        std::make_unique<harness::TypedLogServer<Node>>(host, g, costs, opt);
     if (record) {
       server->set_apply_probe(
           [record](NodeId n, consensus::LogIndex i, const kv::Command& c) {
