@@ -46,12 +46,13 @@ class RaftStarPqlServer
   [[nodiscard]] int64_t local_reads_served() const { return local_reads_; }
 
   /// PQL replicas serve reads locally, so a client request costs the full
-  /// request-handling time at EVERY replica (not the cheap forward relay).
+  /// request-handling time at EVERY replica (not the cheap forward relay),
+  /// plus its bytes like every other request.
   [[nodiscard]] Duration cost_of(const net::Packet& p) const override {
     if (!costs_.enabled) return 0;
     if (const auto* hm = net::payload_as<harness::Message>(p)) {
       if (std::holds_alternative<harness::ClientRequest>(*hm)) {
-        return costs_.client_request;
+        return costs_.client_request + costs_.size_cost(p.bytes);
       }
     }
     return LogServer::cost_of(p);

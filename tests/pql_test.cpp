@@ -116,6 +116,25 @@ TEST(PqlClusterTest, FollowerReadsAreLocal) {
   }
 }
 
+TEST(PqlClusterTest, FollowerBillsAClientRequestWithItsBytes) {
+  // Any PQL replica may serve a request locally, so each bills it as a full
+  // client request; like every other request, a 4 KB put also pays for its
+  // bytes.
+  harness::Cluster cluster(test::wan_config(35));
+  cluster.build_replicas(pql_factory(wan_rs_options(), {}, /*model_cpu=*/true));
+  ASSERT_EQ(cluster.establish_leader(0), 0);
+  const harness::ClientRequest req{
+      kv::Command{kv::Op::kPut, 7, 1, 4096, 99, 1}};
+  const net::Packet p = test::packet(99, cluster.replica_id(1),
+                                     harness::wire_size(req),
+                                     harness::Message{req});
+  const harness::CostModel c;
+  ASSERT_FALSE(cluster.server(1).is_leader());
+  ASSERT_GT(c.size_cost(p.bytes), 0);
+  EXPECT_EQ(cluster.server(1).cost_of(p),
+            c.client_request + c.size_cost(p.bytes));
+}
+
 TEST(PqlClusterTest, WritesWaitForAllLeaseHolders) {
   // Fig. 9b: PQL write latency exceeds plain Raft*'s because commit waits
   // for every lease holder, not just the fastest majority.
