@@ -4,7 +4,11 @@
 #include "harness/cost_model.h"
 #include "harness/experiment.h"
 #include "harness/log_server.h"
+#include "lease/manager.h"
+#include "mencius/node.h"
+#include "paxos/node.h"
 #include "raft/node.h"
+#include "raftstar/node.h"
 #include "test_util.h"
 
 namespace praft {
@@ -72,6 +76,100 @@ TEST(NodeHostTest, CpuQueueDelaysProcessing) {
   EXPECT_GE(handler.last, msec(20));  // ~arrival + 2 x 10 ms service
   EXPECT_GE(receiver.cpu_busy(), msec(20));
 }
+
+// ---------------------------------------------------------------------------
+// LogServer billing: the one adapter asks the protocol node how many log
+// entries a packet carries, and drops what no node of its protocol reads.
+// ---------------------------------------------------------------------------
+
+/// A registry-built 3-replica `protocol` cluster with CPU costs on.
+std::unique_ptr<harness::Cluster> costed_cluster(const std::string& protocol) {
+  harness::ClusterConfig cfg = test::lan_config(9);
+  cfg.num_replicas = 3;
+  cfg.costs.enabled = true;
+  auto cluster = std::make_unique<harness::Cluster>(cfg);
+  cluster->build_replicas(protocol);
+  return cluster;
+}
+
+/// A 4 KB put, so every multi-entry message below has a non-zero size cost.
+kv::Command big_put(uint64_t key) {
+  return kv::Command{kv::Op::kPut, key, key, 4096, 0, 0};
+}
+
+/// Bills `payload` (a `bytes`-byte protocol message carrying `entries` log
+/// entries) at replica 1: message_base + entries x entry_follower + bytes.
+void expect_entry_billing(const std::string& protocol, std::any payload,
+                          size_t bytes, int64_t entries) {
+  const auto cluster = costed_cluster(protocol);
+  const harness::CostModel& c = cluster->config().costs;
+  const net::Packet p = test::packet(cluster->replica_id(0),
+                                     cluster->replica_id(1), bytes,
+                                     std::move(payload));
+  ASSERT_GT(c.size_cost(bytes), 0);
+  EXPECT_EQ(cluster->server(1).cost_of(p),
+            c.message_base + entries * c.entry_follower + c.size_cost(bytes))
+      << protocol;
+}
+
+TEST(LogServerCostTest, RaftAppendEntriesBillsEachEntry) {
+  raft::AppendEntries ae;
+  for (uint64_t k = 1; k <= 3; ++k) ae.entries.push_back({1, big_put(k)});
+  expect_entry_billing("raft", raft::Message{ae}, raft::wire_size(ae), 3);
+}
+
+TEST(LogServerCostTest, RaftStarAppendEntriesBillsEachEntry) {
+  raftstar::AppendEntries ae;
+  for (uint64_t k = 1; k <= 3; ++k) ae.entries.push_back({1, big_put(k)});
+  expect_entry_billing("raftstar", raftstar::Message{ae},
+                       raftstar::wire_size(ae), 3);
+}
+
+TEST(LogServerCostTest, PaxosAcceptBatchAndPrepareOkBillEachEntry) {
+  paxos::AcceptBatch ab;
+  for (uint64_t k = 1; k <= 4; ++k) ab.cmds.push_back(big_put(k));
+  expect_entry_billing("multipaxos", paxos::Message{ab}, paxos::wire_size(ab),
+                       4);
+  paxos::PrepareOk ok;
+  for (int64_t i = 1; i <= 2; ++i) {
+    ok.accepted.push_back({i, {}, big_put(static_cast<uint64_t>(i))});
+  }
+  expect_entry_billing("multipaxos", paxos::Message{ok}, paxos::wire_size(ok),
+                       2);
+}
+
+TEST(LogServerCostTest, MenciusAcceptOwnBillsEachEntry) {
+  mencius::AcceptOwn ao;
+  for (int64_t i = 0; i < 5; ++i) {
+    ao.items.push_back({i * 3, big_put(static_cast<uint64_t>(i + 1))});
+  }
+  expect_entry_billing("mencius", mencius::Message{ao},
+                       mencius::wire_size(ao), 5);
+}
+
+class LogServerForeignPacketTest
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LogServerForeignPacketTest, LeaseMessageIsBilledAsAReceiveAndDropped) {
+  const auto cluster = costed_cluster(GetParam());
+  const harness::CostModel& c = cluster->config().costs;
+  const lease::Message grant{lease::Grant{0, 1, sec(2)}};
+  const net::Packet p =
+      test::packet(cluster->replica_id(0), cluster->replica_id(1),
+                   lease::wire_size(grant), grant);
+  harness::LogServer& server = cluster->server(1);
+  EXPECT_EQ(server.cost_of(p), c.receive_cost(p.bytes));
+  EXPECT_EQ(server.node_iface().entries_in(p), std::nullopt);
+  // Handing the packet to the node would CHECK-fail on a foreign payload.
+  server.handle(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RegistryProtocols, LogServerForeignPacketTest,
+    ::testing::Values("raft", "raftstar", "multipaxos", "mencius"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(ClusterTest, DefaultSitesAssignRoundRobin) {
   harness::ClusterConfig cfg = test::lan_config(5);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "mencius/node.h"
 #include "mencius/server.h"
 #include "scripted_env.h"
@@ -350,6 +352,50 @@ TEST(MenciusClusterTest, IdleRegionsSkipTheirTurns) {
   EXPECT_GT(total_skips, 100);
   cluster.run_for(sec(2));
   EXPECT_TRUE(test::stores_converged(cluster));
+}
+
+TEST(MenciusClusterTest, FullPipeRetriesTheRequest) {
+  // A 1-byte backpressure budget refuses every submit while a proposal is
+  // in flight. The refused put must be retried at the replica, as any
+  // request LogServer cannot submit yet is, not dropped until the client's
+  // own resend (which OneShotClient never sends).
+  mencius::Options opt = lan_mencius_options();
+  opt.batch_backpressure_bytes = 1;
+  harness::Cluster cluster(test::lan_config(46));
+  cluster.build_replicas(mencius_factory(opt));
+  cluster.run_for(msec(200));
+  test::OneShotClient first(cluster.make_host(0));
+  test::OneShotClient second(cluster.make_host(0));
+  const NodeId replica = cluster.server(0).id();
+  first.send(replica, kv::Command{kv::Op::kPut, 1, 1, 8, 0, 0});
+  second.send(replica, kv::Command{kv::Op::kPut, 2, 2, 8, 0, 0});
+  cluster.run_for(sec(2));
+  EXPECT_EQ(first.replies(), 1);
+  EXPECT_EQ(second.replies(), 1);
+}
+
+TEST(MenciusClusterTest, GroupProbesHookFactoryBuiltServers) {
+  // MenciusServer is a LogServer: the group's apply probe reaches all five
+  // replicas and fires once per applied slot.
+  harness::Cluster cluster(test::lan_config(47));
+  cluster.build_replicas(mencius_factory(lan_mencius_options()));
+  std::map<NodeId, int64_t> applies;
+  EXPECT_EQ(cluster.install_apply_probe(
+                [&applies](NodeId n, consensus::LogIndex, const kv::Command&) {
+                  ++applies[n];
+                }),
+            5);
+  cluster.add_clients(2, test::small_workload(), msec(100));
+  cluster.run_for(sec(3));
+  cluster.stop_clients();
+  cluster.run_for(sec(2));
+  for (int i = 0; i < cluster.num_replicas(); ++i) {
+    const harness::LogServer& s = cluster.server(i);
+    // Mencius slots start at 0, so a replica applied index + 1 slots.
+    EXPECT_GT(applies[s.id()], 0) << "replica " << i;
+    EXPECT_EQ(applies[s.id()], s.node_iface().applied_index() + 1)
+        << "replica " << i;
+  }
 }
 
 TEST(MenciusClusterTest, CrashedOwnerIsRevokedAndSystemProceeds) {
