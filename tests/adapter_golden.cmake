@@ -22,13 +22,13 @@ set(actual "")
 foreach(bench IN ITEMS FIG9A FIG10C)
   get_filename_component(name "${${bench}}" NAME_WE)
   set(json "${CMAKE_CURRENT_BINARY_DIR}/adapter_golden_${name}.json")
-  file(REMOVE "${json}")
   execute_process(COMMAND "${${bench}}" "--json=${json}"
                   OUTPUT_QUIET RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "${name} --json exited with ${rc}")
   endif()
   file(READ "${json}" out)
+  file(REMOVE "${json}")
   string(APPEND actual "## ${name} --json\n${out}")
 endforeach()
 
