@@ -28,8 +28,8 @@ struct ExperimentConfig {
   /// kRaftStar and kPaxos build by registry name too.
   std::string protocol;
   /// Protocol timing knobs (election/heartbeat cadence, batching, pipeline
-  /// window). Honoured by every replica built by registry name (the two
-  /// cases above); PQL, LL and Mencius keep the defaults.
+  /// window). Honoured by every replica built by registry name (`protocol`,
+  /// or kRaft/kRaftStar/kPaxos); PQL, LL and Mencius keep the defaults.
   consensus::TimingOptions timing;
   /// When >= 0, replaces the aws5 geo matrix with a uniform all-pairs RTT
   /// (sim::LatencyMatrix flat constructor) — the pipelining bench sweeps
