@@ -98,7 +98,8 @@ kv::Command big_put(uint64_t key) {
 }
 
 /// Bills `payload` (a `bytes`-byte protocol message carrying `entries` log
-/// entries) at replica 1: message_base + entries x entry_follower + bytes.
+/// entries) at replica 1: message_base + entries x entry_follower +
+/// size_cost(bytes).
 void expect_entry_billing(const std::string& protocol, std::any payload,
                           size_t bytes, int64_t entries) {
   const auto cluster = costed_cluster(protocol);
