@@ -23,7 +23,13 @@ set(legs
     # MultiPaxos snapshot paths: installs after compaction, restarts that
     # recover from a snapshot plus WAL suffix, flat and sharded.
     "--protocol=multipaxos --seeds=40 --restarts --compaction-cap=16"
-    "--protocol=multipaxos --seeds=20 --groups=3 --restarts --compaction-cap=64")
+    "--protocol=multipaxos --seeds=20 --groups=3 --restarts --compaction-cap=64"
+    # Raft-family snapshot paths: InstallSnapshot on both the keep-suffix and
+    # the reset branch, and restarts that recover from a snapshot, flat and
+    # sharded.
+    "--protocol=raft --seeds=40 --restarts --compaction-cap=16"
+    "--protocol=raftstar --seeds=40 --restarts --compaction-cap=16"
+    "--protocol=raftstar --seeds=20 --groups=3 --restarts --compaction-cap=16")
 set(golden "${SOURCE_DIR}/tests/golden/chaos_fp.txt")
 
 set(actual "")
