@@ -154,6 +154,45 @@ TEST(RaftUnitTest, FollowerRejectsMismatchedPrev) {
   EXPECT_EQ(r->conflict_hint, 1);
 }
 
+TEST(RaftUnitTest, FollowerAcksAnAppendBelowItsSnapshotBase) {
+  // A late retransmit can land after the follower compacted past it: every
+  // entry it carries is committed and applied here, so the follower acks it
+  // as matched and leaves its log alone.
+  ScriptedEnv env;
+  raft::RaftNode n(group_of(1, {0, 1, 2}), env, unit_options());
+  kv::KvStore store;
+  test::attach_store(n, store);
+  n.start();
+  raft::AppendEntries ae;
+  ae.term = 1;
+  ae.leader = 0;
+  for (uint64_t k = 1; k <= 4; ++k) {
+    ae.entries.push_back(
+        raft::Entry{1, kv::Command{kv::Op::kPut, k, k, 8, 9, k}});
+  }
+  ae.commit = 4;
+  n.on_packet(packet(0, 1, raft::Message{ae}));
+  n.compact();
+  ASSERT_EQ(n.compaction_floor(), 4);
+  env.clear();
+  // The same leader's earlier batch covering 2-3.
+  raft::AppendEntries late = ae;
+  late.prev_index = 1;
+  late.prev_term = 1;
+  late.entries = {ae.entries[1], ae.entries[2]};
+  n.on_packet(packet(0, 1, raft::Message{late}));
+  auto sent = env.take_for(0);
+  ASSERT_EQ(sent.size(), 1u);
+  const auto* r = std::get_if<raft::AppendReply>(
+      std::any_cast<raft::Message>(&sent[0].payload));
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->ok);
+  EXPECT_EQ(r->match_index, 3);
+  EXPECT_EQ(n.compaction_floor(), 4);
+  EXPECT_EQ(n.last_index(), 4);
+  EXPECT_EQ(n.applied_index(), 4);
+}
+
 TEST(RaftUnitTest, SubmitOnlyAtLeader) {
   ScriptedEnv env;
   raft::RaftNode n(group_of(0, {0, 1, 2}), env, unit_options());

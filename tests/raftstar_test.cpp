@@ -326,6 +326,163 @@ TEST(RaftStarUnitTest, CommitGateBlocksAndRetries) {
 }
 
 // ---------------------------------------------------------------------------
+// Compaction: a voter whose snapshot base is above the candidate's log ships
+// its checkpoint in the vote reply, and the new leader installs it before
+// safe-value selection; a follower acks an append that its snapshot covers.
+// ---------------------------------------------------------------------------
+
+kv::Command put(uint64_t k) {
+  return kv::Command{kv::Op::kPut, k, 10 * k, 8, 9, k};
+}
+
+/// Term-1 entries 1..n holding put(1)..put(n).
+std::vector<raftstar::Entry> puts_to(uint64_t n) {
+  std::vector<raftstar::Entry> out;
+  for (uint64_t k = 1; k <= n; ++k) out.push_back(raftstar::Entry{1, put(k)});
+  return out;
+}
+
+/// A term-1 checkpoint at `last`, taken by `provider` after applying
+/// put(1)..put(last).
+consensus::Snapshot checkpoint_at(uint64_t last, kv::KvStore& provider) {
+  for (uint64_t k = 1; k <= last; ++k) provider.apply(put(k));
+  consensus::Snapshot snap;
+  snap.last_index = static_cast<consensus::LogIndex>(last);
+  snap.last_term = 1;
+  snap.state = provider.image();
+  return snap;
+}
+
+/// Voter 1's granted term-2 reply carrying `snap` and `extras` from index 5.
+raftstar::VoteReply vote_with_checkpoint(consensus::Snapshot snap,
+                                         std::vector<raftstar::Entry> extras) {
+  raftstar::VoteReply vr;
+  vr.term = 2;
+  vr.voter = 1;
+  vr.granted = true;
+  vr.log_bal = 1;
+  vr.has_snap = true;
+  vr.snap = std::move(snap);
+  vr.extra_from = 5;
+  vr.extras = std::move(extras);
+  return vr;
+}
+
+TEST(RaftStarUnitTest, VoterShipsItsCheckpointToACandidateBelowItsBase) {
+  ScriptedEnv env;
+  raftstar::RaftStarNode n(group_of(1, {0, 1, 2}), env, unit_options());
+  kv::KvStore store;
+  test::attach_store(n, store);
+  n.start();
+  // Leader 2 (term 1) replicates 1-6 and commits 4; the voter compacts at 4.
+  n.on_packet(packet(
+      2, 1, raftstar::Message{make_append(1, 2, 0, 0, puts_to(6), 4)}));
+  n.compact();
+  ASSERT_EQ(n.compaction_floor(), 4);
+  env.clear();
+  // Candidate 0's log ends at 2 on a newer term: the vote is granted, but
+  // entries 3-4 are gone from the voter's log.
+  n.on_packet(
+      packet(0, 1, raftstar::Message{raftstar::RequestVote{2, 0, 2, 2}}));
+  auto sent = env.take_for(0);
+  ASSERT_EQ(sent.size(), 1u);
+  const auto* r = std::get_if<raftstar::VoteReply>(
+      std::any_cast<raftstar::Message>(&sent[0].payload));
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->granted);
+  ASSERT_TRUE(r->has_snap);
+  EXPECT_EQ(r->snap.last_index, 4);
+  EXPECT_TRUE(r->snap.state == store.image());
+  EXPECT_EQ(r->extra_from, 5);
+  ASSERT_EQ(r->extras.size(), 2u);
+  EXPECT_TRUE(r->extras[0].cmd == put(5));
+  EXPECT_TRUE(r->extras[1].cmd == put(6));
+}
+
+TEST(RaftStarUnitTest, NewLeaderInstallsAVoterCheckpointAboveItsLog) {
+  ScriptedEnv env;
+  raftstar::RaftStarNode n(group_of(0, {0, 1, 2}), env, unit_options());
+  kv::KvStore store;
+  test::attach_store(n, store);
+  n.start();
+  n.on_packet(packet(2, 0,
+                     raftstar::Message{make_append(1, 2, 0, 0, puts_to(2))}));
+  n.force_election();
+  ASSERT_EQ(n.current_term(), 2);
+  kv::KvStore provider;
+  n.on_packet(packet(1, 0,
+                     raftstar::Message{vote_with_checkpoint(
+                         checkpoint_at(4, provider),
+                         {raftstar::Entry{1, put(5)}})}));
+  ASSERT_TRUE(n.is_leader());
+  // The checkpoint replaced the whole log: 3-4 are settled by it, not
+  // refilled with no-ops.
+  EXPECT_EQ(n.snapshots_installed(), 1);
+  EXPECT_EQ(n.compaction_floor(), 4);
+  EXPECT_EQ(n.applied_index(), 4);
+  EXPECT_EQ(store.fingerprint(), provider.fingerprint());
+  // Index 5 is the voter's value, adopted at the new term.
+  ASSERT_EQ(n.last_index(), 5);
+  EXPECT_EQ(n.resident_log_entries(), 1u);
+  EXPECT_TRUE(n.entry_at(5).cmd == put(5));
+  EXPECT_EQ(n.entry_at(5).term, 2);
+}
+
+TEST(RaftStarUnitTest, NewLeaderKeepsItsSuffixAboveAVoterCheckpoint) {
+  ScriptedEnv env;
+  raftstar::RaftStarNode n(group_of(0, {0, 1, 2}), env, unit_options());
+  kv::KvStore store;
+  test::attach_store(n, store);
+  n.start();
+  n.on_packet(packet(2, 0,
+                     raftstar::Message{make_append(1, 2, 0, 0, puts_to(6))}));
+  n.force_election();
+  kv::KvStore provider;
+  n.on_packet(packet(
+      1, 0,
+      raftstar::Message{vote_with_checkpoint(checkpoint_at(4, provider), {})}));
+  ASSERT_TRUE(n.is_leader());
+  EXPECT_EQ(n.snapshots_installed(), 1);
+  EXPECT_EQ(n.compaction_floor(), 4);
+  EXPECT_EQ(n.applied_index(), 4);
+  EXPECT_EQ(store.fingerprint(), provider.fingerprint());
+  // Raft* never erases accepted entries: 5-6 stay, at their creation term.
+  ASSERT_EQ(n.last_index(), 6);
+  EXPECT_TRUE(n.entry_at(5).cmd == put(5));
+  EXPECT_TRUE(n.entry_at(6).cmd == put(6));
+  EXPECT_EQ(n.entry_at(6).term, 1);
+}
+
+TEST(RaftStarUnitTest, FollowerAcksAnAppendBelowItsSnapshotBase) {
+  ScriptedEnv env;
+  raftstar::RaftStarNode n(group_of(1, {0, 1, 2}), env, unit_options());
+  kv::KvStore store;
+  test::attach_store(n, store);
+  n.start();
+  const std::vector<raftstar::Entry> ents = puts_to(4);
+  n.on_packet(
+      packet(0, 1, raftstar::Message{make_append(1, 0, 0, 0, ents, 4)}));
+  n.compact();
+  ASSERT_EQ(n.compaction_floor(), 4);
+  env.clear();
+  // A late batch covering 2-3: settled by the snapshot, acked as matched.
+  n.on_packet(packet(0, 1,
+                     raftstar::Message{make_append(1, 0, 1, 1,
+                                                   {ents[1], ents[2]}, 4)}));
+  auto sent = env.take_for(0);
+  ASSERT_EQ(sent.size(), 1u);
+  const auto* r = std::get_if<raftstar::AppendReply>(
+      std::any_cast<raftstar::Message>(&sent[0].payload));
+  ASSERT_NE(r, nullptr);
+  EXPECT_TRUE(r->ok);
+  EXPECT_EQ(r->match_index, 3);
+  EXPECT_EQ(r->follower_last, 4);
+  EXPECT_EQ(n.compaction_floor(), 4);
+  EXPECT_EQ(n.last_index(), 4);
+  EXPECT_EQ(n.applied_index(), 4);
+}
+
+// ---------------------------------------------------------------------------
 // Cluster-level behaviour mirrors Raft's.
 // ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@
 #include "common/types.h"
 #include "harness/cluster.h"
 #include "harness/log_server.h"
+#include "kv/store.h"
 #include "net/packet.h"
 
 namespace praft::test {
@@ -22,6 +23,19 @@ inline net::Packet packet(NodeId from, NodeId to, size_t bytes,
   p.bytes = bytes;
   p.payload = std::move(payload);
   return p;
+}
+
+/// Applies every command `n` commits to `store` and points `n`'s snapshot
+/// hooks at it, so a node driven through a ScriptedEnv can compact its log
+/// and install checkpoints.
+inline void attach_store(consensus::NodeIface& n, kv::KvStore& store) {
+  n.set_apply([&store](consensus::LogIndex, const kv::Command& c) {
+    store.apply(c);
+  });
+  n.set_state_hooks([&store] { return store.image(); },
+                    [&store](const kv::StoreImage& img, consensus::LogIndex) {
+                      store.restore(img);
+                    });
 }
 
 /// Records every (index, command) applied by any replica and flags the
