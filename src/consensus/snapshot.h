@@ -25,9 +25,9 @@ struct Snapshot {
   kv::StoreImage state;
 
   [[nodiscard]] bool valid() const { return last_index >= 0; }
-  /// Exact wire size when embedded in a catch-up message:
-  /// last_index i64 + last_term i64 + the state image.
-  [[nodiscard]] size_t wire_bytes() const { return 16 + state.wire_bytes(); }
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.last_index, m.last_term, m.state); }
 
   friend bool operator==(const Snapshot&, const Snapshot&) = default;
 };

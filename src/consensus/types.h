@@ -22,6 +22,9 @@ struct Ballot {
   Term round = -1;
   NodeId node = kNoNode;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.round, m.node); }
+
   friend auto operator<=>(const Ballot&, const Ballot&) = default;
   [[nodiscard]] bool valid() const { return round >= 0; }
 };
@@ -68,14 +71,11 @@ using ApplyFn = std::function<void(LogIndex, const kv::Command&)>;
 /// outside the protocol.
 using WatermarkProbe = std::function<void(LogIndex commit, LogIndex applied)>;
 
-/// Exact wire sizes (bytes). Every wire_size() in the repo is the byte-exact
-/// length of the flat frame the codec in net/wire.h + <proto>/wire.cpp
-/// produces — `encode(m).size() == wire_size(m)` is a tested invariant, so
-/// bandwidth/CPU cost accounting charges real encoded bytes, not estimates.
+/// Message sizes derive from each message's `fields` list (net/field_codec.h),
+/// so `encode(m).size() == wire_size(m)` by construction and cost accounting
+/// charges real encoded bytes. The batchers and the WAL size queued commands
+/// before any message exists; this is the one size they share.
 namespace wire {
-inline constexpr size_t kFrame = 8;    // family/opcode/flags/length header
-inline constexpr size_t kBallot = 12;  // round i64 + node i32
-inline constexpr size_t kCount = 4;    // u32 array-length prefix
 /// One log entry on the wire: slot-or-term i64 + the command.
 inline size_t entry_bytes(const kv::Command& c) { return 8 + c.wire_bytes(); }
 }  // namespace wire

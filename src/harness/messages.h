@@ -4,12 +4,16 @@
 
 #include "consensus/types.h"
 #include "kv/command.h"
+#include "net/field_codec.h"
 
 namespace praft::harness {
 
 /// Client -> replica: execute one command.
 struct ClientRequest {
   kv::Command cmd;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.cmd); }
 
   friend bool operator==(const ClientRequest&, const ClientRequest&) = default;
 };
@@ -21,6 +25,9 @@ struct ClientReply {
   bool ok = true;
   NodeId server = kNoNode;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.seq, m.value, m.ok, m.server); }
+
   friend bool operator==(const ClientReply&, const ClientReply&) = default;
 };
 
@@ -28,6 +35,9 @@ struct ClientReply {
 struct Forward {
   kv::Command cmd;
   NodeId origin = kNoNode;  // the forwarding server
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.cmd, m.origin); }
 
   friend bool operator==(const Forward&, const Forward&) = default;
 };
@@ -38,31 +48,15 @@ struct ForwardReply {
   uint64_t value = 0;
   bool ok = true;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.cmd, m.value, m.ok); }
+
   friend bool operator==(const ForwardReply&, const ForwardReply&) = default;
 };
 
 using Message = std::variant<ClientRequest, ClientReply, Forward, ForwardReply>;
 
-// Exact encoded frame sizes (see harness/wire.cpp for the field layout).
-// Replies used to be billed flat kSmallMsg even though ForwardReply echoes
-// the full command; these are now derived from the codec like everything
-// else.
-namespace wire = consensus::wire;
-
-inline size_t wire_size(const ClientRequest& m) {
-  return wire::kFrame + m.cmd.wire_bytes();
-}
-inline size_t wire_size(const ClientReply&) {
-  return wire::kFrame + 8 + 8 + 1 + 4;
-}
-inline size_t wire_size(const Forward& m) {
-  return wire::kFrame + m.cmd.wire_bytes() + 4;
-}
-inline size_t wire_size(const ForwardReply& m) {
-  return wire::kFrame + m.cmd.wire_bytes() + 8 + 1;
-}
-inline size_t wire_size(const Message& m) {
-  return std::visit([](const auto& x) { return wire_size(x); }, m);
-}
+// Frame sizes derive from the fields lists above (net/field_codec.h).
+using net::wire_size;
 
 }  // namespace praft::harness

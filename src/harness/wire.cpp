@@ -4,87 +4,12 @@
 
 namespace praft::harness {
 
-namespace {
-
-using net::WireReader;
-using net::WireWriter;
-
-static_assert(std::variant_size_v<Message> == 4,
-              "new harness message: add a codec below and bump this count");
-
-void put(WireWriter& w, const ClientRequest& m) { net::put_cmd(w, m.cmd); }
-ClientRequest get_client_request(WireReader& r) {
-  ClientRequest m;
-  m.cmd = net::get_cmd(r);
-  return m;
-}
-
-void put(WireWriter& w, const ClientReply& m) {
-  w.u64(m.seq);
-  w.u64(m.value);
-  w.boolean(m.ok);
-  w.i32(m.server);
-}
-ClientReply get_client_reply(WireReader& r) {
-  ClientReply m;
-  m.seq = r.u64();
-  m.value = r.u64();
-  m.ok = r.boolean();
-  m.server = r.i32();
-  return m;
-}
-
-void put(WireWriter& w, const Forward& m) {
-  net::put_cmd(w, m.cmd);
-  w.i32(m.origin);
-}
-Forward get_forward(WireReader& r) {
-  Forward m;
-  m.cmd = net::get_cmd(r);
-  m.origin = r.i32();
-  return m;
-}
-
-void put(WireWriter& w, const ForwardReply& m) {
-  net::put_cmd(w, m.cmd);
-  w.u64(m.value);
-  w.boolean(m.ok);
-}
-ForwardReply get_forward_reply(WireReader& r) {
-  ForwardReply m;
-  m.cmd = net::get_cmd(r);
-  m.value = r.u64();
-  m.ok = r.boolean();
-  return m;
-}
-
-}  // namespace
-
 net::Frame encode(const Message& m, net::BufferPool& pool) {
-  const size_t total = wire_size(m);
-  net::Frame f = pool.acquire(total);
-  WireWriter w(f);
-  w.header(net::Family::kHarness, static_cast<uint8_t>(m.index()));
-  std::visit([&w](const auto& x) { put(w, x); }, m);
-  w.finish();
-  PRAFT_CHECK_MSG(f.size() == total, "harness codec/wire_size drift");
-  return f;
+  return net::encode(net::Family::kHarness, m, pool);
 }
 
 Message decode(net::FrameView f) {
-  WireReader r(f);
-  const auto h = r.header();
-  PRAFT_CHECK(h.family == net::Family::kHarness);
-  Message m;
-  switch (h.opcode) {
-    case 0: m = get_client_request(r); break;
-    case 1: m = get_client_reply(r); break;
-    case 2: m = get_forward(r); break;
-    case 3: m = get_forward_reply(r); break;
-    default: PRAFT_CHECK_MSG(false, "bad harness opcode");
-  }
-  r.finish();
-  return m;
+  return net::decode<Message>(net::Family::kHarness, f);
 }
 
 }  // namespace praft::harness

@@ -22,15 +22,16 @@ struct StoreImage {
     uint64_t value = 0;
     uint64_t version = 0;
 
+    template <class M, class F>
+    static void fields(M& m, F&& f) { f(m.key, m.value, m.version); }
+
     friend bool operator==(const Cell&, const Cell&) = default;
   };
   std::vector<Cell> cells;
   uint64_t applied_count = 0;
 
-  /// Exact wire size: applied_count u64 + cell count u32 + 24 B cells
-  /// (snapshot transfers are the big messages compaction trades log replay
-  /// for).
-  [[nodiscard]] size_t wire_bytes() const { return 12 + cells.size() * 24; }
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.applied_count, m.cells); }
 
   friend bool operator==(const StoreImage&, const StoreImage&) = default;
 };

@@ -6,6 +6,7 @@
 #include "consensus/env.h"
 #include "consensus/group.h"
 #include "consensus/types.h"
+#include "net/field_codec.h"
 #include "net/packet.h"
 
 namespace praft::lease {
@@ -30,6 +31,9 @@ struct Grant {
   NodeId holder = kNoNode;
   Time expiry = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.grantor, m.holder, m.expiry); }
+
   friend bool operator==(const Grant&, const Grant&) = default;
 };
 
@@ -40,21 +44,16 @@ struct GrantAck {
   NodeId holder = kNoNode;
   Time expiry = 0;  // echo of the acked grant
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.holder, m.expiry); }
+
   friend bool operator==(const GrantAck&, const GrantAck&) = default;
 };
 
 using Message = std::variant<Grant, GrantAck>;
 
-// Exact encoded frame sizes (see lease/wire.cpp for the field layout).
-inline size_t wire_size(const Grant&) {
-  return consensus::wire::kFrame + 4 + 4 + 8;
-}
-inline size_t wire_size(const GrantAck&) {
-  return consensus::wire::kFrame + 4 + 8;
-}
-inline size_t wire_size(const Message& m) {
-  return std::visit([](const auto& x) { return wire_size(x); }, m);
-}
+// Frame sizes derive from the fields lists above (net/field_codec.h).
+using net::wire_size;
 
 /// Tracks leases this replica GRANTS to every peer (renewed on a timer) and
 /// leases it HOLDS from peers. PQL's quorum-lease predicate (paper Fig. 11

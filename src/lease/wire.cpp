@@ -4,63 +4,12 @@
 
 namespace praft::lease {
 
-namespace {
-
-using net::WireReader;
-using net::WireWriter;
-
-static_assert(std::variant_size_v<Message> == 2,
-              "new lease message: add a codec below and bump this count");
-
-void put(WireWriter& w, const Grant& m) {
-  w.i32(m.grantor);
-  w.i32(m.holder);
-  w.i64(m.expiry);
-}
-Grant get_grant(WireReader& r) {
-  Grant m;
-  m.grantor = r.i32();
-  m.holder = r.i32();
-  m.expiry = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const GrantAck& m) {
-  w.i32(m.holder);
-  w.i64(m.expiry);
-}
-GrantAck get_grant_ack(WireReader& r) {
-  GrantAck m;
-  m.holder = r.i32();
-  m.expiry = r.i64();
-  return m;
-}
-
-}  // namespace
-
 net::Frame encode(const Message& m, net::BufferPool& pool) {
-  const size_t total = wire_size(m);
-  net::Frame f = pool.acquire(total);
-  WireWriter w(f);
-  w.header(net::Family::kLease, static_cast<uint8_t>(m.index()));
-  std::visit([&w](const auto& x) { put(w, x); }, m);
-  w.finish();
-  PRAFT_CHECK_MSG(f.size() == total, "lease codec/wire_size drift");
-  return f;
+  return net::encode(net::Family::kLease, m, pool);
 }
 
 Message decode(net::FrameView f) {
-  WireReader r(f);
-  const auto h = r.header();
-  PRAFT_CHECK(h.family == net::Family::kLease);
-  Message m;
-  switch (h.opcode) {
-    case 0: m = get_grant(r); break;
-    case 1: m = get_grant_ack(r); break;
-    default: PRAFT_CHECK_MSG(false, "bad lease opcode");
-  }
-  r.finish();
-  return m;
+  return net::decode<Message>(net::Family::kLease, f);
 }
 
 }  // namespace praft::lease

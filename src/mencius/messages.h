@@ -6,6 +6,7 @@
 #include "consensus/snapshot.h"
 #include "consensus/types.h"
 #include "kv/command.h"
+#include "net/field_codec.h"
 
 namespace praft::mencius {
 
@@ -16,6 +17,9 @@ using consensus::LogIndex;
 struct OwnItem {
   LogIndex index = 0;
   kv::Command cmd;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.index, m.cmd); }
 
   friend bool operator==(const OwnItem&, const OwnItem&) = default;
 };
@@ -31,12 +35,20 @@ struct AcceptOwn {
   LogIndex decided_floor = 0;
   LogIndex rev_floor = -1;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.owner, m.decided_floor, m.rev_floor, m.items);
+  }
+
   friend bool operator==(const AcceptOwn&, const AcceptOwn&) = default;
 };
 
 struct AcceptOwnOk {
   NodeId acceptor = kNoNode;
   std::vector<LogIndex> indexes;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.acceptor, m.indexes); }
 
   friend bool operator==(const AcceptOwnOk&, const AcceptOwnOk&) = default;
 };
@@ -47,6 +59,9 @@ struct AcceptOwnRej {
   NodeId acceptor = kNoNode;
   std::vector<LogIndex> indexes;
   LogIndex jump_past = 0;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.acceptor, m.jump_past, m.indexes); }
 
   friend bool operator==(const AcceptOwnRej&, const AcceptOwnRej&) = default;
 };
@@ -59,6 +74,9 @@ struct SkipRange {
   LogIndex lo = 0;
   LogIndex hi = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.owner, m.lo, m.hi); }
+
   friend bool operator==(const SkipRange&, const SkipRange&) = default;
 };
 
@@ -69,6 +87,11 @@ struct StatusBeat {
   LogIndex decided_floor = 0;
   LogIndex rev_floor = -1;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.from, m.next_own, m.decided_floor, m.rev_floor);
+  }
+
   friend bool operator==(const StatusBeat&, const StatusBeat&) = default;
 };
 
@@ -78,6 +101,9 @@ struct LearnReq {
   LogIndex lo = 0;
   LogIndex hi = 0;  // exclusive
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.from, m.lo, m.hi); }
+
   friend bool operator==(const LearnReq&, const LearnReq&) = default;
 };
 
@@ -85,6 +111,9 @@ struct SlotInfo {
   LogIndex index = 0;
   bool skipped = false;
   kv::Command cmd;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.index, m.skipped, m.cmd); }
 
   friend bool operator==(const SlotInfo&, const SlotInfo&) = default;
 };
@@ -94,6 +123,9 @@ struct SlotInfo {
 struct LearnVals {
   NodeId from = kNoNode;
   std::vector<SlotInfo> slots;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.from, m.slots); }
 
   friend bool operator==(const LearnVals&, const LearnVals&) = default;
 };
@@ -107,6 +139,9 @@ struct RevPrepare {
   LogIndex lo = 0;
   LogIndex hi = 0;  // exclusive
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.from, m.bal, m.owner, m.lo, m.hi); }
+
   friend bool operator==(const RevPrepare&, const RevPrepare&) = default;
 };
 
@@ -117,6 +152,11 @@ struct RevAccepted {
   bool skipped = false;
   kv::Command cmd;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.index, m.bal, m.has, m.skipped, m.cmd);
+  }
+
   friend bool operator==(const RevAccepted&, const RevAccepted&) = default;
 };
 
@@ -124,6 +164,9 @@ struct RevPrepareOk {
   NodeId from = kNoNode;
   Ballot bal;
   std::vector<RevAccepted> accepted;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.from, m.bal, m.accepted); }
 
   friend bool operator==(const RevPrepareOk&, const RevPrepareOk&) = default;
 };
@@ -133,6 +176,9 @@ struct RevAccept {
   Ballot bal;
   std::vector<OwnItem> items;  // no-op cmd == skip
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.from, m.bal, m.items); }
+
   friend bool operator==(const RevAccept&, const RevAccept&) = default;
 };
 
@@ -140,6 +186,9 @@ struct RevAcceptOk {
   NodeId from = kNoNode;
   Ballot bal;
   std::vector<LogIndex> indexes;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.from, m.bal, m.indexes); }
 
   friend bool operator==(const RevAcceptOk&, const RevAcceptOk&) = default;
 };
@@ -153,6 +202,9 @@ struct SnapshotXfer {
   NodeId from = kNoNode;
   consensus::Snapshot snap;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.from, m.snap); }
+
   friend bool operator==(const SnapshotXfer&, const SnapshotXfer&) = default;
 };
 
@@ -161,57 +213,8 @@ using Message =
                  LearnReq, LearnVals, RevPrepare, RevPrepareOk, RevAccept,
                  RevAcceptOk, SnapshotXfer>;
 
-// Exact encoded frame sizes (see mencius/wire.cpp for the field layout).
-namespace wire = consensus::wire;
-
-inline size_t wire_size(const AcceptOwn& m) {
-  size_t b = wire::kFrame + 4 + 8 + 8 + wire::kCount;
-  // each item: slot index i64 + the command (wire::entry_bytes)
-  for (const auto& it : m.items) b += wire::entry_bytes(it.cmd);
-  return b;
-}
-inline size_t wire_size(const AcceptOwnOk& m) {
-  return wire::kFrame + 4 + wire::kCount + 8 * m.indexes.size();
-}
-inline size_t wire_size(const AcceptOwnRej& m) {
-  return wire::kFrame + 4 + 8 + wire::kCount + 8 * m.indexes.size();
-}
-inline size_t wire_size(const SkipRange&) { return wire::kFrame + 4 + 8 + 8; }
-inline size_t wire_size(const StatusBeat&) {
-  return wire::kFrame + 4 + 8 + 8 + 8;
-}
-inline size_t wire_size(const LearnReq&) { return wire::kFrame + 4 + 8 + 8; }
-inline size_t wire_size(const LearnVals& m) {
-  size_t b = wire::kFrame + 4 + wire::kCount;
-  // each slot: index i64 + skipped u8 + the command
-  for (const auto& s : m.slots) b += 8 + 1 + s.cmd.wire_bytes();
-  return b;
-}
-inline size_t wire_size(const RevPrepare&) {
-  return wire::kFrame + 4 + wire::kBallot + 4 + 8 + 8;
-}
-inline size_t wire_size(const RevPrepareOk& m) {
-  size_t b = wire::kFrame + 4 + wire::kBallot + wire::kCount;
-  // each accepted: index i64 + ballot + has u8 + skipped u8 + the command
-  for (const auto& a : m.accepted)
-    b += 8 + wire::kBallot + 1 + 1 + a.cmd.wire_bytes();
-  return b;
-}
-inline size_t wire_size(const RevAccept& m) {
-  size_t b = wire::kFrame + 4 + wire::kBallot + wire::kCount;
-  for (const auto& it : m.items) b += wire::entry_bytes(it.cmd);
-  return b;
-}
-inline size_t wire_size(const RevAcceptOk& m) {
-  return wire::kFrame + 4 + wire::kBallot + wire::kCount +
-         8 * m.indexes.size();
-}
-inline size_t wire_size(const SnapshotXfer& m) {
-  return wire::kFrame + 4 + m.snap.wire_bytes();
-}
-inline size_t wire_size(const Message& m) {
-  return std::visit([](const auto& x) { return wire_size(x); }, m);
-}
+// Frame sizes derive from the fields lists above (net/field_codec.h).
+using net::wire_size;
 
 /// Log entries a message carries (for CPU cost accounting).
 inline size_t entry_count(const Message& m) {

@@ -140,7 +140,7 @@ LogIndex MenciusNode::submit(const kv::Command& cmd) {
   pending_.push_back(OwnItem{i, cmd});
   // An OwnItem rides the next AcceptOwn as (index, command) — account its
   // exact encoded size toward the byte-budget flush.
-  batcher_.add_pending(wire::entry_bytes(cmd));
+  batcher_.add_pending(consensus::wire::entry_bytes(cmd));
   advance_floors();
   return i;
 }
@@ -183,7 +183,7 @@ void MenciusNode::pump_peer(NodeId peer) {
     size_t payload = 0;
     while (!out.items.empty() &&
            ao.items.size() < opt_.max_entries_per_batch) {
-      payload += wire::entry_bytes(out.items.front().cmd);
+      payload += consensus::wire::entry_bytes(out.items.front().cmd);
       ao.items.push_back(std::move(out.items.front()));
       out.items.pop_front();
       if (opt_.batch_flush_bytes > 0 && payload >= opt_.batch_flush_bytes) {
@@ -290,7 +290,7 @@ void MenciusNode::decide(LogIndex i, const kv::Command& cmd) {
   max_seen_ = std::max(max_seen_, i);
   // A decided own slot is off the wire for the batching controller.
   if (owner_of(i) == group_.self) {
-    batcher_.note_acked(wire::entry_bytes(s.cmd));
+    batcher_.note_acked(consensus::wire::entry_bytes(s.cmd));
   }
   persist_slot(i);
 }

@@ -4,271 +4,12 @@
 
 namespace praft::mencius {
 
-namespace {
-
-using net::WireReader;
-using net::WireWriter;
-
-static_assert(std::variant_size_v<Message> == 12,
-              "new Mencius message: add a codec below and bump this count");
-
-void put_items(WireWriter& w, const std::vector<OwnItem>& items) {
-  w.u32(static_cast<uint32_t>(items.size()));
-  for (const auto& it : items) {
-    w.i64(it.index);
-    net::put_cmd(w, it.cmd);
-  }
-}
-
-std::vector<OwnItem> get_items(WireReader& r) {
-  const uint32_t n = r.u32();
-  std::vector<OwnItem> items;
-  items.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    OwnItem it;
-    it.index = r.i64();
-    it.cmd = net::get_cmd(r);
-    items.push_back(std::move(it));
-  }
-  return items;
-}
-
-void put_indexes(WireWriter& w, const std::vector<consensus::LogIndex>& v) {
-  w.u32(static_cast<uint32_t>(v.size()));
-  for (const auto i : v) w.i64(i);
-}
-
-std::vector<consensus::LogIndex> get_indexes(WireReader& r) {
-  const uint32_t n = r.u32();
-  std::vector<consensus::LogIndex> v;
-  v.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) v.push_back(r.i64());
-  return v;
-}
-
-void put(WireWriter& w, const AcceptOwn& m) {
-  w.i32(m.owner);
-  w.i64(m.decided_floor);
-  w.i64(m.rev_floor);
-  put_items(w, m.items);
-}
-AcceptOwn get_accept_own(WireReader& r) {
-  AcceptOwn m;
-  m.owner = r.i32();
-  m.decided_floor = r.i64();
-  m.rev_floor = r.i64();
-  m.items = get_items(r);
-  return m;
-}
-
-void put(WireWriter& w, const AcceptOwnOk& m) {
-  w.i32(m.acceptor);
-  put_indexes(w, m.indexes);
-}
-AcceptOwnOk get_accept_own_ok(WireReader& r) {
-  AcceptOwnOk m;
-  m.acceptor = r.i32();
-  m.indexes = get_indexes(r);
-  return m;
-}
-
-void put(WireWriter& w, const AcceptOwnRej& m) {
-  w.i32(m.acceptor);
-  w.i64(m.jump_past);
-  put_indexes(w, m.indexes);
-}
-AcceptOwnRej get_accept_own_rej(WireReader& r) {
-  AcceptOwnRej m;
-  m.acceptor = r.i32();
-  m.jump_past = r.i64();
-  m.indexes = get_indexes(r);
-  return m;
-}
-
-void put(WireWriter& w, const SkipRange& m) {
-  w.i32(m.owner);
-  w.i64(m.lo);
-  w.i64(m.hi);
-}
-SkipRange get_skip_range(WireReader& r) {
-  SkipRange m;
-  m.owner = r.i32();
-  m.lo = r.i64();
-  m.hi = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const StatusBeat& m) {
-  w.i32(m.from);
-  w.i64(m.next_own);
-  w.i64(m.decided_floor);
-  w.i64(m.rev_floor);
-}
-StatusBeat get_status_beat(WireReader& r) {
-  StatusBeat m;
-  m.from = r.i32();
-  m.next_own = r.i64();
-  m.decided_floor = r.i64();
-  m.rev_floor = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const LearnReq& m) {
-  w.i32(m.from);
-  w.i64(m.lo);
-  w.i64(m.hi);
-}
-LearnReq get_learn_req(WireReader& r) {
-  LearnReq m;
-  m.from = r.i32();
-  m.lo = r.i64();
-  m.hi = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const LearnVals& m) {
-  w.i32(m.from);
-  w.u32(static_cast<uint32_t>(m.slots.size()));
-  for (const auto& s : m.slots) {
-    w.i64(s.index);
-    w.boolean(s.skipped);
-    net::put_cmd(w, s.cmd);
-  }
-}
-LearnVals get_learn_vals(WireReader& r) {
-  LearnVals m;
-  m.from = r.i32();
-  const uint32_t n = r.u32();
-  m.slots.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    SlotInfo s;
-    s.index = r.i64();
-    s.skipped = r.boolean();
-    s.cmd = net::get_cmd(r);
-    m.slots.push_back(std::move(s));
-  }
-  return m;
-}
-
-void put(WireWriter& w, const RevPrepare& m) {
-  w.i32(m.from);
-  net::put_ballot(w, m.bal);
-  w.i32(m.owner);
-  w.i64(m.lo);
-  w.i64(m.hi);
-}
-RevPrepare get_rev_prepare(WireReader& r) {
-  RevPrepare m;
-  m.from = r.i32();
-  m.bal = net::get_ballot(r);
-  m.owner = r.i32();
-  m.lo = r.i64();
-  m.hi = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const RevPrepareOk& m) {
-  w.i32(m.from);
-  net::put_ballot(w, m.bal);
-  w.u32(static_cast<uint32_t>(m.accepted.size()));
-  for (const auto& a : m.accepted) {
-    w.i64(a.index);
-    net::put_ballot(w, a.bal);
-    w.boolean(a.has);
-    w.boolean(a.skipped);
-    net::put_cmd(w, a.cmd);
-  }
-}
-RevPrepareOk get_rev_prepare_ok(WireReader& r) {
-  RevPrepareOk m;
-  m.from = r.i32();
-  m.bal = net::get_ballot(r);
-  const uint32_t n = r.u32();
-  m.accepted.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    RevAccepted a;
-    a.index = r.i64();
-    a.bal = net::get_ballot(r);
-    a.has = r.boolean();
-    a.skipped = r.boolean();
-    a.cmd = net::get_cmd(r);
-    m.accepted.push_back(std::move(a));
-  }
-  return m;
-}
-
-void put(WireWriter& w, const RevAccept& m) {
-  w.i32(m.from);
-  net::put_ballot(w, m.bal);
-  put_items(w, m.items);
-}
-RevAccept get_rev_accept(WireReader& r) {
-  RevAccept m;
-  m.from = r.i32();
-  m.bal = net::get_ballot(r);
-  m.items = get_items(r);
-  return m;
-}
-
-void put(WireWriter& w, const RevAcceptOk& m) {
-  w.i32(m.from);
-  net::put_ballot(w, m.bal);
-  put_indexes(w, m.indexes);
-}
-RevAcceptOk get_rev_accept_ok(WireReader& r) {
-  RevAcceptOk m;
-  m.from = r.i32();
-  m.bal = net::get_ballot(r);
-  m.indexes = get_indexes(r);
-  return m;
-}
-
-void put(WireWriter& w, const SnapshotXfer& m) {
-  w.i32(m.from);
-  net::put_snapshot(w, m.snap);
-}
-SnapshotXfer get_snapshot_xfer(WireReader& r) {
-  SnapshotXfer m;
-  m.from = r.i32();
-  m.snap = net::get_snapshot(r);
-  return m;
-}
-
-}  // namespace
-
 net::Frame encode(const Message& m, net::BufferPool& pool) {
-  const size_t total = wire_size(m);
-  net::Frame f = pool.acquire(total);
-  WireWriter w(f);
-  w.header(net::Family::kMencius, static_cast<uint8_t>(m.index()));
-  std::visit([&w](const auto& x) { put(w, x); }, m);
-  w.finish();
-  PRAFT_CHECK_MSG(f.size() == total, "mencius codec/wire_size drift");
-  return f;
+  return net::encode(net::Family::kMencius, m, pool);
 }
 
 Message decode(net::FrameView f) {
-  WireReader r(f);
-  const auto h = r.header();
-  PRAFT_CHECK(h.family == net::Family::kMencius);
-  Message m;
-  switch (h.opcode) {
-    case 0: m = get_accept_own(r); break;
-    case 1: m = get_accept_own_ok(r); break;
-    case 2: m = get_accept_own_rej(r); break;
-    case 3: m = get_skip_range(r); break;
-    case 4: m = get_status_beat(r); break;
-    case 5: m = get_learn_req(r); break;
-    case 6: m = get_learn_vals(r); break;
-    case 7: m = get_rev_prepare(r); break;
-    case 8: m = get_rev_prepare_ok(r); break;
-    case 9: m = get_rev_accept(r); break;
-    case 10: m = get_rev_accept_ok(r); break;
-    case 11: m = get_snapshot_xfer(r); break;
-    default: PRAFT_CHECK_MSG(false, "bad mencius opcode");
-  }
-  r.finish();
-  return m;
+  return net::decode<Message>(net::Family::kMencius, f);
 }
 
 }  // namespace praft::mencius

@@ -14,17 +14,20 @@ namespace praft::net {
 
 /// Flat wire format. Every message travels as one little-endian frame with a
 /// fixed-offset header (the Vincinator/xlane packet idiom: opcode at a known
-/// offset, payload fields at fixed offsets, counted arrays after):
+/// offset, then the payload):
 ///
 ///   off 0  u8   family   (protocol family, net::Family)
 ///   off 1  u8   opcode   (variant alternative index within the family)
 ///   off 2  u16  flags    (reserved, zero)
 ///   off 4  u32  length   (total frame bytes, header included)
-///   off 8  ...  payload  (fixed fields, then u32-counted arrays)
+///   off 8  ...  payload  (the message's fields in its fields-list order;
+///                         an array is a u32 count, then its elements)
 ///
-/// Application values are *modeled*: a kPut command's value_size payload
-/// region is accounted (cursor skip) but never materialized, so frames stay
-/// small while sizes stay byte-accurate.
+/// The payload layout, its size and both codec directions derive from each
+/// message's `fields` list (net/field_codec.h). Application values are
+/// *modeled*: a kPut command's value_size payload region is accounted
+/// (cursor skip) but never materialized, so frames stay small while sizes
+/// stay byte-accurate.
 inline constexpr size_t kFrameHeader = 8;
 inline constexpr size_t kOffFamily = 0;
 inline constexpr size_t kOffOpcode = 1;

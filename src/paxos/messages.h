@@ -6,6 +6,7 @@
 #include "consensus/snapshot.h"
 #include "consensus/types.h"
 #include "kv/command.h"
+#include "net/field_codec.h"
 
 namespace praft::paxos {
 
@@ -18,6 +19,9 @@ struct AcceptedVal {
   Ballot bal;
   kv::Command cmd;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.index, m.bal, m.cmd); }
+
   friend bool operator==(const AcceptedVal&, const AcceptedVal&) = default;
 };
 
@@ -26,6 +30,9 @@ struct Prepare {
   Ballot bal;
   NodeId sender = kNoNode;
   LogIndex from_index = 1;  // smallest unchosen instance id
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.bal, m.sender, m.from_index); }
 
   friend bool operator==(const Prepare&, const Prepare&) = default;
 };
@@ -43,6 +50,11 @@ struct PrepareOk {
   bool has_snap = false;
   consensus::Snapshot snap;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.bal, m.sender, m.has_snap, m.accepted, net::when(m.has_snap, m.snap));
+  }
+
   friend bool operator==(const PrepareOk&, const PrepareOk&) = default;
 };
 
@@ -55,6 +67,11 @@ struct AcceptBatch {
   std::vector<kv::Command> cmds;
   LogIndex commit_floor = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.bal, m.sender, m.start, m.commit_floor, m.cmds);
+  }
+
   friend bool operator==(const AcceptBatch&, const AcceptBatch&) = default;
 };
 
@@ -65,6 +82,9 @@ struct AcceptOkBatch {
   LogIndex start = 0;
   LogIndex count = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.bal, m.sender, m.start, m.count); }
+
   friend bool operator==(const AcceptOkBatch&, const AcceptOkBatch&) = default;
 };
 
@@ -72,6 +92,9 @@ struct AcceptOkBatch {
 struct Reject {
   Ballot bal;  // the higher ballot the receiver has seen
   NodeId sender = kNoNode;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.bal, m.sender); }
 
   friend bool operator==(const Reject&, const Reject&) = default;
 };
@@ -82,6 +105,9 @@ struct Heartbeat {
   NodeId sender = kNoNode;
   LogIndex commit_floor = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.bal, m.sender, m.commit_floor); }
+
   friend bool operator==(const Heartbeat&, const Heartbeat&) = default;
 };
 
@@ -91,6 +117,9 @@ struct LearnRequest {
   LogIndex from = 0;
   LogIndex to = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.sender, m.from, m.to); }
+
   friend bool operator==(const LearnRequest&, const LearnRequest&) = default;
 };
 
@@ -99,6 +128,9 @@ struct LearnValues {
   NodeId sender = kNoNode;
   LogIndex start = 0;
   std::vector<kv::Command> cmds;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.sender, m.start, m.cmds); }
 
   friend bool operator==(const LearnValues&, const LearnValues&) = default;
 };
@@ -112,6 +144,9 @@ struct SnapshotTransfer {
   NodeId sender = kNoNode;
   consensus::Snapshot snap;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.sender, m.snap); }
+
   friend bool operator==(const SnapshotTransfer&,
                          const SnapshotTransfer&) = default;
 };
@@ -120,47 +155,8 @@ using Message =
     std::variant<Prepare, PrepareOk, AcceptBatch, AcceptOkBatch, Reject,
                  Heartbeat, LearnRequest, LearnValues, SnapshotTransfer>;
 
-// Exact encoded frame sizes (see paxos/wire.cpp for the field layout).
-namespace wire = consensus::wire;
-
-inline size_t wire_size(const Prepare&) {
-  return wire::kFrame + wire::kBallot + 4 + 8;
-}
-inline size_t wire_size(const Reject&) {
-  return wire::kFrame + wire::kBallot + 4;
-}
-inline size_t wire_size(const Heartbeat&) {
-  return wire::kFrame + wire::kBallot + 4 + 8;
-}
-inline size_t wire_size(const LearnRequest&) {
-  return wire::kFrame + 4 + 8 + 8;
-}
-inline size_t wire_size(const AcceptOkBatch&) {
-  return wire::kFrame + wire::kBallot + 4 + 8 + 8;
-}
-inline size_t wire_size(const PrepareOk& m) {
-  size_t b = wire::kFrame + wire::kBallot + 4 + 1 + wire::kCount;
-  // each accepted value: index i64 + ballot + the command
-  for (const auto& a : m.accepted) b += 8 + wire::kBallot + a.cmd.wire_bytes();
-  if (m.has_snap) b += m.snap.wire_bytes();
-  return b;
-}
-inline size_t wire_size(const SnapshotTransfer& m) {
-  return wire::kFrame + 4 + m.snap.wire_bytes();
-}
-inline size_t wire_size(const AcceptBatch& m) {
-  size_t b = wire::kFrame + wire::kBallot + 4 + 8 + 8 + wire::kCount;
-  for (const auto& c : m.cmds) b += c.wire_bytes();
-  return b;
-}
-inline size_t wire_size(const LearnValues& m) {
-  size_t b = wire::kFrame + 4 + 8 + wire::kCount;
-  for (const auto& c : m.cmds) b += c.wire_bytes();
-  return b;
-}
-inline size_t wire_size(const Message& m) {
-  return std::visit([](const auto& x) { return wire_size(x); }, m);
-}
+// Frame sizes derive from the fields lists above (net/field_codec.h).
+using net::wire_size;
 
 /// Log entries a message carries (for CPU cost accounting).
 inline size_t entry_count(const Message& m) {

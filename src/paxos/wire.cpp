@@ -4,195 +4,12 @@
 
 namespace praft::paxos {
 
-namespace {
-
-using net::WireReader;
-using net::WireWriter;
-
-static_assert(std::variant_size_v<Message> == 9,
-              "new MultiPaxos message: add a codec below and bump this count");
-
-void put_cmds(WireWriter& w, const std::vector<kv::Command>& cmds) {
-  w.u32(static_cast<uint32_t>(cmds.size()));
-  for (const auto& c : cmds) net::put_cmd(w, c);
-}
-
-std::vector<kv::Command> get_cmds(WireReader& r) {
-  const uint32_t n = r.u32();
-  std::vector<kv::Command> cmds;
-  cmds.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) cmds.push_back(net::get_cmd(r));
-  return cmds;
-}
-
-void put(WireWriter& w, const Prepare& m) {
-  net::put_ballot(w, m.bal);
-  w.i32(m.sender);
-  w.i64(m.from_index);
-}
-Prepare get_prepare(WireReader& r) {
-  Prepare m;
-  m.bal = net::get_ballot(r);
-  m.sender = r.i32();
-  m.from_index = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const PrepareOk& m) {
-  net::put_ballot(w, m.bal);
-  w.i32(m.sender);
-  w.boolean(m.has_snap);
-  w.u32(static_cast<uint32_t>(m.accepted.size()));
-  for (const auto& a : m.accepted) {
-    w.i64(a.index);
-    net::put_ballot(w, a.bal);
-    net::put_cmd(w, a.cmd);
-  }
-  if (m.has_snap) net::put_snapshot(w, m.snap);
-}
-PrepareOk get_prepare_ok(WireReader& r) {
-  PrepareOk m;
-  m.bal = net::get_ballot(r);
-  m.sender = r.i32();
-  m.has_snap = r.boolean();
-  const uint32_t n = r.u32();
-  m.accepted.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    AcceptedVal a;
-    a.index = r.i64();
-    a.bal = net::get_ballot(r);
-    a.cmd = net::get_cmd(r);
-    m.accepted.push_back(std::move(a));
-  }
-  if (m.has_snap) m.snap = net::get_snapshot(r);
-  return m;
-}
-
-void put(WireWriter& w, const AcceptBatch& m) {
-  net::put_ballot(w, m.bal);
-  w.i32(m.sender);
-  w.i64(m.start);
-  w.i64(m.commit_floor);
-  put_cmds(w, m.cmds);
-}
-AcceptBatch get_accept_batch(WireReader& r) {
-  AcceptBatch m;
-  m.bal = net::get_ballot(r);
-  m.sender = r.i32();
-  m.start = r.i64();
-  m.commit_floor = r.i64();
-  m.cmds = get_cmds(r);
-  return m;
-}
-
-void put(WireWriter& w, const AcceptOkBatch& m) {
-  net::put_ballot(w, m.bal);
-  w.i32(m.sender);
-  w.i64(m.start);
-  w.i64(m.count);
-}
-AcceptOkBatch get_accept_ok_batch(WireReader& r) {
-  AcceptOkBatch m;
-  m.bal = net::get_ballot(r);
-  m.sender = r.i32();
-  m.start = r.i64();
-  m.count = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const Reject& m) {
-  net::put_ballot(w, m.bal);
-  w.i32(m.sender);
-}
-Reject get_reject(WireReader& r) {
-  Reject m;
-  m.bal = net::get_ballot(r);
-  m.sender = r.i32();
-  return m;
-}
-
-void put(WireWriter& w, const Heartbeat& m) {
-  net::put_ballot(w, m.bal);
-  w.i32(m.sender);
-  w.i64(m.commit_floor);
-}
-Heartbeat get_heartbeat(WireReader& r) {
-  Heartbeat m;
-  m.bal = net::get_ballot(r);
-  m.sender = r.i32();
-  m.commit_floor = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const LearnRequest& m) {
-  w.i32(m.sender);
-  w.i64(m.from);
-  w.i64(m.to);
-}
-LearnRequest get_learn_request(WireReader& r) {
-  LearnRequest m;
-  m.sender = r.i32();
-  m.from = r.i64();
-  m.to = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const LearnValues& m) {
-  w.i32(m.sender);
-  w.i64(m.start);
-  put_cmds(w, m.cmds);
-}
-LearnValues get_learn_values(WireReader& r) {
-  LearnValues m;
-  m.sender = r.i32();
-  m.start = r.i64();
-  m.cmds = get_cmds(r);
-  return m;
-}
-
-void put(WireWriter& w, const SnapshotTransfer& m) {
-  w.i32(m.sender);
-  net::put_snapshot(w, m.snap);
-}
-SnapshotTransfer get_snapshot_transfer(WireReader& r) {
-  SnapshotTransfer m;
-  m.sender = r.i32();
-  m.snap = net::get_snapshot(r);
-  return m;
-}
-
-}  // namespace
-
 net::Frame encode(const Message& m, net::BufferPool& pool) {
-  const size_t total = wire_size(m);
-  net::Frame f = pool.acquire(total);
-  WireWriter w(f);
-  w.header(net::Family::kMultiPaxos, static_cast<uint8_t>(m.index()));
-  std::visit([&w](const auto& x) { put(w, x); }, m);
-  w.finish();
-  PRAFT_CHECK_MSG(f.size() == total, "paxos codec/wire_size drift");
-  return f;
+  return net::encode(net::Family::kMultiPaxos, m, pool);
 }
 
 Message decode(net::FrameView f) {
-  WireReader r(f);
-  const auto h = r.header();
-  PRAFT_CHECK(h.family == net::Family::kMultiPaxos);
-  Message m;
-  switch (h.opcode) {
-    case 0: m = get_prepare(r); break;
-    case 1: m = get_prepare_ok(r); break;
-    case 2: m = get_accept_batch(r); break;
-    case 3: m = get_accept_ok_batch(r); break;
-    case 4: m = get_reject(r); break;
-    case 5: m = get_heartbeat(r); break;
-    case 6: m = get_learn_request(r); break;
-    case 7: m = get_learn_values(r); break;
-    case 8: m = get_snapshot_transfer(r); break;
-    default: PRAFT_CHECK_MSG(false, "bad paxos opcode");
-  }
-  r.finish();
-  return m;
+  return net::decode<Message>(net::Family::kMultiPaxos, f);
 }
 
 }  // namespace praft::paxos

@@ -6,6 +6,7 @@
 #include "consensus/snapshot.h"
 #include "consensus/types.h"
 #include "kv/command.h"
+#include "net/field_codec.h"
 
 namespace praft::raft {
 
@@ -16,6 +17,9 @@ struct Entry {
   Term term = 0;
   kv::Command cmd;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.term, m.cmd); }
+
   friend bool operator==(const Entry&, const Entry&) = default;
 };
 
@@ -25,6 +29,11 @@ struct RequestVote {
   LogIndex last_index = 0;
   Term last_term = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.term, m.candidate, m.last_index, m.last_term);
+  }
+
   friend bool operator==(const RequestVote&, const RequestVote&) = default;
 };
 
@@ -32,6 +41,9 @@ struct VoteReply {
   Term term = 0;
   NodeId voter = kNoNode;
   bool granted = false;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.term, m.voter, m.granted); }
 
   friend bool operator==(const VoteReply&, const VoteReply&) = default;
 };
@@ -44,6 +56,11 @@ struct AppendEntries {
   std::vector<Entry> entries;
   LogIndex commit = 0;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.term, m.leader, m.prev_index, m.prev_term, m.commit, m.entries);
+  }
+
   friend bool operator==(const AppendEntries&, const AppendEntries&) = default;
 };
 
@@ -53,6 +70,11 @@ struct AppendReply {
   bool ok = false;
   LogIndex match_index = 0;    // on success: prev + |entries|
   LogIndex conflict_hint = 0;  // on failure: where the leader should back off
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.term, m.follower, m.ok, m.match_index, m.conflict_hint);
+  }
 
   friend bool operator==(const AppendReply&, const AppendReply&) = default;
 };
@@ -65,6 +87,9 @@ struct InstallSnapshot {
   NodeId leader = kNoNode;
   consensus::Snapshot snap;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.term, m.leader, m.snap); }
+
   friend bool operator==(const InstallSnapshot&,
                          const InstallSnapshot&) = default;
 };
@@ -74,6 +99,9 @@ struct InstallSnapshotReply {
   NodeId follower = kNoNode;
   LogIndex last_index = 0;  // follower's applied watermark after the install
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.term, m.follower, m.last_index); }
+
   friend bool operator==(const InstallSnapshotReply&,
                          const InstallSnapshotReply&) = default;
 };
@@ -81,32 +109,8 @@ struct InstallSnapshotReply {
 using Message = std::variant<RequestVote, VoteReply, AppendEntries, AppendReply,
                              InstallSnapshot, InstallSnapshotReply>;
 
-// Exact encoded frame sizes (see raft/wire.cpp for the field layout; every
-// size below is frame header + the payload fields in declaration order).
-namespace wire = consensus::wire;
-
-inline size_t wire_size(const RequestVote&) {
-  return wire::kFrame + 8 + 4 + 8 + 8;
-}
-inline size_t wire_size(const VoteReply&) { return wire::kFrame + 8 + 4 + 1; }
-inline size_t wire_size(const AppendReply&) {
-  return wire::kFrame + 8 + 4 + 1 + 8 + 8;
-}
-inline size_t wire_size(const InstallSnapshot& m) {
-  return wire::kFrame + 8 + 4 + m.snap.wire_bytes();
-}
-inline size_t wire_size(const InstallSnapshotReply&) {
-  return wire::kFrame + 8 + 4 + 8;
-}
-inline size_t wire_size(const AppendEntries& m) {
-  size_t b = wire::kFrame + 8 + 4 + 8 + 8 + 8 + wire::kCount;
-  for (const auto& e : m.entries) b += wire::entry_bytes(e.cmd);
-  return b;
-}
-
-inline size_t wire_size(const Message& m) {
-  return std::visit([](const auto& x) { return wire_size(x); }, m);
-}
+// Frame sizes derive from the fields lists above (net/field_codec.h).
+using net::wire_size;
 
 /// Log entries a message carries (for CPU cost accounting).
 inline size_t entry_count(const Message& m) {

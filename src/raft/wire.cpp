@@ -4,157 +4,12 @@
 
 namespace praft::raft {
 
-namespace {
-
-using net::WireReader;
-using net::WireWriter;
-
-// Every variant alternative must have a put/get pair below; the std::visit in
-// encode() and the opcode switch in decode() fail to compile / throw when an
-// alternative is added without one.
-static_assert(std::variant_size_v<Message> == 6,
-              "new Raft message: add a codec below and bump this count");
-
-void put_entries(WireWriter& w, const std::vector<Entry>& entries) {
-  w.u32(static_cast<uint32_t>(entries.size()));
-  for (const auto& e : entries) {
-    w.i64(e.term);
-    net::put_cmd(w, e.cmd);
-  }
-}
-
-std::vector<Entry> get_entries(WireReader& r) {
-  const uint32_t n = r.u32();
-  std::vector<Entry> entries;
-  entries.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Entry e;
-    e.term = r.i64();
-    e.cmd = net::get_cmd(r);
-    entries.push_back(std::move(e));
-  }
-  return entries;
-}
-
-void put(WireWriter& w, const RequestVote& m) {
-  w.i64(m.term);
-  w.i32(m.candidate);
-  w.i64(m.last_index);
-  w.i64(m.last_term);
-}
-RequestVote get_request_vote(WireReader& r) {
-  RequestVote m;
-  m.term = r.i64();
-  m.candidate = r.i32();
-  m.last_index = r.i64();
-  m.last_term = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const VoteReply& m) {
-  w.i64(m.term);
-  w.i32(m.voter);
-  w.boolean(m.granted);
-}
-VoteReply get_vote_reply(WireReader& r) {
-  VoteReply m;
-  m.term = r.i64();
-  m.voter = r.i32();
-  m.granted = r.boolean();
-  return m;
-}
-
-void put(WireWriter& w, const AppendEntries& m) {
-  w.i64(m.term);
-  w.i32(m.leader);
-  w.i64(m.prev_index);
-  w.i64(m.prev_term);
-  w.i64(m.commit);
-  put_entries(w, m.entries);
-}
-AppendEntries get_append_entries(WireReader& r) {
-  AppendEntries m;
-  m.term = r.i64();
-  m.leader = r.i32();
-  m.prev_index = r.i64();
-  m.prev_term = r.i64();
-  m.commit = r.i64();
-  m.entries = get_entries(r);
-  return m;
-}
-
-void put(WireWriter& w, const AppendReply& m) {
-  w.i64(m.term);
-  w.i32(m.follower);
-  w.boolean(m.ok);
-  w.i64(m.match_index);
-  w.i64(m.conflict_hint);
-}
-AppendReply get_append_reply(WireReader& r) {
-  AppendReply m;
-  m.term = r.i64();
-  m.follower = r.i32();
-  m.ok = r.boolean();
-  m.match_index = r.i64();
-  m.conflict_hint = r.i64();
-  return m;
-}
-
-void put(WireWriter& w, const InstallSnapshot& m) {
-  w.i64(m.term);
-  w.i32(m.leader);
-  net::put_snapshot(w, m.snap);
-}
-InstallSnapshot get_install_snapshot(WireReader& r) {
-  InstallSnapshot m;
-  m.term = r.i64();
-  m.leader = r.i32();
-  m.snap = net::get_snapshot(r);
-  return m;
-}
-
-void put(WireWriter& w, const InstallSnapshotReply& m) {
-  w.i64(m.term);
-  w.i32(m.follower);
-  w.i64(m.last_index);
-}
-InstallSnapshotReply get_install_snapshot_reply(WireReader& r) {
-  InstallSnapshotReply m;
-  m.term = r.i64();
-  m.follower = r.i32();
-  m.last_index = r.i64();
-  return m;
-}
-
-}  // namespace
-
 net::Frame encode(const Message& m, net::BufferPool& pool) {
-  const size_t total = wire_size(m);
-  net::Frame f = pool.acquire(total);
-  WireWriter w(f);
-  w.header(net::Family::kRaft, static_cast<uint8_t>(m.index()));
-  std::visit([&w](const auto& x) { put(w, x); }, m);
-  w.finish();
-  PRAFT_CHECK_MSG(f.size() == total, "raft codec/wire_size drift");
-  return f;
+  return net::encode(net::Family::kRaft, m, pool);
 }
 
 Message decode(net::FrameView f) {
-  WireReader r(f);
-  const auto h = r.header();
-  PRAFT_CHECK(h.family == net::Family::kRaft);
-  Message m;
-  switch (h.opcode) {
-    case 0: m = get_request_vote(r); break;
-    case 1: m = get_vote_reply(r); break;
-    case 2: m = get_append_entries(r); break;
-    case 3: m = get_append_reply(r); break;
-    case 4: m = get_install_snapshot(r); break;
-    case 5: m = get_install_snapshot_reply(r); break;
-    default: PRAFT_CHECK_MSG(false, "bad raft opcode");
-  }
-  r.finish();
-  return m;
+  return net::decode<Message>(net::Family::kRaft, f);
 }
 
 }  // namespace praft::raft

@@ -6,6 +6,7 @@
 #include "consensus/snapshot.h"
 #include "consensus/types.h"
 #include "kv/command.h"
+#include "net/field_codec.h"
 
 namespace praft::raftstar {
 
@@ -21,6 +22,9 @@ struct Entry {
   Term term = 0;
   kv::Command cmd;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.term, m.cmd); }
+
   friend bool operator==(const Entry&, const Entry&) = default;
 };
 
@@ -29,6 +33,11 @@ struct RequestVote {
   NodeId candidate = kNoNode;
   LogIndex last_index = 0;
   Term last_term = 0;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.term, m.candidate, m.last_index, m.last_term);
+  }
 
   friend bool operator==(const RequestVote&, const RequestVote&) = default;
 };
@@ -51,6 +60,12 @@ struct VoteReply {
   bool has_snap = false;
   consensus::Snapshot snap;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.term, m.voter, m.granted, m.log_bal, m.extra_from, m.has_snap, m.extras,
+      net::when(m.has_snap, m.snap));
+  }
+
   friend bool operator==(const VoteReply&, const VoteReply&) = default;
 };
 
@@ -61,6 +76,11 @@ struct AppendEntries {
   Term prev_term = 0;
   std::vector<Entry> entries;
   LogIndex commit = 0;
+
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.term, m.leader, m.prev_index, m.prev_term, m.commit, m.entries);
+  }
 
   friend bool operator==(const AppendEntries&, const AppendEntries&) = default;
 };
@@ -76,6 +96,12 @@ struct AppendReply {
   /// lease holders granted by the replier. Empty for plain Raft*.
   std::vector<NodeId> piggyback_ids;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) {
+    f(m.term, m.follower, m.ok, m.match_index, m.follower_last, m.conflict_hint,
+      m.piggyback_ids);
+  }
+
   friend bool operator==(const AppendReply&, const AppendReply&) = default;
 };
 
@@ -86,6 +112,9 @@ struct InstallSnapshot {
   NodeId leader = kNoNode;
   consensus::Snapshot snap;
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.term, m.leader, m.snap); }
+
   friend bool operator==(const InstallSnapshot&,
                          const InstallSnapshot&) = default;
 };
@@ -95,6 +124,9 @@ struct InstallSnapshotReply {
   NodeId follower = kNoNode;
   LogIndex last_index = 0;  // follower's applied watermark after the install
 
+  template <class M, class F>
+  static void fields(M& m, F&& f) { f(m.term, m.follower, m.last_index); }
+
   friend bool operator==(const InstallSnapshotReply&,
                          const InstallSnapshotReply&) = default;
 };
@@ -102,36 +134,8 @@ struct InstallSnapshotReply {
 using Message = std::variant<RequestVote, VoteReply, AppendEntries, AppendReply,
                              InstallSnapshot, InstallSnapshotReply>;
 
-// Exact encoded frame sizes (see raftstar/wire.cpp for the field layout).
-namespace wire = consensus::wire;
-
-inline size_t wire_size(const RequestVote&) {
-  return wire::kFrame + 8 + 4 + 8 + 8;
-}
-inline size_t wire_size(const AppendReply& m) {
-  return wire::kFrame + 8 + 4 + 1 + 8 + 8 + 8 + wire::kCount +
-         4 * m.piggyback_ids.size();
-}
-inline size_t wire_size(const VoteReply& m) {
-  size_t b = wire::kFrame + 8 + 4 + 1 + 8 + 8 + 1 + wire::kCount;
-  for (const auto& e : m.extras) b += wire::entry_bytes(e.cmd);
-  if (m.has_snap) b += m.snap.wire_bytes();
-  return b;
-}
-inline size_t wire_size(const InstallSnapshot& m) {
-  return wire::kFrame + 8 + 4 + m.snap.wire_bytes();
-}
-inline size_t wire_size(const InstallSnapshotReply&) {
-  return wire::kFrame + 8 + 4 + 8;
-}
-inline size_t wire_size(const AppendEntries& m) {
-  size_t b = wire::kFrame + 8 + 4 + 8 + 8 + 8 + wire::kCount;
-  for (const auto& e : m.entries) b += wire::entry_bytes(e.cmd);
-  return b;
-}
-inline size_t wire_size(const Message& m) {
-  return std::visit([](const auto& x) { return wire_size(x); }, m);
-}
+// Frame sizes derive from the fields lists above (net/field_codec.h).
+using net::wire_size;
 
 /// Log entries a message carries (for CPU cost accounting).
 inline size_t entry_count(const Message& m) {

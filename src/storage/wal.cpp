@@ -1,6 +1,7 @@
 #include "storage/wal.h"
 
 #include "common/check.h"
+#include "net/field_codec.h"
 
 namespace praft::storage {
 
@@ -42,7 +43,7 @@ void DurableStore::apply(const StagedOp& op) {
     return;
   }
   const auto& snap = std::get<consensus::Snapshot>(op);
-  bytes_synced_ += snap.wire_bytes();
+  bytes_synced_ += net::size_of(snap);
   if (!snap.valid() || snap.last_index <= snapshot_floor()) return;
   snap_ = snap;
   // The snapshot substitutes for replaying everything it covers.

@@ -1,9 +1,9 @@
 // praft_lint rule tests: each rule is demonstrated by a seeded fixture — the
 // violation must be convicted at the right file:line, the inline suppression
 // must mute it, and the clean variant must produce zero findings. The
-// wire-completeness tests additionally prove that removing any single codec
-// piece (encode overload, decode function, decode case, operator==) makes W1
-// fail — the property CI relies on.
+// wire-completeness tests additionally prove that removing either piece a
+// message needs (its fields list, its operator==) makes W1 fail — the
+// property CI relies on.
 //
 // The real-tree run (praft_lint over src/ and tools/) is the separate
 // `lint_repo` ctest leg registered in CMakeLists.txt.
@@ -215,35 +215,30 @@ TEST(LintD2, SuppressionIsHonored) {
 }
 
 // ---------------------------------------------------------------------------
-// W1 — wire completeness. One canonical fixture, then each codec piece is
-// removed in turn and the removal must convict.
+// W1 — wire completeness. One canonical fixture, then each piece a message
+// needs is removed in turn and the removal must convict.
 // ---------------------------------------------------------------------------
 
 const char kMessagesH[] =
     "#include <variant>\n"                                        // 1
     "struct Ping {\n"                                             // 2
     "  int x = 0;\n"                                              // 3
+    "  template <class M, class F>\n"                             // 4
+    "  static void fields(M& m, F&& f) { f(m.x); }\n"             // 5
     "  friend bool operator==(const Ping&, const Ping&) = default;\n"
-    "};\n"                                                        // 5
-    "struct Pong {\n"                                             // 6
-    "  int y = 0;\n"                                              // 7
+    "};\n"                                                        // 7
+    "struct Pong {\n"                                             // 8
+    "  int y = 0;\n"                                              // 9
+    "  template <class M, class F>\n"                             // 10
+    "  static void fields(M& m, F&& f) { f(m.y); }\n"             // 11
     "  friend bool operator==(const Pong&, const Pong&) = default;\n"
-    "};\n"                                                        // 9
-    "using Message = std::variant<Ping, Pong>;\n";                // 10
+    "};\n"                                                        // 13
+    "using Message = std::variant<Ping, Pong>;\n";                // 14
 
 const char kWireCpp[] =
     "#include \"x/messages.h\"\n"
-    "void put(WireWriter& w, const Ping& m) { w.put_u64(m.x); }\n"
-    "void put(WireWriter& w, const Pong& m) { w.put_u64(m.y); }\n"
-    "Ping get_ping(WireReader& r) { return {r.get_u64()}; }\n"
-    "Pong get_pong(WireReader& r) { return {r.get_u64()}; }\n"
-    "Message decode(WireReader& r, int tag) {\n"
-    "  Message m;\n"
-    "  switch (tag) {\n"
-    "    case 0: m = get_ping(r); break;\n"
-    "    case 1: m = get_pong(r); break;\n"
-    "  }\n"
-    "  return m;\n"
+    "Frame encode(const Message& m, BufferPool& pool) {\n"
+    "  return net::encode(Family::kX, m, pool);\n"
     "}\n";
 
 std::vector<Finding> lint_wire(const std::string& hdr,
@@ -269,41 +264,22 @@ TEST(LintW1, CompleteCodecIsClean) {
   EXPECT_TRUE(lint_wire(kMessagesH, kWireCpp).empty());
 }
 
-TEST(LintW1, MissingEncoderConvicts) {
-  const auto fs =
-      lint_wire(kMessagesH, drop_line(kWireCpp, "const Pong& m"));
+TEST(LintW1, MissingFieldListConvictsAtStructLine) {
+  const auto fs = lint_wire(drop_line(kMessagesH, "f(m.y)"), kWireCpp);
   ASSERT_EQ(fs.size(), 1u);
-  // Anchored at the header's `using Message` contract line.
-  EXPECT_TRUE(has_finding(fs, "src/x/messages.h", 10, "W1"));
+  // Anchored at `struct Pong`; Ping's list does not count for Pong.
+  EXPECT_TRUE(has_finding(fs, "src/x/messages.h", 8, "W1"));
   EXPECT_NE(fs[0].message.find("Pong"), std::string::npos);
-  EXPECT_NE(fs[0].message.find("put("), std::string::npos);
-}
-
-TEST(LintW1, MissingDecoderConvicts) {
-  // Dropping get_ping also drops `case 0`'s call — remove only the decoder
-  // function line; the case label remains, so exactly one finding.
-  std::string wire = drop_line(kWireCpp, "Ping get_ping(WireReader& r)");
-  const auto fs = lint_wire(kMessagesH, wire);
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_TRUE(has_finding(fs, "src/x/messages.h", 10, "W1"));
-  EXPECT_NE(fs[0].message.find("get_*"), std::string::npos);
-}
-
-TEST(LintW1, MissingDecodeCaseConvicts) {
-  const auto fs = lint_wire(kMessagesH, drop_line(kWireCpp, "case 1:"));
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_TRUE(has_finding(fs, "src/x/messages.h", 10, "W1"));
-  EXPECT_NE(fs[0].message.find("case 1"), std::string::npos);
-  EXPECT_NE(fs[0].message.find("Pong"), std::string::npos);
+  EXPECT_NE(fs[0].message.find("fields"), std::string::npos);
 }
 
 TEST(LintW1, MissingEqualityConvictsAtStructLine) {
   const auto fs = lint_wire(
       drop_line(kMessagesH, "operator==(const Pong&"), kWireCpp);
   ASSERT_EQ(fs.size(), 1u);
-  // Anchored at `struct Pong` (line 6 after the drop: operator== line was
-  // line 8, everything above it keeps its number).
-  EXPECT_TRUE(has_finding(fs, "src/x/messages.h", 6, "W1"));
+  // Anchored at `struct Pong` (line 8; the dropped operator== line came
+  // after it).
+  EXPECT_TRUE(has_finding(fs, "src/x/messages.h", 8, "W1"));
   EXPECT_NE(fs[0].message.find("operator=="), std::string::npos);
 }
 

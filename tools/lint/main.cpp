@@ -35,7 +35,7 @@ namespace {
 const char* kRuleDocs[][2] = {
     {"D1", "iteration over unordered containers (order-dependent behavior)"},
     {"D2", "wall clocks / libc rand / std::random_device outside common/rng.h"},
-    {"W1", "std::variant message alternative missing encode/decode/operator=="},
+    {"W1", "std::variant message alternative missing fields list/operator=="},
     {"C1", "assert()/abort() instead of PRAFT_CHECK (common/check.h)"},
     {"P1", "protocol send bypassing the Persister durability seam"},
 };

@@ -295,44 +295,6 @@ bool find_message_variant(const Toks& t, VariantDecl* out) {
   return false;
 }
 
-/// `void put(WireWriter& w, const A& m)` somewhere in the codec.
-bool has_put_overload(const Toks& t, const std::string& a) {
-  for (size_t i = 0; i + 8 < t.size(); ++i) {
-    if (is_ident(t, i, "put") && is_punct(t, i + 1, "(") &&
-        is_ident(t, i + 2, "WireWriter") && is_punct(t, i + 3, "&") &&
-        t[i + 4].kind == Tok::kIdent && is_punct(t, i + 5, ",") &&
-        is_ident(t, i + 6, "const") && is_ident(t, i + 7, a.c_str()) &&
-        is_punct(t, i + 8, "&")) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// `A get_*(WireReader& r)` somewhere in the codec.
-bool has_get_function(const Toks& t, const std::string& a) {
-  for (size_t i = 0; i + 3 < t.size(); ++i) {
-    if (is_ident(t, i, a.c_str()) && t[i + 1].kind == Tok::kIdent &&
-        t[i + 1].text.compare(0, 3, "get") == 0 && is_punct(t, i + 2, "(") &&
-        is_ident(t, i + 3, "WireReader")) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// All integral `case K:` labels in the codec's decode switch.
-std::set<int> collect_case_labels(const Toks& t) {
-  std::set<int> out;
-  for (size_t i = 0; i + 2 < t.size(); ++i) {
-    if (is_ident(t, i, "case") && t[i + 1].kind == Tok::kNumber &&
-        is_punct(t, i + 2, ":")) {
-      out.insert(std::atoi(t[i + 1].text.c_str()));
-    }
-  }
-  return out;
-}
-
 /// `operator==(const A&` in any of the directory's headers (defaulted friend
 /// or free function both match).
 bool has_equality(const std::vector<const FileModel*>& headers,
@@ -350,25 +312,66 @@ bool has_equality(const std::vector<const FileModel*>& headers,
   return false;
 }
 
-/// Line of `struct A` in the directory's headers; 0 if not found.
-int struct_line(const std::vector<const FileModel*>& headers,
-                const std::string& a, const FileModel** where) {
+/// Where `struct A { ... }` is defined in the directory's headers: its file,
+/// the line of `struct A`, and the token range of its braces. Forward
+/// declarations are skipped.
+struct StructBody {
+  const FileModel* file = nullptr;
+  int line = 0;
+  size_t open = 0;   // index of `{`
+  size_t close = 0;  // index of the matching `}`
+};
+
+bool find_struct(const std::vector<const FileModel*>& headers,
+                 const std::string& a, StructBody* out) {
   for (const FileModel* h : headers) {
     const Toks& t = h->lex.tokens;
     for (size_t i = 0; i + 1 < t.size(); ++i) {
-      if (is_ident(t, i, "struct") && is_ident(t, i + 1, a.c_str())) {
-        *where = h;
-        return t[i].line;
+      if (!is_ident(t, i, "struct") || !is_ident(t, i + 1, a.c_str())) {
+        continue;
       }
+      size_t j = i + 2;
+      while (j < t.size() && !is_punct(t, j, "{") && !is_punct(t, j, ";")) {
+        ++j;
+      }
+      if (j >= t.size() || is_punct(t, j, ";")) continue;
+      int depth = 0;
+      for (size_t k = j; k < t.size(); ++k) {
+        if (is_punct(t, k, "{")) {
+          ++depth;
+        } else if (is_punct(t, k, "}") && --depth == 0) {
+          *out = StructBody{h, t[i].line, j, k};
+          return true;
+        }
+      }
+      return false;
     }
   }
-  return 0;
+  return false;
+}
+
+/// `static void fields(` directly in the struct body (not in a nested one).
+bool has_field_list(const StructBody& s) {
+  const Toks& t = s.file->lex.tokens;
+  int depth = 0;
+  for (size_t i = s.open; i < s.close; ++i) {
+    if (is_punct(t, i, "{")) {
+      ++depth;
+    } else if (is_punct(t, i, "}")) {
+      --depth;
+    } else if (depth == 1 && is_ident(t, i, "static") &&
+               is_ident(t, i + 1, "void") && is_ident(t, i + 2, "fields") &&
+               is_punct(t, i + 3, "(")) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void rule_w1(const Project& p, std::vector<Finding>* out) {
   const auto& files = p.files();
-  for (size_t wi = 0; wi < files.size(); ++wi) {
-    const std::string& wpath = files[wi].path;
+  for (const FileModel& w : files) {
+    const std::string& wpath = w.path;
     if (wpath.size() < 9 ||
         wpath.compare(wpath.size() - 9, 9, "/wire.cpp") != 0) {
       continue;
@@ -391,29 +394,19 @@ void rule_w1(const Project& p, std::vector<Finding>* out) {
     }
     if (decl_header == nullptr) continue;  // directory has no Message contract
 
-    const Toks& wt = files[wi].lex.tokens;
-    const std::set<int> cases = collect_case_labels(wt);
-    for (size_t k = 0; k < decl.alternatives.size(); ++k) {
-      const std::string& a = decl.alternatives[k];
-      if (!has_put_overload(wt, a)) {
-        emit(out, *decl_header, decl.line, "W1",
-             "variant alternative '" + a + "' has no put(WireWriter&, const " +
-                 a + "&) encoder in " + wpath);
-      }
-      if (!has_get_function(wt, a)) {
-        emit(out, *decl_header, decl.line, "W1",
-             "variant alternative '" + a + "' has no " + a +
-                 " get_*(WireReader&) decoder in " + wpath);
-      }
-      if (cases.count(static_cast<int>(k)) == 0) {
-        emit(out, *decl_header, decl.line, "W1",
-             "decode switch in " + wpath + " has no case " +
-                 std::to_string(k) + " (alternative '" + a + "')");
+    for (const std::string& a : decl.alternatives) {
+      StructBody body;
+      const bool found = find_struct(headers, a, &body);
+      const FileModel& where = found ? *body.file : *decl_header;
+      const int line = found ? body.line : decl.line;
+      if (!found || !has_field_list(body)) {
+        emit(out, where, line, "W1",
+             "message '" + a +
+                 "' has no static void fields(M&, F&&) list; the codec "
+                 "(net/field_codec.h) derives its wire layout from it");
       }
       if (!has_equality(headers, a)) {
-        const FileModel* where = decl_header;
-        const int line = struct_line(headers, a, &where);
-        emit(out, *where, line > 0 ? line : decl.line, "W1",
+        emit(out, where, line, "W1",
              "message '" + a +
                  "' lacks operator==; wire round-trip verification "
                  "requires equality");

@@ -20,10 +20,10 @@ namespace praft::lint {
 ///       gettimeofday/clock_gettime, rand/srand/random_device/mt19937 —
 ///       trajectories must be pure functions of the seed.
 ///   W1  wire completeness: every `using Message = std::variant<...>`
-///       alternative in a directory with a sibling wire.cpp must have an
-///       encode overload (put(WireWriter&, const A&)), a decode function
-///       (A get_*(WireReader&)), a decode switch case for its opcode, and
-///       an operator== (round-trip verification needs it).
+///       alternative in a directory with a sibling wire.cpp must be a
+///       struct whose body has a `static void fields(` list (the codec in
+///       net/field_codec.h derives its wire layout from it) and an
+///       operator== (round-trip verification needs it).
 ///   C1  assert( / bare abort( in src/ — invariants must go through
 ///       PRAFT_CHECK / PRAFT_CHECK_MSG (common/check.h) so the simulator
 ///       and tests observe them as CheckFailure instead of a process kill.
