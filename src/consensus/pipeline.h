@@ -28,8 +28,7 @@ namespace praft::consensus {
 ///   - at most `pipeline_max_batches` batches outstanding, and
 ///   - at most `window` un-acked bytes outstanding, where `window` adapts
 ///     by AIMD between pipeline_inflight_bytes/16 and pipeline_inflight_bytes
-///     (additive increase per ack, halve on reject/loss) — the same
-///     controller discipline as the Batcher's adaptive delay.
+///     (additive increase per ack, halve on reject/loss).
 ///
 /// An empty window always admits one batch regardless of its size, so a
 /// single batch larger than the byte window cannot deadlock the channel.

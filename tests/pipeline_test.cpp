@@ -267,6 +267,9 @@ TEST(Batcher, BackpressureBoundsPendingPlusInflight) {
 
   b.note_acked(300);  // progress frees budget
   EXPECT_TRUE(b.can_accept());
+  // note_acked clamps: over-reporting (snapshot jumps) cannot wedge it.
+  b.note_acked(1 << 30);
+  EXPECT_EQ(b.inflight_bytes(), 0u);
 }
 
 TEST(Batcher, BackpressureDisabledByZeroCap) {

@@ -459,7 +459,7 @@ TEST(BufferPool, ResetWithOutstandingFramesIsAnError) {
 }
 
 // ---------------------------------------------------------------------------
-// Batcher: byte-budget expedite, adaptive delay, and the epoch/cancel guard.
+// Batcher: byte-budget expedite and the epoch/cancel guard.
 // ---------------------------------------------------------------------------
 
 consensus::TimingOptions batch_opt() {
@@ -512,32 +512,6 @@ TEST(Batcher, CancelInvalidatesArmedFlush) {
   b.add_pending(10);
   env.advance(msec(10));
   EXPECT_EQ(flushes, 1);
-}
-
-TEST(Batcher, AdaptiveDelayAimd) {
-  test::ScriptedEnv env;
-  consensus::TimingOptions o = batch_opt();
-  o.batch_adaptive = true;
-  o.batch_delay_min = 0;
-  o.batch_delay_max = msec(8);
-  o.batch_inflight_window = 100;
-  int flushes = 0;
-  consensus::Batcher b(env, o, [&] { ++flushes; });
-  const Duration d0 = b.delay();
-  // Flush far more than the in-flight window with no acks: delay doubles.
-  b.add_pending(900);
-  env.advance(msec(10));
-  EXPECT_EQ(flushes, 1);
-  EXPECT_GT(b.delay(), d0);
-  EXPECT_LE(b.delay(), o.batch_delay_max);
-  // Draining the pipe decays the delay additively toward the floor.
-  const Duration congested = b.delay();
-  b.note_acked(900);
-  EXPECT_LT(b.delay(), congested);
-  EXPECT_GE(b.delay(), o.batch_delay_min);
-  // note_acked clamps: over-reporting (snapshot jumps) cannot wedge it.
-  b.note_acked(1 << 30);
-  EXPECT_EQ(b.inflight_bytes(), 0u);
 }
 
 // Regression for the deposed-leader race: a Raft leader arms a batched
