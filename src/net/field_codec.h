@@ -101,9 +101,7 @@ inline size_t size_of(const T& x) {
 
 template <typename T>
 inline void put(WireWriter& w, const T& x) {
-  if constexpr (std::is_same_v<T, bool>) {
-    w.boolean(x);
-  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+  if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
     w.u8(static_cast<uint8_t>(x));
   } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
     w.u32(static_cast<uint32_t>(x));
@@ -122,9 +120,7 @@ inline void put(WireWriter& w, const T& x) {
 
 template <typename T>
 inline void get(WireReader& r, T& x) {
-  if constexpr (std::is_same_v<T, bool>) {
-    x = r.boolean();
-  } else if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
+  if constexpr (std::is_integral_v<T> && sizeof(T) == 1) {
     x = static_cast<T>(r.u8());
   } else if constexpr (std::is_integral_v<T> && sizeof(T) == 4) {
     x = static_cast<T>(r.u32());

@@ -84,8 +84,6 @@ class WireWriter {
     put(b, 8);
   }
   void i32(int32_t v) { u32(static_cast<uint32_t>(v)); }
-  void i64(int64_t v) { u64(static_cast<uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
 
   /// Advances the cursor over `n` modeled payload bytes without touching
   /// them (the region is opaque on the wire; receivers skip it too).
@@ -166,8 +164,6 @@ class WireReader {
     return v;
   }
   int32_t i32() { return static_cast<int32_t>(u32()); }
-  int64_t i64() { return static_cast<int64_t>(u64()); }
-  bool boolean() { return u8() != 0; }
   void skip(size_t n) {
     need(n);
     pos_ += n;
