@@ -1,14 +1,20 @@
 #include "chaos/mutator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
 #include <set>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "common/check.h"
+#include "consensus/registry.h"
 
 namespace praft::chaos {
 
@@ -34,26 +40,12 @@ std::string format(const char* fmt, ...) {
   return buf;
 }
 
-bool parse_u64_tok(const std::string& t, uint64_t* out) {
-  if (t.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(t.c_str(), &end, 10);
-  return end != t.c_str() && *end == '\0';
-}
-
-bool parse_i64_tok(const std::string& t, int64_t* out) {
-  if (t.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoll(t.c_str(), &end, 10);
-  return end != t.c_str() && *end == '\0';
-}
-
-bool parse_int_tok(const std::string& t, int* out) {
-  int64_t wide = 0;
-  if (!parse_i64_tok(t, &wide)) return false;
-  if (wide < INT32_MIN || wide > INT32_MAX) return false;
-  *out = static_cast<int>(wide);
-  return true;
+/// Parses all of `t` as a decimal integer in T's range.
+template <typename T>
+bool parse_num(const std::string& t, T* out) {
+  const char* end = t.data() + t.size();
+  const auto [stop, ec] = std::from_chars(t.data(), end, *out);
+  return ec == std::errc() && stop == end;
 }
 
 bool parse_double_tok(const std::string& t, double* out) {
@@ -62,6 +54,38 @@ bool parse_double_tok(const std::string& t, double* out) {
   *out = std::strtod(t.c_str(), &end);
   return end != t.c_str() && *end == '\0';
 }
+
+/// The whitespace-separated tokens of `line` before any '#' comment.
+std::vector<std::string> tokens_of(std::string line) {
+  if (const size_t hash = line.find('#'); hash != std::string::npos) {
+    line.resize(hash);
+  }
+  std::istringstream ls(line);
+  std::vector<std::string> toks;
+  for (std::string t; ls >> t;) toks.push_back(t);
+  return toks;
+}
+
+/// One per-run flag: its name and the RunOptions field it sets. A bool field
+/// is a bare flag; a number takes "=N" with N >= `min`. A flag prints only
+/// when its field differs from RunOptions{}.
+struct RunFlag {
+  const char* name;
+  std::variant<bool RunOptions::*, int RunOptions::*, size_t RunOptions::*>
+      field;
+  int min = 0;
+};
+
+/// Printed in row order, the order saved run files already use.
+constexpr RunFlag kRunFlags[] = {
+    {"--compaction-cap", &RunOptions::compaction_log_cap},
+    {"--restarts", &RunOptions::crash_restarts},
+    {"--inject-quorum-bug", &RunOptions::inject_quorum_bug},
+    {"--inject-persistence-bug", &RunOptions::inject_persistence_bug},
+    {"--wan", &RunOptions::wan},
+    {"--groups", &RunOptions::groups, 1},
+    {"--replicas", &RunOptions::num_replicas, 2},
+};
 
 /// Re-establishes the generator postcondition after a mutation moved or
 /// resized a window: length first (at least 50ms, at most the fault span),
@@ -175,17 +199,6 @@ bool parse_schedule(const std::vector<std::string>& lines, size_t* pos,
     *error = msg;
     return false;
   };
-  const auto tokens_of = [](std::string line) {
-    if (const size_t hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ls(line);
-    std::vector<std::string> toks;
-    std::string t;
-    while (ls >> t) toks.push_back(t);
-    return toks;
-  };
-
   if (*pos >= lines.size()) return fail("no schedule block at end of input");
   const std::vector<std::string> header = tokens_of(lines[*pos]);
   if (header.empty() || header.front() != "schedule" ||
@@ -223,15 +236,15 @@ bool parse_schedule(const std::vector<std::string>& lines, size_t* pos,
         const std::string val = toks[i].substr(eq + 1);
         bool ok = false;
         if (key == "a") {
-          ok = parse_int_tok(val, &e.a);
+          ok = parse_num(val, &e.a);
         } else if (key == "b") {
-          ok = parse_int_tok(val, &e.b);
+          ok = parse_num(val, &e.b);
         } else if (key == "p") {
           ok = parse_double_tok(val, &e.p);
         } else if (key == "from") {
-          ok = parse_i64_tok(val, &e.from);
+          ok = parse_num(val, &e.from);
         } else if (key == "to") {
-          ok = parse_i64_tok(val, &e.to);
+          ok = parse_num(val, &e.to);
         } else {
           return fail("unknown event field '" + key + "'");
         }
@@ -256,7 +269,7 @@ bool parse_schedule(const std::vector<std::string>& lines, size_t* pos,
     const std::string& val = toks[1];
     bool ok = false;
     if (key == "seed") {
-      ok = parse_u64_tok(val, &s.seed);
+      ok = parse_num(val, &s.seed);
     } else if (key == "drop") {
       ok = parse_double_tok(val, &s.drop_rate);
     } else if (key == "dup") {
@@ -264,19 +277,17 @@ bool parse_schedule(const std::vector<std::string>& lines, size_t* pos,
     } else if (key == "reorder") {
       ok = parse_double_tok(val, &s.reorder_rate);
     } else if (key == "clients") {
-      ok = parse_int_tok(val, &s.clients_per_region);
+      ok = parse_num(val, &s.clients_per_region);
     } else if (key == "read_fraction") {
       ok = parse_double_tok(val, &s.workload.read_fraction);
     } else if (key == "conflict_rate") {
       ok = parse_double_tok(val, &s.workload.conflict_rate);
     } else if (key == "num_records") {
-      ok = parse_u64_tok(val, &s.workload.num_records);
+      ok = parse_num(val, &s.workload.num_records);
     } else if (key == "value_size") {
-      uint64_t wide = 0;
-      ok = parse_u64_tok(val, &wide) && wide <= UINT32_MAX;
-      if (ok) s.workload.value_size = static_cast<uint32_t>(wide);
+      ok = parse_num(val, &s.workload.value_size);
     } else if (key == "partitions") {
-      ok = parse_int_tok(val, &s.workload.num_partitions);
+      ok = parse_num(val, &s.workload.num_partitions);
     } else {
       return fail("unknown schedule key '" + key + "'");
     }
@@ -285,6 +296,141 @@ bool parse_schedule(const std::vector<std::string>& lines, size_t* pos,
   if (!closed) return fail("schedule block never closed with '}'");
   if (s.events.empty()) return fail("schedule block has no events");
   *out = s;
+  return true;
+}
+
+std::string run_flags(const RunOptions& opt) {
+  static const RunOptions defaults;
+  std::string out;
+  for (const RunFlag& f : kRunFlags) {
+    std::visit(
+        [&](auto field) {
+          if (opt.*field == defaults.*field) return;
+          out += ' ';
+          out += f.name;
+          if constexpr (!std::is_same_v<decltype(field), bool RunOptions::*>) {
+            out += '=' + std::to_string(opt.*field);
+          }
+        },
+        f.field);
+  }
+  return out;
+}
+
+bool parse_run_flag(const std::string& token, RunOptions* opt,
+                    std::string* error) {
+  const size_t eq = token.find('=');
+  const std::string name = token.substr(0, eq);
+  const bool has_value = eq != std::string::npos;
+  const std::string value = has_value ? token.substr(eq + 1) : "";
+  for (const RunFlag& f : kRunFlags) {
+    if (name != f.name) continue;
+    const bool ok = std::visit(
+        [&](auto field) {
+          if constexpr (std::is_same_v<decltype(field), bool RunOptions::*>) {
+            opt->*field = true;
+            return !has_value;
+          } else {
+            auto n = opt->*field;
+            if (!has_value || !parse_num(value, &n) ||
+                std::cmp_less(n, f.min)) {
+              return false;
+            }
+            opt->*field = n;
+            return true;
+          }
+        },
+        f.field);
+    if (!ok) *error = "bad " + name + " value '" + value + "'";
+    return ok;
+  }
+  *error = "unknown per-run flag '" + token + "'";
+  return false;
+}
+
+std::string serialize_run(const RunOptions& run, const std::string& comment) {
+  if (run.schedule.has_value()) {
+    return (comment.empty() ? "" : "# " + comment + "\n") +
+           serialize_schedule(*run.schedule, run.protocol + run_flags(run));
+  }
+  std::string line = run.protocol + ' ' + std::to_string(run.seed) +
+                     run_flags(run);
+  if (!comment.empty()) line += "  # " + comment;
+  return line + '\n';
+}
+
+bool parse_runs(std::istream& in, const std::string& name,
+                const RunOptions& base,
+                const std::vector<std::string>& protocols,
+                std::vector<RunOptions>* runs, std::string* error) {
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const consensus::ProtocolRegistry& registry =
+      consensus::ProtocolRegistry::instance();
+  for (size_t pos = 0; pos < lines.size();) {
+    const std::string at = name + ':' + std::to_string(pos + 1) + ": ";
+    const auto fail = [&](const std::string& what) {
+      *error = at + what;
+      return false;
+    };
+    std::vector<std::string> toks = tokens_of(lines[pos]);
+    if (toks.empty()) {  // blank / comment-only line
+      ++pos;
+      continue;
+    }
+    RunOptions run = base;
+    std::vector<std::string> names{toks[0]};  // protocols the entry runs
+    size_t flags_from = 2;
+    if (toks[0] == "schedule") {
+      Schedule sched;
+      std::string header;
+      if (!parse_schedule(lines, &pos, &sched, &header, error)) {
+        return fail(*error);
+      }
+      toks = tokens_of(header);
+      if (toks.empty() || !registry.contains(toks[0])) {
+        return fail(
+            "schedule block needs a registered protocol after 'schedule' "
+            "(got '" + header + "')");
+      }
+      names = {toks[0]};
+      run.seed = sched.seed;
+      run.schedule = std::move(sched);
+      flags_from = 1;
+    } else if (registry.contains(toks[0])) {
+      if (toks.size() < 2 || !parse_num(toks[1], &run.seed)) {
+        return fail("protocol '" + toks[0] + "' without a valid seed");
+      }
+      ++pos;
+    } else if (parse_num(toks[0], &run.seed)) {
+      names = protocols;  // a bare seed runs under the --protocol selection
+      flags_from = 1;
+      ++pos;
+    } else {
+      return fail("'" + toks[0] +
+                  "' is neither a registered protocol nor a seed");
+    }
+    for (size_t i = flags_from; i < toks.size(); ++i) {
+      std::string what;
+      if (!parse_run_flag(toks[i], &run, &what)) return fail(what);
+    }
+    // An event naming a replica the cluster lacks would arm no fault: the
+    // replay would run another schedule than the one saved.
+    const std::vector<FaultEvent> none;
+    for (const FaultEvent& e : run.schedule ? run.schedule->events : none) {
+      if (std::max(e.a, e.b) >= run.num_replicas) {
+        return fail("event targets replica " +
+                    std::to_string(std::max(e.a, e.b)) +
+                    " but the cluster has " +
+                    std::to_string(run.num_replicas) +
+                    " replicas (replay with a bigger --replicas)");
+      }
+    }
+    for (const std::string& protocol : names) {
+      run.protocol = protocol;
+      runs->push_back(run);
+    }
+  }
   return true;
 }
 
@@ -519,6 +665,14 @@ double mean_of(const std::vector<EvolveCandidate>& archive,
 
 }  // namespace
 
+RunOptions EvolveOptions::run_of(const EvolveCandidate& c) const {
+  RunOptions run = base;
+  run.protocol = c.protocol;
+  run.schedule = c.schedule;
+  run.seed = c.schedule.seed;
+  return run;
+}
+
 EvolveStats evolve(const EvolveOptions& opt,
                    std::vector<EvolveCandidate> seeds) {
   PRAFT_CHECK(opt.generations >= 1);
@@ -536,11 +690,7 @@ EvolveStats evolve(const EvolveOptions& opt,
   std::set<std::string> seen;
 
   const auto evaluate = [&](EvolveCandidate cand) {
-    RunOptions run = opt.base;
-    run.protocol = cand.protocol;
-    run.schedule = cand.schedule;
-    run.seed = cand.schedule.seed;
-    const RunResult r = run_one(run);
+    const RunResult r = run_one(opt.run_of(cand));
     ++stats.runs;
     if (!r.ok) {
       stats.failures.push_back(r);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -11,9 +12,11 @@
 namespace praft::chaos {
 
 // ---------------------------------------------------------------------------
-// Schedule <-> text. A mutated schedule is no longer expressible as a seed,
-// so the corpus format grows "schedule { ... }" blocks alongside the bare
-// "<protocol> <seed> [flags]" lines of the --seed-file format:
+// Runs <-> text: the run-file format --seed-file reads and --failures-out /
+// --corpus-out write. '#' starts a comment. An entry is a "<seed>" line (run
+// once per protocol of the --protocol selection), a "<protocol> <seed>
+// [flags]" line, or a block holding an explicit schedule, since a mutated
+// schedule is no longer expressible as a seed:
 //
 //   schedule raft --restarts {
 //     seed 42
@@ -30,10 +33,36 @@ namespace praft::chaos {
 //     event crash_restart a=3 b=-1 p=0 from=2400000 to=3100000
 //   }
 //
-// Tokens between "schedule" and "{" (the header extras — protocol name and
-// per-run flags in the corpus) are opaque to this layer; from/to are in
-// simulated microseconds. serialize -> parse -> serialize is the identity.
+// from/to are in simulated microseconds. The per-run flags are one table
+// (kRunFlags in mutator.cpp): argv, run files and RunResult::repro all read
+// and print them through it, so every saved run replays under exactly the
+// RunOptions it ran with. serialize -> parse -> serialize is the identity.
 // ---------------------------------------------------------------------------
+
+/// The per-run flags of `opt` that differ from RunOptions{}, each as
+/// " --name" or " --name=N", in table order. Protocol and seed are not flags.
+[[nodiscard]] std::string run_flags(const RunOptions& opt);
+
+/// Applies one per-run flag ("--wan", "--groups=3") to `*opt`. Returns false
+/// with a message in `*error` for an unknown flag or a bad value.
+[[nodiscard]] bool parse_run_flag(const std::string& token, RunOptions* opt,
+                                  std::string* error);
+
+/// One run-file entry: "<protocol> <seed>[ flags]", or a schedule block
+/// headed "<protocol>[ flags]" when `run` carries an explicit schedule. A
+/// non-empty `comment` ends the line, or precedes the block on its own line.
+[[nodiscard]] std::string serialize_run(const RunOptions& run,
+                                        const std::string& comment = "");
+
+/// Parses a run file. Each entry starts from `base` with its own flags
+/// applied on top; a bare seed runs once per name in `protocols`. Appends
+/// the runs to `*runs` and returns true, or returns false with
+/// "<name>:<line>: <what>" in `*error`.
+[[nodiscard]] bool parse_runs(std::istream& in, const std::string& name,
+                              const RunOptions& base,
+                              const std::vector<std::string>& protocols,
+                              std::vector<RunOptions>* runs,
+                              std::string* error);
 
 /// Serializes `s` as one "schedule [header_extra] { ... }" block.
 [[nodiscard]] std::string serialize_schedule(const Schedule& s,
@@ -42,8 +71,9 @@ namespace praft::chaos {
 
 /// Parses one block from `lines` starting at `*pos` (which must index the
 /// "schedule ... {" opener; '#' comments are stripped). On success advances
-/// `*pos` past the closing "}", fills `*out` and `*header_extra`, and
-/// returns true; on failure returns false with a message in `*error`.
+/// `*pos` past the closing "}", fills `*out` and `*header_extra` (the tokens
+/// between "schedule" and "{"), and returns true; on failure returns false
+/// with a message in `*error`.
 [[nodiscard]] bool parse_schedule(const std::vector<std::string>& lines,
                                   size_t* pos, Schedule* out,
                                   std::string* header_extra,
@@ -114,6 +144,10 @@ struct EvolveOptions {
   /// Flag/limit template every run executes under (protocol/seed/schedule
   /// fields are overridden per candidate).
   RunOptions base;
+
+  /// The run evolution executes for `c`: `base` under c's protocol and
+  /// schedule.
+  [[nodiscard]] RunOptions run_of(const EvolveCandidate& c) const;
 };
 
 struct EvolveStats {
@@ -130,8 +164,8 @@ struct EvolveStats {
   std::vector<double> generation_mean;
   /// Invariant-violating runs encountered while evolving (an evolved
   /// schedule that breaks a protocol is a find, not a breeding candidate).
-  /// `failed_candidates[i]` is the exact (protocol, schedule) that produced
-  /// `failures[i]` — what --failures-out persists for replay.
+  /// `failed_candidates[i]` is the (protocol, schedule) that produced
+  /// `failures[i]`; EvolveOptions::run_of gives the exact run to persist.
   std::vector<RunResult> failures;
   std::vector<EvolveCandidate> failed_candidates;
 };

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "chaos/invariants.h"
+#include "chaos/mutator.h"
 #include "common/check.h"
 #include "harness/cluster.h"
 #include "harness/replica_group.h"
@@ -326,34 +327,6 @@ RunResult run_on(C& cluster, const RunOptions& opt, const Schedule& sched,
   return res;
 }
 
-/// The exact CLI command that replays a run.
-std::string repro_of(const RunOptions& opt) {
-  if (opt.schedule.has_value()) {
-    return "chaos_runner --seed-file=<corpus> replaying this run's schedule "
-           "block (evolved schedules are not seed-expressible; "
-           "--failures-out saves the block)";
-  }
-  char buf[200];
-  std::snprintf(buf, sizeof(buf), "chaos_runner --protocol=%s --seed=%llu%s",
-                opt.protocol.c_str(),
-                static_cast<unsigned long long>(opt.seed),
-                opt.inject_quorum_bug ? " --inject-quorum-bug" : "");
-  std::string repro = buf;
-  if (opt.compaction_log_cap > 0) {
-    std::snprintf(buf, sizeof(buf), " --compaction-cap=%zu",
-                  opt.compaction_log_cap);
-    repro += buf;
-  }
-  if (opt.crash_restarts) repro += " --restarts";
-  if (opt.inject_persistence_bug) repro += " --inject-persistence-bug";
-  if (opt.wan) repro += " --wan";
-  if (opt.groups > 1) {
-    std::snprintf(buf, sizeof(buf), " --groups=%d", opt.groups);
-    repro += buf;
-  }
-  return repro;
-}
-
 }  // namespace
 
 ScheduleLimits effective_limits(const RunOptions& opt) {
@@ -422,7 +395,12 @@ RunResult run_one(const RunOptions& opt) {
   res.protocol = opt.protocol;
   res.seed = sched.seed;
   res.schedule = sched.describe();
-  res.repro = repro_of(opt);
+  res.repro = opt.schedule.has_value()
+                  ? "chaos_runner --seed-file=<corpus> replaying this run's "
+                    "schedule block (evolved schedules are not "
+                    "seed-expressible; --failures-out saves the block)"
+                  : "chaos_runner --protocol=" + opt.protocol + " --seed=" +
+                        std::to_string(opt.seed) + run_flags(opt);
   return res;
 }
 

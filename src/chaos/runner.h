@@ -11,6 +11,8 @@
 namespace praft::chaos {
 
 /// One chaos run: a protocol name, a seed, and the knobs the CLI exposes.
+/// The per-run flags that set those knobs print and parse through one table
+/// (run_flags / parse_run_flag in chaos/mutator.h).
 struct RunOptions {
   std::string protocol = "raft";   // any consensus::ProtocolRegistry name
   uint64_t seed = 1;

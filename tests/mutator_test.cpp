@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -151,6 +152,178 @@ TEST(ScheduleTextTest, MalformedBlocksAreRejected) {
   rejects({"schedule {", "seed 1"});   // never closed
   rejects({"schedule {", "}"});        // no events
   rejects({"notschedule {", "}"});
+}
+
+// --- run files ---------------------------------------------------------------
+
+/// Compares every RunOptions field the run-file format carries.
+void expect_same_run(const RunOptions& got, const RunOptions& want) {
+  EXPECT_EQ(got.protocol, want.protocol);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.num_replicas, want.num_replicas);
+  EXPECT_EQ(got.groups, want.groups);
+  EXPECT_EQ(got.inject_quorum_bug, want.inject_quorum_bug);
+  EXPECT_EQ(got.compaction_log_cap, want.compaction_log_cap);
+  EXPECT_EQ(got.crash_restarts, want.crash_restarts);
+  EXPECT_EQ(got.inject_persistence_bug, want.inject_persistence_bug);
+  EXPECT_EQ(got.wan, want.wan);
+  ASSERT_EQ(got.schedule.has_value(), want.schedule.has_value());
+  if (got.schedule.has_value()) {
+    EXPECT_EQ(serialize_schedule(*got.schedule),
+              serialize_schedule(*want.schedule));
+  }
+}
+
+/// Parses `text` as the run file "runs.txt" under --protocol=raft,mencius.
+bool parse_text(const std::string& text, std::vector<RunOptions>* runs,
+                std::string* error, const RunOptions& base = {}) {
+  std::istringstream in(text);
+  return parse_runs(in, "runs.txt", base, {"raft", "mencius"}, runs, error);
+}
+
+TEST(RunFileTest, BareSeedExpandsOverTheProtocolSelection) {
+  RunOptions base;
+  base.crash_restarts = true;  // a batch flag: every entry inherits it
+  std::vector<RunOptions> runs;
+  std::string error;
+  ASSERT_TRUE(parse_text("# saved runs\n\n5 --wan\n", &runs, &error, base))
+      << error;
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0].protocol, "raft");
+  EXPECT_EQ(runs[1].protocol, "mencius");
+  for (const RunOptions& run : runs) {
+    EXPECT_EQ(run.seed, 5u);
+    EXPECT_TRUE(run.wan);
+    EXPECT_TRUE(run.crash_restarts);
+    EXPECT_FALSE(run.schedule.has_value());
+  }
+}
+
+TEST(RunFileTest, ProtocolSeedLinesCarryEveryFlag) {
+  const std::string line =
+      "multipaxos 42 --compaction-cap=64 --restarts --inject-quorum-bug "
+      "--inject-persistence-bug --wan --groups=3 --replicas=7";
+  std::vector<RunOptions> runs;
+  std::string error;
+  ASSERT_TRUE(parse_text(line + "  # repro: ...\nraftstar 9\n", &runs, &error))
+      << error;
+  ASSERT_EQ(runs.size(), 2u);
+  RunOptions want;
+  want.protocol = "multipaxos";
+  want.seed = 42;
+  want.compaction_log_cap = 64;
+  want.crash_restarts = true;
+  want.inject_quorum_bug = true;
+  want.inject_persistence_bug = true;
+  want.wan = true;
+  want.groups = 3;
+  want.num_replicas = 7;
+  expect_same_run(runs[0], want);
+  EXPECT_EQ(serialize_run(runs[0]), line + "\n");
+  RunOptions plain;
+  plain.protocol = "raftstar";
+  plain.seed = 9;
+  expect_same_run(runs[1], plain);
+  EXPECT_EQ(serialize_run(runs[1], "cov=3"), "raftstar 9  # cov=3\n");
+}
+
+TEST(RunFileTest, ScheduleBlockHeadersCarryFlags) {
+  RunOptions run;
+  run.protocol = "mencius";
+  run.crash_restarts = true;
+  run.groups = 2;
+  run.num_replicas = 3;
+  ScheduleLimits lim;
+  lim.num_replicas = 3;
+  run.schedule = generate_schedule(11, lim);
+  run.seed = run.schedule->seed;
+  const std::string text = serialize_run(run, "cov=7");
+  EXPECT_EQ(text.rfind("# cov=7\nschedule mencius --restarts --groups=2 "
+                       "--replicas=3 {\n",
+                       0),
+            0u)
+      << text;
+  std::vector<RunOptions> runs;
+  std::string error;
+  ASSERT_TRUE(parse_text(text, &runs, &error)) << error;
+  ASSERT_EQ(runs.size(), 1u);
+  expect_same_run(runs[0], run);
+  EXPECT_EQ(serialize_run(runs[0], "cov=7"), text);
+}
+
+TEST(RunFileTest, ErrorsNameFileAndLine) {
+  const auto error_of = [](const std::string& text) {
+    std::vector<RunOptions> runs;
+    std::string error;
+    EXPECT_FALSE(parse_text(text, &runs, &error)) << text;
+    return error;
+  };
+  EXPECT_EQ(error_of("raft 1\nraft 2 --bogus\n"),
+            "runs.txt:2: unknown per-run flag '--bogus'");
+  EXPECT_EQ(error_of("raft 1 --compaction-cap=abc\n"),
+            "runs.txt:1: bad --compaction-cap value 'abc'");
+  EXPECT_EQ(error_of("raft 1 --replicas=3x\n"),
+            "runs.txt:1: bad --replicas value '3x'");
+  EXPECT_EQ(error_of("raft 1 --wan=0\n"), "runs.txt:1: bad --wan value '0'");
+  EXPECT_EQ(error_of("# header\n\nraft 1 --groups=0\n"),
+            "runs.txt:3: bad --groups value '0'");
+  EXPECT_EQ(error_of("raft seven\n"),
+            "runs.txt:1: protocol 'raft' without a valid seed");
+  EXPECT_EQ(error_of("nosuch 1\n"),
+            "runs.txt:1: 'nosuch' is neither a registered protocol nor a "
+            "seed");
+
+  Schedule s = generate_schedule(3);
+  s.events = {FaultEvent{FaultEvent::Kind::kCrash, 3, -1, 0.0, sec(3),
+                         sec(4)}};
+  EXPECT_EQ(error_of("raft 1\n" + serialize_schedule(s, "nosuch")),
+            "runs.txt:2: schedule block needs a registered protocol after "
+            "'schedule' (got 'nosuch')");
+  // The event's replica 3 exists in the default 5-replica cluster only.
+  std::vector<RunOptions> runs;
+  std::string error;
+  EXPECT_TRUE(parse_text(serialize_schedule(s, "raft"), &runs, &error))
+      << error;
+  EXPECT_EQ(error_of(serialize_schedule(s, "raft --replicas=3")),
+            "runs.txt:1: event targets replica 3 but the cluster has 3 "
+            "replicas (replay with a bigger --replicas)");
+}
+
+TEST(RunFileTest, ThreeReplicaRunReplaysFromItsReproAndItsSavedLine) {
+  RunOptions run;
+  run.protocol = "raft";
+  run.seed = 7;
+  run.num_replicas = 3;
+  run.inject_quorum_bug = true;
+  run.wan = true;
+  const RunResult r = run_one(run);
+
+  // The repro is a command line: --protocol and --seed, then per-run flags.
+  std::istringstream words(r.repro);
+  std::string word;
+  ASSERT_TRUE(words >> word);
+  EXPECT_EQ(word, "chaos_runner");
+  RunOptions from_repro;
+  while (words >> word) {
+    std::string error;
+    if (word.rfind("--protocol=", 0) == 0) {
+      from_repro.protocol = word.substr(std::strlen("--protocol="));
+    } else if (word.rfind("--seed=", 0) == 0) {
+      from_repro.seed = std::stoull(word.substr(std::strlen("--seed=")));
+    } else {
+      EXPECT_TRUE(parse_run_flag(word, &from_repro, &error)) << error;
+    }
+  }
+  expect_same_run(from_repro, run);
+
+  // What --failures-out saves for it.
+  std::vector<RunOptions> runs;
+  std::string error;
+  ASSERT_TRUE(parse_text(serialize_run(run, "repro: " + r.repro), &runs,
+                         &error))
+      << error;
+  ASSERT_EQ(runs.size(), 1u);
+  expect_same_run(runs[0], run);
 }
 
 // --- mutation operators -----------------------------------------------------
