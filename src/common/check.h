@@ -3,6 +3,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace praft {
 
@@ -14,8 +15,11 @@ class CheckFailure : public std::logic_error {
 };
 
 namespace detail {
-[[noreturn]] inline void check_failed(const char* expr, const char* file,
-                                      int line, const std::string& msg) {
+/// Cold and never inlined, so a check leaves only a branch and a call on
+/// its path; PRAFT_CHECK passes an empty view, not a std::string built at
+/// every call site.
+[[noreturn, gnu::cold, gnu::noinline]] inline void check_failed(
+    const char* expr, const char* file, int line, std::string_view msg) {
   std::ostringstream os;
   os << "PRAFT_CHECK failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
@@ -29,7 +33,7 @@ namespace detail {
 #define PRAFT_CHECK(cond)                                              \
   do {                                                                 \
     if (!(cond))                                                       \
-      ::praft::detail::check_failed(#cond, __FILE__, __LINE__, "");    \
+      ::praft::detail::check_failed(#cond, __FILE__, __LINE__, {});    \
   } while (0)
 
 #define PRAFT_CHECK_MSG(cond, msg)                                     \
