@@ -72,11 +72,6 @@ struct TimingOptions {
   /// than today; links whose acks legitimately slow down (CPU saturation,
   /// long queues) stop probing spuriously.
   bool pipeline_rto_adaptive = true;
-  /// Recovery-burst cap: loss-recovery retransmissions (Paxos re-proposes,
-  /// Mencius StatusBeat retransmits) send at most this many entries per
-  /// tick — deliberately smaller than the steady-state packetization cap so
-  /// a healing partition does not flood the wire.
-  size_t max_retransmit_entries = 512;
   /// Log compaction trigger (size leg): when > 0, a node checkpoints the
   /// state machine and discards the applied log prefix as soon as more than
   /// this many applied-but-uncompacted entries are resident. 0 disables

@@ -58,21 +58,18 @@ Cluster::ServerFactory make_server_factory(const ExperimentConfig& cfg,
   }
   switch (cfg.system) {
     case SystemKind::kRaftStarPql:
-      return [costs, cfg](NodeHost& h, const consensus::Group& g) {
-        pql::PqlOptions popt;  // PQL paper leases: 2 s / 0.5 s renew (§5.1)
-        popt.include_leader_grants = cfg.pql_include_leader_grants;
-        return std::make_unique<pql::RaftStarPqlServer>(
-            h, g, costs, raftstar::Options{}, popt);
+      // Default PqlOptions: the PQL paper's 2 s leases, renewed every 0.5 s
+      // (§5.1).
+      return [costs](NodeHost& h, const consensus::Group& g) {
+        return std::make_unique<pql::RaftStarPqlServer>(h, g, costs);
       };
     case SystemKind::kRaftStarLL:
       return [costs](NodeHost& h, const consensus::Group& g) {
         return std::make_unique<pql::LeaderLeaseServer>(h, g, costs);
       };
     case SystemKind::kRaftStarMencius:
-      return [costs, cfg](NodeHost& h, const consensus::Group& g) {
-        mencius::Options mopt;
-        mopt.decide_own_skips = cfg.mencius_full_port;
-        return std::make_unique<mencius::MenciusServer>(h, g, costs, mopt);
+      return [costs](NodeHost& h, const consensus::Group& g) {
+        return std::make_unique<mencius::MenciusServer>(h, g, costs);
       };
     default:
       break;

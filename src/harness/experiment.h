@@ -44,11 +44,6 @@ struct ExperimentConfig {
   uint64_t seed = 1;
   bool model_cpu = true;
   bool model_bandwidth = false;  // Fig. 10b/d turn this on
-  /// Ablation A1: drop the leader's own grants from PQL's holder set.
-  bool pql_include_leader_grants = true;
-  /// Ablation A2: Mencius hand-port that misses the AppendEntries/propose
-  /// side of the Phase2b delta (owners do not self-mark skips early).
-  bool mencius_full_port = true;
 };
 
 /// Latency summary for one site class, microseconds.

@@ -9,6 +9,9 @@ namespace praft::mencius {
 
 namespace {
 constexpr consensus::Term kDecidedBal = std::numeric_limits<consensus::Term>::max();
+/// Recovery-burst cap: one maintenance tick re-offers at most this many own
+/// proposals to a colleague, so a healing partition does not flood the wire.
+constexpr size_t kMaxRetransmitEntries = 512;
 }
 
 MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
@@ -978,7 +981,7 @@ void MenciusNode::maintenance() {
     retrans.owner = group_.self;
     const LogIndex base = afloor();
     for (LogIndex i = base + ((rank_ - base) % n_ + n_) % n_;
-         i < next_own_ && retrans.items.size() < opt_.max_retransmit_entries;
+         i < next_own_ && retrans.items.size() < kMaxRetransmitEntries;
          i += n_) {
       if (i < from) continue;
       const Slot* s = slot_if(i);

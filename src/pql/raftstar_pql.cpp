@@ -2,6 +2,12 @@
 
 namespace praft::pql {
 
+namespace {
+/// How often the leader re-evaluates the commit gate (leases expire
+/// asynchronously to append traffic).
+constexpr Duration kGateRetry = msec(50);
+}  // namespace
+
 RaftStarPqlServer::RaftStarPqlServer(harness::NodeHost& host,
                                      consensus::Group group,
                                      harness::CostModel costs,
@@ -36,7 +42,7 @@ void RaftStarPqlServer::arm_gate_retry() {
   // Leases expire on the clock, not on message arrival: re-run LeaderLearn
   // periodically so commits blocked on a dead holder unblock at expiry.
   const uint64_t epoch = ++gate_epoch_;
-  host_.schedule(popt_.gate_retry, [this, epoch] {
+  host_.schedule(kGateRetry, [this, epoch] {
     if (epoch != gate_epoch_) return;
     if (node().is_leader()) node().retry_commit();
     arm_gate_retry();

@@ -19,9 +19,6 @@ struct PqlOptions {
   /// because f+1 Paxos acceptOKs map to f appendOKs plus the leader's
   /// implicit one. Set false to reproduce the bug.
   bool include_leader_grants = true;
-  /// How often the leader re-evaluates the commit gate (leases expire
-  /// asynchronously to append traffic).
-  Duration gate_retry = msec(50);
 };
 
 /// Raft*-PQL (paper Fig. 13): Raft* plus the ported Paxos Quorum Lease
