@@ -88,7 +88,7 @@ Outcome run_one(const std::string& protocol, size_t compaction_cap) {
   }
   out.catchup_ms = to_ms(cluster.sim().now() - down_to);
   out.caught_up = iface(cluster, victim).applied_index() >= target;
-  out.snapshots = iface(cluster, victim).snapshots_installed();
+  out.snapshots = iface(cluster, victim).stats().snapshots_installed;
   return out;
 }
 

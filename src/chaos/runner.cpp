@@ -313,9 +313,9 @@ RunResult run_on(C& cluster, const RunOptions& opt, const Schedule& sched,
     res.trace_fingerprint =
         (res.trace_fingerprint << 1 | res.trace_fingerprint >> 63) ^
         chk.fingerprint();
-    res.revocations += static_cast<uint64_t>(d.groups[g]->revocations());
-    res.pipeline_rollbacks +=
-        static_cast<uint64_t>(d.groups[g]->pipeline_rollbacks());
+    const consensus::Stats stats = d.groups[g]->stats();
+    res.revocations += static_cast<uint64_t>(stats.revocations_started);
+    res.pipeline_rollbacks += static_cast<uint64_t>(stats.pipeline_rollbacks);
   }
   if (!xchk.ok()) {
     res.ok = false;

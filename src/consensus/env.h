@@ -5,6 +5,7 @@
 #include <functional>
 
 #include "common/types.h"
+#include "consensus/stats.h"
 
 namespace praft::consensus {
 
@@ -33,6 +34,15 @@ class Env {
     return lo + static_cast<Duration>(random() %
                                       static_cast<uint64_t>(hi - lo + 1));
   }
+
+  /// The counters of every node this Env has served. Nodes count here, not
+  /// in fields of their own, so a rebuilt node keeps adding to its
+  /// predecessor's block.
+  Stats& stats() { return stats_; }
+  [[nodiscard]] const Stats& stats() const { return stats_; }
+
+ private:
+  Stats stats_;
 };
 
 }  // namespace praft::consensus

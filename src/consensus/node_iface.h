@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "consensus/snapshot.h"
+#include "consensus/stats.h"
 #include "consensus/types.h"
 #include "net/packet.h"
 #include "storage/wal.h"
@@ -17,6 +18,8 @@ namespace praft::consensus {
 /// consensus/registry.h) instead of being stamped out per protocol type.
 class NodeIface {
  public:
+  /// `stats` is the block of the Env the node talks through.
+  explicit NodeIface(const Stats& stats) : stats_(stats) {}
   virtual ~NodeIface() = default;
 
   /// Arms timers. Call exactly once after construction.
@@ -72,18 +75,10 @@ class NodeIface {
   /// Log/slot entries physically resident in memory (diagnostics + bench).
   [[nodiscard]] virtual size_t resident_log_entries() const { return 0; }
 
-  /// Snapshots this node installed from peers (catch-up via state transfer
-  /// instead of log replay).
-  [[nodiscard]] virtual int64_t snapshots_installed() const { return 0; }
-
   /// The node's current in-memory hard state mapped onto the shared shape
   /// (see consensus::HardState for the per-protocol field table). Default:
   /// an all-defaults state (protocols without durable state).
   [[nodiscard]] virtual HardState hard_state() const { return {}; }
-
-  /// Stages the current hard state into the node's durable store now (the
-  /// next fsync barrier covers it). No-op for diskless nodes.
-  virtual void persist_hard_state() {}
 
   /// Observes the hard state each outgoing message depended on, at the
   /// moment the message actually leaves the node (after its fsync barrier —
@@ -101,15 +96,18 @@ class NodeIface {
     return {};
   }
 
-  /// Revocations this node started (Mencius; 0 elsewhere). A chaos coverage
-  /// signal — schedules that trigger revocations explore the rare paths.
-  [[nodiscard]] virtual int64_t revocations_started() const { return 0; }
-
-  /// Replication-pipeline window rollbacks this node performed as leader
-  /// (reject-driven unwinds + loss-detection retransmit probes; see
-  /// consensus::PeerPipeline). A chaos coverage signal — schedules that
-  /// force in-flight windows to unwind explore the pipeline's rare paths.
-  [[nodiscard]] virtual int64_t pipeline_rollbacks() const { return 0; }
+  /// The counters of the Env this node talks through: its own counts plus
+  /// those of every earlier node on the same Env (a cluster replica's
+  /// previous incarnations).
+  [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// stats().pipeline_rollbacks / stats().revocations_started, under the
+  /// names praft_bench reads.
+  [[nodiscard]] int64_t pipeline_rollbacks() const {
+    return stats_.pipeline_rollbacks;
+  }
+  [[nodiscard]] int64_t revocations_started() const {
+    return stats_.revocations_started;
+  }
 
   [[nodiscard]] virtual bool is_leader() const = 0;
   [[nodiscard]] virtual NodeId leader_hint() const = 0;
@@ -129,6 +127,9 @@ class NodeIface {
   /// Kicks off an immediate leadership attempt (no-op for leaderless
   /// protocols like Mencius, where every replica owns a residue class).
   virtual void force_election() {}
+
+ private:
+  const Stats& stats_;
 };
 
 }  // namespace praft::consensus

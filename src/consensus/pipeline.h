@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/types.h"
+#include "consensus/stats.h"
 #include "consensus/timing.h"
 #include "consensus/types.h"
 
@@ -55,11 +56,14 @@ namespace praft::consensus {
 /// retire nothing and are never sampled.
 ///
 /// Pure bookkeeping: no timers, no I/O, no protocol state. Protocols call
-/// the hooks from their existing send/reply/tick paths.
+/// the hooks from their existing send/reply/tick paths. Every rollback (a
+/// reject or a loss probe) counts into `stats.pipeline_rollbacks`, the
+/// owning node's Env block.
 class PeerPipeline {
  public:
-  explicit PeerPipeline(const TimingOptions& opt)
-      : pipeline_(opt.pipeline),
+  PeerPipeline(const TimingOptions& opt, Stats& stats)
+      : stats_(stats),
+        pipeline_(opt.pipeline),
         max_batches_(opt.pipeline_max_batches),
         window_max_(opt.pipeline_inflight_bytes),
         window_min_(std::max<size_t>(1, opt.pipeline_inflight_bytes / 16)),
@@ -122,7 +126,7 @@ class PeerPipeline {
     auto it = peers_.find(peer);
     if (it == peers_.end()) return;
     clear_and_halve(it->second);
-    ++rollbacks_;
+    ++stats_.pipeline_rollbacks;
   }
 
   /// True when `peer`'s oldest outstanding batch has waited past the
@@ -141,7 +145,7 @@ class PeerPipeline {
     if (it == peers_.end() || it->second.sent.empty()) return -1;
     LogIndex lo = it->second.sent.front().lo;
     clear_and_halve(it->second);
-    ++rollbacks_;
+    ++stats_.pipeline_rollbacks;
     return lo;
   }
 
@@ -174,9 +178,6 @@ class PeerPipeline {
     return it == peers_.end() || !it->second.rtt_seen ? 0 : it->second.srtt;
   }
 
-  /// Window rollbacks (rejects + loss probes) — a chaos coverage signal:
-  /// schedules that force the pipeline to unwind explore the rare paths.
-  [[nodiscard]] int64_t rollbacks() const { return rollbacks_; }
   [[nodiscard]] int64_t sends() const { return sends_; }
   [[nodiscard]] int64_t acks() const { return acks_; }
 
@@ -233,6 +234,7 @@ class PeerPipeline {
     return std::max(retransmit_timeout_, p.srtt + 4 * p.rttvar);
   }
 
+  Stats& stats_;
   bool pipeline_;
   size_t max_batches_;
   size_t window_max_;
@@ -240,7 +242,6 @@ class PeerPipeline {
   Duration retransmit_timeout_;
   bool rto_adaptive_;
   std::unordered_map<NodeId, Peer> peers_;
-  int64_t rollbacks_ = 0;
   int64_t sends_ = 0;
   int64_t acks_ = 0;
 };

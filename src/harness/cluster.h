@@ -62,11 +62,13 @@ class Cluster {
     return group_.store(i);
   }
   [[nodiscard]] int64_t restarts() const { return group_.restarts(); }
+  /// praft_bench's names: the counts of the replicas that are down right
+  /// now, to which it adds each live replica's NodeIface counts.
   [[nodiscard]] int64_t retired_revocations() const {
-    return group_.retired_revocations();
+    return group_.down_stats().revocations_started;
   }
   [[nodiscard]] int64_t retired_pipeline_rollbacks() const {
-    return group_.retired_pipeline_rollbacks();
+    return group_.down_stats().pipeline_rollbacks;
   }
 
   /// Adds `per_region` clients next to every replica, starting at `start_at`.

@@ -25,7 +25,9 @@ class PacketHandler {
 
 /// Binds one simulated machine: a network endpoint, a serial CPU and the
 /// sans-io Env a protocol node talks to. Delivery order: network -> CPU
-/// queue (service time from the handler's cost model) -> handle().
+/// queue (service time from the handler's cost model) -> handle(). A crash
+/// destroys the node, not its host, so the Env's Stats block counts every
+/// incarnation of the replica.
 ///
 /// A host normally owns its CPU (one endpoint == one machine). When
 /// `shared_cpu` is supplied, service time is billed against that external

@@ -58,10 +58,6 @@ void ReplicaGroup::crash(int j) {
   PRAFT_CHECK_MSG(!protocol_.empty(),
                   "crash/restart requires name-built replicas (durable store)");
   if (!up(j)) return;
-  // The incarnation's coverage counters die with it; bank them first.
-  const consensus::NodeIface& node = server(j).node_iface();
-  retired_revocations_ += node.revocations_started();
-  retired_pipeline_rollbacks_ += node.pipeline_rollbacks();
   NodeHost& host = *hosts_[static_cast<size_t>(j)];
   // Order matters: first make every pending timer/fsync callback a no-op and
   // unbind in-flight deliveries, THEN free the node they capture.
@@ -148,13 +144,18 @@ int ReplicaGroup::install_hard_state_probe(HardStateProbe probe) {
   return reinstall_probes();
 }
 
-int64_t ReplicaGroup::live_sum(
-    int64_t (consensus::NodeIface::*counter)() const) const {
-  int64_t total = 0;
+consensus::Stats ReplicaGroup::stats() const {
+  consensus::Stats sum;
+  for (const auto& host : hosts_) sum += host->stats();
+  return sum;
+}
+
+consensus::Stats ReplicaGroup::down_stats() const {
+  consensus::Stats sum;
   for (int j = 0; j < size(); ++j) {
-    if (up(j)) total += (server(j).node_iface().*counter)();
+    if (!up(j)) sum += hosts_[static_cast<size_t>(j)]->stats();
   }
-  return total;
+  return sum;
 }
 
 std::vector<NodeId> machine_node_ids(const std::vector<ReplicaGroup*>& groups,

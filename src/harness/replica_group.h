@@ -7,6 +7,7 @@
 
 #include "consensus/group.h"
 #include "consensus/node_iface.h"
+#include "consensus/stats.h"
 #include "consensus/timing.h"
 #include "harness/cost_model.h"
 #include "harness/host.h"
@@ -18,11 +19,11 @@
 namespace praft::harness {
 
 /// One consensus group and its whole replica lifecycle: hosts, servers,
-/// durable stores, the group template, installed probes, and the coverage
-/// counters of crashed incarnations. harness::Cluster owns one;
-/// shard::ShardedCluster owns one per group. Each member also records the
-/// machine it runs on, so machine-level faults address a flat cluster
-/// (machine m hosts replica m) and a sharded one the same way.
+/// durable stores, the group template and installed probes.
+/// harness::Cluster owns one; shard::ShardedCluster owns one per group.
+/// Each member also records the machine it runs on, so machine-level
+/// faults address a flat cluster (machine m hosts replica m) and a sharded
+/// one the same way.
 class ReplicaGroup {
  public:
   ReplicaGroup(sim::Simulator& sim, sim::Network& net, CostModel costs)
@@ -117,33 +118,17 @@ class ReplicaGroup {
     restart_probe_ = std::move(probe);
   }
 
-  // -- Coverage counters ----------------------------------------------------
+  // -- Counters -------------------------------------------------------------
   [[nodiscard]] int64_t restarts() const { return restarts_; }
-  /// Counters of destroyed incarnations, banked at crash time so
-  /// restart-heavy runs keep their full coverage signal (a rebuilt node's
-  /// own counters restart at zero).
-  [[nodiscard]] int64_t retired_revocations() const {
-    return retired_revocations_;
-  }
-  [[nodiscard]] int64_t retired_pipeline_rollbacks() const {
-    return retired_pipeline_rollbacks_;
-  }
-  /// Mencius revocations / pipeline window rollbacks over every
-  /// incarnation: the banked counters plus the live members' own.
-  [[nodiscard]] int64_t revocations() const {
-    return retired_revocations_ +
-           live_sum(&consensus::NodeIface::revocations_started);
-  }
-  [[nodiscard]] int64_t pipeline_rollbacks() const {
-    return retired_pipeline_rollbacks_ +
-           live_sum(&consensus::NodeIface::pipeline_rollbacks);
-  }
+  /// Every member's consensus::Stats, summed. A member's block lives on its
+  /// host, which a crash-restart keeps, so this covers every incarnation
+  /// and a crash changes nothing in it.
+  [[nodiscard]] consensus::Stats stats() const;
+  /// The same sum over the members that are down right now.
+  [[nodiscard]] consensus::Stats down_stats() const;
 
  private:
   std::unique_ptr<LogServer> make_named_server(int j);
-  /// `counter` summed over the live members' protocol nodes.
-  [[nodiscard]] int64_t live_sum(
-      int64_t (consensus::NodeIface::*counter)() const) const;
   /// Applies every stored probe to member `j` (idempotent overwrites): the
   /// one wrapper implementation, shared by install_*_probe on live members
   /// and restart on rebuilt ones.
@@ -168,8 +153,6 @@ class ReplicaGroup {
   HardStateProbe hard_state_probe_;
   RestartProbe restart_probe_;
   int64_t restarts_ = 0;
-  int64_t retired_revocations_ = 0;
-  int64_t retired_pipeline_rollbacks_ = 0;
 };
 
 /// Machine-level lifecycle over groups whose members record their machine:

@@ -16,7 +16,8 @@ constexpr size_t kMaxRetransmitEntries = 512;
 
 MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
                          Options opt, storage::DurableStore* store)
-    : group_(std::move(group)),
+    : NodeIface(env.stats()),
+      group_(std::move(group)),
       env_(env),
       opt_(opt),
       persister_(env, store, opt_.fsync_duration, opt_.sync_batch_delay,
@@ -24,7 +25,7 @@ MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
       status_(env),
       batcher_(env, opt_, [this] { flush(); }),
       applier_(/*start=*/-1),
-      pipe_(opt_) {
+      pipe_(opt_, env.stats()) {
   group_.validate();
   rank_ = group_.rank_of(group_.self);
   n_ = group_.n();
@@ -383,7 +384,7 @@ bool MenciusNode::revocation_done() const {
 void MenciusNode::on_snapshot_xfer(const SnapshotXfer& m) {
   owners_[m.from].last_heard = env_.now();
   if (!applier_.install_snapshot(m.snap)) return;
-  ++snapshots_installed_;
+  ++env_.stats().snapshots_installed;
   if (m.snap.last_index > snap_.last_index) snap_ = m.snap;
   persister_.snapshot(m.snap);
   // Our own slots below the jump may have been revoked while we were away;
@@ -679,7 +680,7 @@ void MenciusNode::on_learn_vals(const LearnVals& m) {
 
 void MenciusNode::start_revocation(NodeId owner, LogIndex lo, LogIndex hi) {
   if (rev_.active || hi <= lo) return;
-  ++revocations_;
+  ++env_.stats().revocations_started;
   rev_ = Revocation{};
   rev_.active = true;
   rev_.bal = Ballot{++rev_round_, group_.self};

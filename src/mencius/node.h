@@ -107,9 +107,6 @@ class MenciusNode : public consensus::NodeIface {
   [[nodiscard]] size_t resident_log_entries() const override {
     return slots_.size() + decided_history_.size();
   }
-  [[nodiscard]] int64_t snapshots_installed() const override {
-    return snapshots_installed_;
-  }
   [[nodiscard]] LogIndex applied_index() const override {
     return applier_.applied();
   }
@@ -122,7 +119,6 @@ class MenciusNode : public consensus::NodeIface {
     return consensus::HardState{max_promised_round_, kNoNode, next_own_,
                                 rev_round_, own_rev_floor_};
   }
-  void persist_hard_state() override { persister_.hard_state(); }
   void set_hard_state_probe(consensus::HardStateProbe probe) override {
     persister_.set_probe(std::move(probe));
   }
@@ -150,12 +146,6 @@ class MenciusNode : public consensus::NodeIface {
     return group_.members[static_cast<size_t>(i) % group_.members.size()];
   }
   [[nodiscard]] int64_t slots_skipped() const { return slots_skipped_; }
-  [[nodiscard]] int64_t revocations_started() const override {
-    return revocations_;
-  }
-  [[nodiscard]] int64_t pipeline_rollbacks() const override {
-    return pipe_.rollbacks();
-  }
 
  private:
   enum class St : uint8_t {
@@ -302,7 +292,6 @@ class MenciusNode : public consensus::NodeIface {
   // Latest checkpoint (covers all slots <= snap_.last_index).
   consensus::Snapshot snap_;
   consensus::CompactionTrigger compaction_;
-  int64_t snapshots_installed_ = 0;
 
   // Active revocation this node is running (one at a time).
   struct Revocation {
@@ -319,7 +308,6 @@ class MenciusNode : public consensus::NodeIface {
   Time last_progress_ = 0;
 
   int64_t slots_skipped_ = 0;
-  int64_t revocations_ = 0;
   bool advancing_ = false;
 
   consensus::ApplyFn apply_;

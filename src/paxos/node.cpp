@@ -9,7 +9,8 @@ namespace praft::paxos {
 
 PaxosNode::PaxosNode(consensus::Group group, consensus::Env& env, Options opt,
                      storage::DurableStore* store)
-    : group_(std::move(group)),
+    : NodeIface(env.stats()),
+      group_(std::move(group)),
       env_(env),
       opt_(opt),
       persister_(env, store, opt_.fsync_duration, opt_.sync_batch_delay,
@@ -18,7 +19,7 @@ PaxosNode::PaxosNode(consensus::Group group, consensus::Env& env, Options opt,
       heartbeat_(env),
       batcher_(env, opt_, [this] { flush_batch(); }),
       prepare_acks_(group_.majority()),
-      pipe_(opt_) {
+      pipe_(opt_, env.stats()) {
   group_.validate();
   ballot_ = Ballot{0, kNoNode};
   // Write-ahead mirroring: persist_inst() routes each instance's full
@@ -137,7 +138,7 @@ void PaxosNode::on_prepare_ok(const PrepareOk& m) {
   if (!preparing_ || m.bal != ballot_) return;
   if (!prepare_acks_.add(m.sender)) return;
   if (m.has_snap && applier_.install_snapshot(m.snap)) {
-    ++snapshots_installed_;
+    ++env_.stats().snapshots_installed;
     adopt_snapshot(m.snap);
   }
   for (const AcceptedVal& a : m.accepted) {
@@ -443,7 +444,7 @@ void PaxosNode::adopt_snapshot(const consensus::Snapshot& snap) {
 
 void PaxosNode::on_snapshot_transfer(const SnapshotTransfer& m) {
   if (!applier_.install_snapshot(m.snap)) return;
-  ++snapshots_installed_;
+  ++env_.stats().snapshots_installed;
   adopt_snapshot(m.snap);
   // Gaps may remain between the snapshot and the cluster's floor; resume
   // instance-by-instance repair above the jump.

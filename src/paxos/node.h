@@ -77,13 +77,6 @@ class PaxosNode : public consensus::NodeIface {
   [[nodiscard]] size_t resident_log_entries() const override {
     return instances_.size();
   }
-  [[nodiscard]] int64_t snapshots_installed() const override {
-    return snapshots_installed_;
-  }
-  [[nodiscard]] int64_t pipeline_rollbacks() const override {
-    return pipe_.rollbacks();
-  }
-
   [[nodiscard]] bool is_leader() const override {
     return phase1_succeeded_ && ballot_.node == group_.self;
   }
@@ -105,7 +98,6 @@ class PaxosNode : public consensus::NodeIface {
   [[nodiscard]] consensus::HardState hard_state() const override {
     return consensus::HardState{ballot_.round, ballot_.node, -1, 0, log_tail_};
   }
-  void persist_hard_state() override { persister_.hard_state(); }
   void set_hard_state_probe(consensus::HardStateProbe probe) override {
     persister_.set_probe(std::move(probe));
   }
@@ -191,7 +183,6 @@ class PaxosNode : public consensus::NodeIface {
   // == instances_.floor() after the first compaction).
   consensus::Snapshot snap_;
   consensus::CompactionTrigger compaction_;
-  int64_t snapshots_installed_ = 0;
 
   // Shared runtime machinery.
   consensus::ElectionTimer election_;

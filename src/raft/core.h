@@ -61,7 +61,8 @@ class Core : public consensus::NodeIface {
   /// waits for its fsync barrier (storage::Persister).
   Core(consensus::Group group, consensus::Env& env, Options opt = {},
        storage::DurableStore* store = nullptr)
-      : group_(std::move(group)),
+      : NodeIface(env.stats()),
+        group_(std::move(group)),
         env_(env),
         opt_(opt),
         persister_(env, store, opt_.fsync_duration, opt_.sync_batch_delay,
@@ -74,7 +75,7 @@ class Core : public consensus::NodeIface {
                    if (role_ == Role::kLeader) broadcast_append();
                  }),
         votes_(group_.majority()),
-        pipe_(opt_) {
+        pipe_(opt_, env.stats()) {
     group_.validate();
     election_.set_gate([this] { return role_ != Role::kLeader; });
     election_.set_handler([this](bool expired) {
@@ -164,21 +165,14 @@ class Core : public consensus::NodeIface {
   [[nodiscard]] size_t resident_log_entries() const override {
     return log_.resident_entries();
   }
-  [[nodiscard]] int64_t snapshots_installed() const override {
-    return snapshots_installed_;
-  }
   [[nodiscard]] LogIndex applied_index() const override {
     return applier_.applied();
-  }
-  [[nodiscard]] int64_t pipeline_rollbacks() const override {
-    return pipe_.rollbacks();
   }
 
   /// Raft's hard state: currentTerm + votedFor (§5 "Persistent state").
   [[nodiscard]] consensus::HardState hard_state() const override {
     return consensus::HardState{term_, voted_for_, -1, 0, -1};
   }
-  void persist_hard_state() override { persister_.hard_state(); }
   void set_hard_state_probe(consensus::HardStateProbe probe) override {
     persister_.set_probe(std::move(probe));
   }
@@ -399,7 +393,7 @@ class Core : public consensus::NodeIface {
   /// moves its base; otherwise it restarts at the snapshot's boundary.
   void install_snapshot(const consensus::Snapshot& snap, bool keep_suffix) {
     if (!applier_.install_snapshot(snap)) return;
-    ++snapshots_installed_;
+    ++env_.stats().snapshots_installed;
     // Persist the snapshot FIRST so the WAL truncation a reset stages is
     // committed against it (staging order = durable apply order).
     persister_.snapshot(snap);
@@ -436,7 +430,6 @@ class Core : public consensus::NodeIface {
   // any follower behind the base can be served a snapshot.
   consensus::Snapshot snap_;
   consensus::CompactionTrigger compaction_;
-  int64_t snapshots_installed_ = 0;
 
   // Volatile state.
   Role role_ = Role::kFollower;

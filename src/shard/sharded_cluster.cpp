@@ -101,11 +101,16 @@ int ShardedCluster::establish_leaders(Duration deadline) {
   return have;
 }
 
-int64_t ShardedCluster::sum(
-    int64_t (harness::ReplicaGroup::*counter)() const) const {
+int64_t ShardedCluster::restarts() const {
   int64_t total = 0;
-  for (const harness::ReplicaGroup& g : groups_) total += (g.*counter)();
+  for (const harness::ReplicaGroup& g : groups_) total += g.restarts();
   return total;
+}
+
+consensus::Stats ShardedCluster::down_stats() const {
+  consensus::Stats sum;
+  for (const harness::ReplicaGroup& g : groups_) sum += g.down_stats();
+  return sum;
 }
 
 void ShardedCluster::add_clients(int per_machine, const kv::WorkloadConfig& wl,

@@ -110,20 +110,20 @@ class ShardedCluster {
 
   // -- Machine-level chaos -------------------------------------------------
   /// Power-cuts machine `m`: every group replica it hosts is destroyed
-  /// (counters banked, scheduled callbacks invalidated, unsynced durable
-  /// writes dropped). Group replicas elsewhere keep running.
+  /// (scheduled callbacks invalidated, unsynced durable writes dropped).
+  /// Group replicas elsewhere keep running.
   void crash_machine(int m) { harness::crash_machine(groups(), m); }
   /// Rebuilds every crashed replica hosted on machine `m` from its durable
   /// image and starts it.
   void restart_machine(int m) { harness::restart_machine(groups(), m); }
-  [[nodiscard]] int64_t restarts() const {
-    return sum(&harness::ReplicaGroup::restarts);
-  }
+  [[nodiscard]] int64_t restarts() const;
+  /// praft_bench's names: the counts of the replicas that are down right
+  /// now, to which it adds each live replica's NodeIface counts.
   [[nodiscard]] int64_t retired_revocations() const {
-    return sum(&harness::ReplicaGroup::retired_revocations);
+    return down_stats().revocations_started;
   }
   [[nodiscard]] int64_t retired_pipeline_rollbacks() const {
-    return sum(&harness::ReplicaGroup::retired_pipeline_rollbacks);
+    return down_stats().pipeline_rollbacks;
   }
 
   // -- Clients -------------------------------------------------------------
@@ -163,9 +163,8 @@ class ShardedCluster {
   [[nodiscard]] SiteId machine_site(int m) const {
     return static_cast<SiteId>(m % net_.latency().num_sites());
   }
-  /// A per-group counter summed over every group.
-  [[nodiscard]] int64_t sum(
-      int64_t (harness::ReplicaGroup::*counter)() const) const;
+  /// Every group's ReplicaGroup::down_stats, summed.
+  [[nodiscard]] consensus::Stats down_stats() const;
 
   ShardedClusterConfig cfg_;
   sim::Simulator sim_;

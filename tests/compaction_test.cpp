@@ -358,7 +358,7 @@ CatchUp run_catchup(const std::string& protocol, size_t cap,
     cluster.run_for(msec(50));
   }
   out.caught_up = iface(cluster, victim).applied_index() >= target;
-  out.snapshots = iface(cluster, victim).snapshots_installed();
+  out.snapshots = iface(cluster, victim).stats().snapshots_installed;
 
   cluster.stop_clients();
   cluster.run_for(sec(5));

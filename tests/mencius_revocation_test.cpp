@@ -82,7 +82,7 @@ TEST_F(RevocationFixture, SilentOwnerWithValueGetsValueRecovered) {
   EXPECT_EQ(prep->owner, 10);
   EXPECT_EQ(prep->lo, 0);
   EXPECT_GT(prep->bal.round, 0);
-  EXPECT_EQ(n11_.revocations_started(), 1);
+  EXPECT_EQ(n11_.stats().revocations_started, 1);
 
   // Node 12 (knows nothing about slot 0) promises.
   n12_.on_packet(packet(11, 12, mencius::Message{*prep}));

@@ -29,7 +29,8 @@ consensus::TimingOptions pipe_opts(size_t window_bytes, size_t max_batches) {
 // ---------------------------------------------------------------------------
 
 TEST(PeerPipeline, WindowGatesByBytesAndBatches) {
-  consensus::PeerPipeline p(pipe_opts(1000, 3));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(1000, 3), stats);
   EXPECT_TRUE(p.can_send(1));
   p.on_send(1, 1, 10, 400, 0);
   EXPECT_TRUE(p.can_send(1));  // 400 < 1000, 1 < 3 batches
@@ -44,14 +45,16 @@ TEST(PeerPipeline, WindowGatesByBytesAndBatches) {
 }
 
 TEST(PeerPipeline, MaxBatchesGatesEvenWhenBytesFit) {
-  consensus::PeerPipeline p(pipe_opts(1 << 20, 2));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(1 << 20, 2), stats);
   p.on_send(1, 1, 1, 10, 0);
   p.on_send(1, 2, 2, 10, 0);
   EXPECT_FALSE(p.can_send(1));
 }
 
 TEST(PeerPipeline, CumulativeAckRetiresPrefixAndGrowsWindow) {
-  consensus::PeerPipeline p(pipe_opts(1600, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(1600, 16), stats);
   p.on_send(1, 1, 10, 400, 0);
   p.on_send(1, 11, 20, 400, 0);
   p.on_send(1, 21, 30, 400, 0);
@@ -69,7 +72,8 @@ TEST(PeerPipeline, CumulativeAckRetiresPrefixAndGrowsWindow) {
 }
 
 TEST(PeerPipeline, DuplicateAndStaleAcksAreInert) {
-  consensus::PeerPipeline p(pipe_opts(1000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(1000, 16), stats);
   p.on_send(1, 1, 10, 300, 0);
   p.on_ack(1, 10);
   const size_t w = p.window(1);
@@ -79,11 +83,12 @@ TEST(PeerPipeline, DuplicateAndStaleAcksAreInert) {
   p.on_ack(7, 100);
   EXPECT_EQ(p.outstanding_batches(1), 0u);
   EXPECT_EQ(p.window(1), w);
-  EXPECT_EQ(p.rollbacks(), 0);
+  EXPECT_EQ(stats.pipeline_rollbacks, 0);
 }
 
 TEST(PeerPipeline, ReorderedAckStillRetiresByCumulativeKey) {
-  consensus::PeerPipeline p(pipe_opts(10000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(10000, 16), stats);
   p.on_send(1, 1, 10, 100, 0);
   p.on_send(1, 11, 20, 100, 0);
   // The ack for the *second* batch arrives first (network reordering):
@@ -93,18 +98,19 @@ TEST(PeerPipeline, ReorderedAckStillRetiresByCumulativeKey) {
   // The first batch's ack then arrives late — nothing to do.
   p.on_ack(1, 10);
   EXPECT_EQ(p.outstanding_batches(1), 0u);
-  EXPECT_EQ(p.rollbacks(), 0);
+  EXPECT_EQ(stats.pipeline_rollbacks, 0);
 }
 
 TEST(PeerPipeline, RejectClearsHalvesAndCounts) {
-  consensus::PeerPipeline p(pipe_opts(1024, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(1024, 16), stats);
   p.on_send(1, 1, 10, 600, 0);
   p.on_send(1, 11, 20, 300, 0);
   p.on_reject(1);
   EXPECT_EQ(p.outstanding_batches(1), 0u);
   EXPECT_EQ(p.inflight_bytes(1), 0u);
   EXPECT_EQ(p.window(1), 512u);
-  EXPECT_EQ(p.rollbacks(), 1);
+  EXPECT_EQ(stats.pipeline_rollbacks, 1);
   // Repeated trouble floors at window_max / 16, never zero.
   for (int i = 0; i < 10; ++i) p.on_reject(1);
   EXPECT_EQ(p.window(1), 64u);
@@ -112,7 +118,8 @@ TEST(PeerPipeline, RejectClearsHalvesAndCounts) {
 }
 
 TEST(PeerPipeline, RetransmitDueAfterTimeoutAndLossReturnsOldestLo) {
-  consensus::PeerPipeline p(pipe_opts(10000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(10000, 16), stats);
   p.on_send(1, 5, 10, 100, /*now=*/0);
   p.on_send(1, 11, 20, 100, msec(100));
   EXPECT_FALSE(p.retransmit_due(1, msec(500)));
@@ -120,7 +127,7 @@ TEST(PeerPipeline, RetransmitDueAfterTimeoutAndLossReturnsOldestLo) {
   const auto lo = p.on_loss(1);
   EXPECT_EQ(lo, 5);
   EXPECT_EQ(p.outstanding_batches(1), 0u);
-  EXPECT_EQ(p.rollbacks(), 1);
+  EXPECT_EQ(stats.pipeline_rollbacks, 1);
   // Nothing outstanding: no further probe, and on_loss reports nothing.
   EXPECT_FALSE(p.retransmit_due(1, msec(5000)));
   EXPECT_EQ(p.on_loss(1), -1);
@@ -129,7 +136,8 @@ TEST(PeerPipeline, RetransmitDueAfterTimeoutAndLossReturnsOldestLo) {
 TEST(PeerPipeline, StopAndWaitModeAllowsOneBatch) {
   consensus::TimingOptions o = pipe_opts(1 << 20, 16);
   o.pipeline = false;
-  consensus::PeerPipeline p(o);
+  consensus::Stats stats;
+  consensus::PeerPipeline p(o, stats);
   EXPECT_TRUE(p.can_send(1));
   p.on_send(1, 1, 64, 100, 0);
   EXPECT_FALSE(p.can_send(1));  // window/batch budget ignored: strict 1
@@ -140,7 +148,8 @@ TEST(PeerPipeline, StopAndWaitModeAllowsOneBatch) {
 TEST(PeerPipeline, ResetAllMakesLateAcksInert) {
   // Unit-level stale-ack mirror: a leadership change resets the pipeline;
   // acks from the old regime must neither retire nor grow anything.
-  consensus::PeerPipeline p(pipe_opts(1000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(1000, 16), stats);
   p.on_send(1, 1, 10, 400, 0);
   p.on_send(2, 1, 10, 400, 0);
   p.reset_all();
@@ -157,13 +166,15 @@ TEST(PeerPipeline, ResetAllMakesLateAcksInert) {
 // ---------------------------------------------------------------------------
 
 TEST(PeerPipeline, RtoDefaultsToFixedTimeoutBeforeAnySample) {
-  consensus::PeerPipeline p(pipe_opts(10000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(10000, 16), stats);
   EXPECT_EQ(p.rto(1), msec(600));
   EXPECT_EQ(p.srtt(1), 0);
 }
 
 TEST(PeerPipeline, FirstRttSampleSeedsSrttAndRaisesRtoAboveFloor) {
-  consensus::PeerPipeline p(pipe_opts(10000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(10000, 16), stats);
   p.on_send(1, 1, 10, 100, /*now=*/0);
   p.on_ack(1, 10, /*now=*/msec(300));
   // First sample R: srtt = R, rttvar = R/2, RTO = srtt + 4*rttvar = 3R.
@@ -177,7 +188,8 @@ TEST(PeerPipeline, FastNetworkKeepsFixedTimeoutAsFloor) {
   // LAN-scale samples must NOT shrink the RTO below the configured fixed
   // timeout: chaos timing (drop-heavy WAN schedules) relies on 600 ms as a
   // floor, so adaptation can only ever lengthen patience.
-  consensus::PeerPipeline p(pipe_opts(10000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(10000, 16), stats);
   for (int i = 0; i < 20; ++i) {
     const Time t = msec(10 * i);
     p.on_send(1, 1 + i, 1 + i, 100, t);
@@ -188,7 +200,8 @@ TEST(PeerPipeline, FastNetworkKeepsFixedTimeoutAsFloor) {
 }
 
 TEST(PeerPipeline, RetransmitDueUsesAdaptiveRto) {
-  consensus::PeerPipeline p(pipe_opts(10000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(10000, 16), stats);
   p.on_send(1, 1, 10, 100, /*now=*/0);
   p.on_ack(1, 10, msec(300));  // srtt 300 ms -> RTO 900 ms
   p.on_send(1, 11, 20, 100, msec(300));
@@ -199,14 +212,16 @@ TEST(PeerPipeline, RetransmitDueUsesAdaptiveRto) {
 TEST(PeerPipeline, AdaptiveRtoCanBeDisabled) {
   consensus::TimingOptions o = pipe_opts(10000, 16);
   o.pipeline_rto_adaptive = false;
-  consensus::PeerPipeline p(o);
+  consensus::Stats stats;
+  consensus::PeerPipeline p(o, stats);
   p.on_send(1, 1, 10, 100, /*now=*/0);
   p.on_ack(1, 10, msec(300));
   EXPECT_EQ(p.rto(1), msec(600));  // fixed timeout, as before PR 9
 }
 
 TEST(PeerPipeline, SteadyRttConvergesAndVarianceDecays) {
-  consensus::PeerPipeline p(pipe_opts(1 << 20, 64));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(1 << 20, 64), stats);
   // Repeated identical 250 ms samples: srtt pins to 250 ms and rttvar
   // decays geometrically, so RTO falls from 3R toward the srtt + small-var
   // regime (still >= the 600 ms floor).
@@ -225,7 +240,8 @@ TEST(PeerPipeline, PostLossAcksAreNeverSampled) {
   // Karn's rule falls out of the outstanding-set design: on_loss clears the
   // peer's channel, so an ack for retransmitted data retires nothing and
   // must not poison srtt with an ambiguous measurement.
-  consensus::PeerPipeline p(pipe_opts(10000, 16));
+  consensus::Stats stats;
+  consensus::PeerPipeline p(pipe_opts(10000, 16), stats);
   p.on_send(1, 1, 10, 100, /*now=*/0);
   EXPECT_EQ(p.on_loss(1), 1);
   p.on_ack(1, 10, sec(5));  // late ack from the original transmission
@@ -324,7 +340,7 @@ TEST(Pipeline, StaleAckAfterStepDownIsInert) {
   ae.leader = 2;
   node.on_packet(test::packet(2, 0, 0, raft::Message{ae}));
   ASSERT_FALSE(node.is_leader());
-  EXPECT_EQ(node.pipeline_rollbacks(), 0);
+  EXPECT_EQ(node.stats().pipeline_rollbacks, 0);
 
   // The old regime's ack finally arrives, then time passes the retransmit
   // timeout. Neither may produce an AppendEntries or a loss rollback.
@@ -332,7 +348,7 @@ TEST(Pipeline, StaleAckAfterStepDownIsInert) {
       1, 0, 0, raft::Message{raft::AppendReply{t, 1, true, 1, 0}}));
   env.clear();
   env.advance(msec(700));  // past pipeline_retransmit_timeout
-  EXPECT_EQ(node.pipeline_rollbacks(), 0);
+  EXPECT_EQ(node.stats().pipeline_rollbacks, 0);
   for (const auto& sent : env.outbox) {
     const auto* m = std::any_cast<raft::Message>(&sent.payload);
     ASSERT_TRUE(m == nullptr ||
@@ -397,7 +413,7 @@ TEST(Pipeline, PaxosHeartbeatNoBlanketResend) {
   // rebroadcast batch) ~= 400 KB in this window. Windowed: well under a
   // quarter of that.
   EXPECT_LT(stalled, 100'000u) << "heartbeat-tick blanket resend is back";
-  EXPECT_GT(leader.pipeline_rollbacks(), 0);  // loss probes did fire
+  EXPECT_GT(leader.stats().pipeline_rollbacks, 0);  // loss probes did fire
 
   // Heal. The isolated majority has been running elections, so leadership
   // must be re-established; node 0's own accepted tail makes its next reign

@@ -417,7 +417,7 @@ TEST(RaftStarUnitTest, NewLeaderInstallsAVoterCheckpointAboveItsLog) {
   ASSERT_TRUE(n.is_leader());
   // The checkpoint replaced the whole log: 3-4 are settled by it, not
   // refilled with no-ops.
-  EXPECT_EQ(n.snapshots_installed(), 1);
+  EXPECT_EQ(n.stats().snapshots_installed, 1);
   EXPECT_EQ(n.compaction_floor(), 4);
   EXPECT_EQ(n.applied_index(), 4);
   EXPECT_EQ(store.fingerprint(), provider.fingerprint());
@@ -442,7 +442,7 @@ TEST(RaftStarUnitTest, NewLeaderKeepsItsSuffixAboveAVoterCheckpoint) {
       1, 0,
       raftstar::Message{vote_with_checkpoint(checkpoint_at(4, provider), {})}));
   ASSERT_TRUE(n.is_leader());
-  EXPECT_EQ(n.snapshots_installed(), 1);
+  EXPECT_EQ(n.stats().snapshots_installed, 1);
   EXPECT_EQ(n.compaction_floor(), 4);
   EXPECT_EQ(n.applied_index(), 4);
   EXPECT_EQ(store.fingerprint(), provider.fingerprint());
