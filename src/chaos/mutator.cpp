@@ -89,8 +89,11 @@ constexpr RunFlag kRunFlags[] = {
 
 /// Re-establishes the generator postcondition after a mutation moved or
 /// resized a window: length first (at least 50ms, at most the fault span),
-/// then start, then end.
+/// then start, then end. Replica indices wrap into the cluster, since a
+/// splice partner may run more replicas than the child.
 FaultEvent clamped(FaultEvent e, const ScheduleLimits& lim) {
+  if (e.a >= lim.num_replicas) e.a %= lim.num_replicas;
+  if (e.b >= lim.num_replicas) e.b %= lim.num_replicas;
   const Time span = lim.faults_until - lim.faults_from;  // > 0 by CHECK
   Duration len = e.to - e.from;
   len = std::max<Duration>(len, msec(50));
@@ -622,7 +625,16 @@ Schedule splice_schedules(const Schedule& a, const Schedule& b, Rng& rng,
 namespace {
 
 std::string candidate_key(const EvolveCandidate& c) {
-  return c.protocol + '\n' + serialize_schedule(c.schedule);
+  return serialize_run(c.run);
+}
+
+/// `run` pinned to the explicit schedule `s`, whose seed seeds the run.
+EvolveCandidate candidate(RunOptions run, Schedule s) {
+  EvolveCandidate c;
+  c.run = std::move(run);
+  c.run.seed = s.seed;
+  c.run.schedule = std::move(s);
+  return c;
 }
 
 /// Top-k selection stratified by protocol: round-robin over each protocol's
@@ -638,9 +650,9 @@ std::vector<size_t> select_population(
   std::vector<std::vector<size_t>> groups;
   for (size_t i = 0; i < archive.size(); ++i) {
     size_t g = 0;
-    while (g < order.size() && order[g] != archive[i].protocol) ++g;
+    while (g < order.size() && order[g] != archive[i].run.protocol) ++g;
     if (g == order.size()) {
-      order.push_back(archive[i].protocol);
+      order.push_back(archive[i].run.protocol);
       groups.emplace_back();
     }
     groups[g].push_back(i);
@@ -665,14 +677,6 @@ double mean_of(const std::vector<EvolveCandidate>& archive,
 
 }  // namespace
 
-RunOptions EvolveOptions::run_of(const EvolveCandidate& c) const {
-  RunOptions run = base;
-  run.protocol = c.protocol;
-  run.schedule = c.schedule;
-  run.seed = c.schedule.seed;
-  return run;
-}
-
 EvolveStats evolve(const EvolveOptions& opt,
                    std::vector<EvolveCandidate> seeds) {
   PRAFT_CHECK(opt.generations >= 1);
@@ -680,7 +684,6 @@ EvolveStats evolve(const EvolveOptions& opt,
   PRAFT_CHECK(opt.elite >= 1 && opt.elite < opt.population);
   PRAFT_CHECK(!opt.protocols.empty());
   const size_t population = static_cast<size_t>(opt.population);
-  const ScheduleLimits limits = effective_limits(opt.base);
   // Decorrelated from both the schedule-expansion RNG and the cluster RNG;
   // fixed so evolution is a pure function of (opt, seeds).
   Rng rng(opt.rng_seed ^ 0x5eedf00dcafe17ULL);
@@ -690,7 +693,7 @@ EvolveStats evolve(const EvolveOptions& opt,
   std::set<std::string> seen;
 
   const auto evaluate = [&](EvolveCandidate cand) {
-    const RunResult r = run_one(opt.run_of(cand));
+    const RunResult r = run_one(cand.run);
     ++stats.runs;
     if (!r.ok) {
       stats.failures.push_back(r);
@@ -712,12 +715,16 @@ EvolveStats evolve(const EvolveOptions& opt,
   // Generation 0: the replayed corpus — ALL of it, a corpus bigger than the
   // population must not silently lose its tail — plus fresh random
   // schedules up to the population size.
-  for (EvolveCandidate& seed : seeds) evaluate(std::move(seed));
+  for (EvolveCandidate& seed : seeds) {
+    Schedule sched = schedule_of(seed.run);
+    evaluate(candidate(std::move(seed.run), std::move(sched)));
+  }
+  const ScheduleLimits base_limits = effective_limits(opt.base);
   for (size_t i = seeds.size(); i < population; ++i) {
-    EvolveCandidate cand;
-    cand.protocol = opt.protocols[pick_index(rng, opt.protocols.size())];
-    cand.schedule = generate_schedule(rng.next(), limits);
-    evaluate(std::move(cand));
+    RunOptions run = opt.base;
+    run.protocol = opt.protocols[pick_index(rng, opt.protocols.size())];
+    evaluate(candidate(std::move(run),
+                       generate_schedule(rng.next(), base_limits)));
   }
   resort();
   stats.generation_mean.push_back(
@@ -729,24 +736,25 @@ EvolveStats evolve(const EvolveOptions& opt,
     const size_t offspring = population - static_cast<size_t>(opt.elite);
     for (size_t k = 0; k < offspring; ++k) {
       const size_t pi = elites[pick_index(rng, elites.size())];
-      const EvolveCandidate& parent = archive[pi];
-      EvolveCandidate child;
-      child.protocol = parent.protocol;
+      const RunOptions& parent = archive[pi].run;
+      const ScheduleLimits limits = effective_limits(parent);
+      Schedule child;
       if (elites.size() >= 2 && rng.chance(0.3)) {
         size_t qi = pick_index(rng, elites.size() - 1);
         if (elites[qi] == pi) ++qi;
-        child.schedule = splice_schedules(parent.schedule,
-                                          archive[elites[qi]].schedule, rng,
-                                          limits);
+        child = splice_schedules(*parent.schedule,
+                                 *archive[elites[qi]].run.schedule, rng,
+                                 limits);
       } else {
-        child.schedule = mutate_schedule(parent.schedule, rng, limits);
+        child = mutate_schedule(*parent.schedule, rng, limits);
       }
       // Rare cross-protocol hop: the paper's parallelism claim says a rare
       // interleaving found under one protocol stresses the others too.
+      RunOptions run = parent;
       if (opt.protocols.size() >= 2 && rng.chance(0.15)) {
-        child.protocol = opt.protocols[pick_index(rng, opt.protocols.size())];
+        run.protocol = opt.protocols[pick_index(rng, opt.protocols.size())];
       }
-      evaluate(std::move(child));
+      evaluate(candidate(std::move(run), std::move(child)));
     }
     resort();
     stats.generation_mean.push_back(

@@ -121,8 +121,11 @@ enum class MutationOp {
 // ---------------------------------------------------------------------------
 
 struct EvolveCandidate {
-  std::string protocol;
-  Schedule schedule;
+  /// The exact run: protocol, per-run flags and, once evolve has seen it,
+  /// an explicit schedule whose seed is the run's seed. A corpus seed's run
+  /// keeps its own flags; fresh candidates take EvolveOptions::base's, and
+  /// offspring their parent's.
+  RunOptions run;
   uint64_t score = 0;  // coverage_score of its run (filled by evolve)
 };
 
@@ -141,13 +144,9 @@ struct EvolveOptions {
   /// the paper's parallelism means a rare interleaving found under one
   /// protocol is worth trying on the others).
   std::vector<std::string> protocols{"raft"};
-  /// Flag/limit template every run executes under (protocol/seed/schedule
-  /// fields are overridden per candidate).
+  /// Flag/limit template of the fresh random candidates (protocol, seed and
+  /// schedule are drawn per candidate).
   RunOptions base;
-
-  /// The run evolution executes for `c`: `base` under c's protocol and
-  /// schedule.
-  [[nodiscard]] RunOptions run_of(const EvolveCandidate& c) const;
 };
 
 struct EvolveStats {
@@ -164,13 +163,15 @@ struct EvolveStats {
   std::vector<double> generation_mean;
   /// Invariant-violating runs encountered while evolving (an evolved
   /// schedule that breaks a protocol is a find, not a breeding candidate).
-  /// `failed_candidates[i]` is the (protocol, schedule) that produced
-  /// `failures[i]`; EvolveOptions::run_of gives the exact run to persist.
+  /// `failed_candidates[i].run` is the exact run that produced
+  /// `failures[i]`.
   std::vector<RunResult> failures;
   std::vector<EvolveCandidate> failed_candidates;
 };
 
-/// Runs the evolution loop. Deterministic for fixed (opt, seeds).
+/// Runs the evolution loop. A seed without an explicit schedule runs the one
+/// its seed expands to under its own flags (schedule_of). Deterministic for
+/// fixed (opt, seeds).
 [[nodiscard]] EvolveStats evolve(const EvolveOptions& opt,
                                  std::vector<EvolveCandidate> seeds);
 

@@ -8,7 +8,10 @@
 #    some seeds, and replaying its file with --seed-file alone must
 #    convict every saved line again (each line carries --replicas=3 along
 #    with the batch's other flags).
-# 2. --corpus-out: the "# regenerate:" header of an --evolve run names every
+# 2. --evolve seeded from that file runs each entry under the entry's own
+#    flags, not the command line's, so every saved line fails again in its
+#    first generation.
+# 3. --corpus-out: the "# regenerate:" header of an --evolve run names every
 #    per-run flag the runs used, and rerunning it rewrites the same corpus.
 #
 # The saved files land in the working directory (ctest: the build tree).
@@ -21,14 +24,23 @@ file(STRINGS "${failures}" saved REGEX "^[a-z]+ [0-9]+ ")
 if(NOT saved)
   message(FATAL_ERROR "the quorum-bug batch saved no failing run")
 endif()
+# Every saved line must show up as a failure in `output`.
+function(expect_saved_failures output how)
+  foreach(line IN LISTS saved)
+    string(REGEX MATCH "^([a-z]+) ([0-9]+) " run "${line}")
+    if(NOT output MATCHES
+       "FAIL protocol=${CMAKE_MATCH_1} seed=${CMAKE_MATCH_2}\n")
+      message(SEND_ERROR "saved failure passes ${how}: ${line}")
+    endif()
+  endforeach()
+endfunction()
 execute_process(COMMAND "${RUNNER}" "--seed-file=${failures}"
                 OUTPUT_VARIABLE replay)
-foreach(line IN LISTS saved)
-  string(REGEX MATCH "^([a-z]+) ([0-9]+) " run "${line}")
-  if(NOT replay MATCHES "FAIL protocol=${CMAKE_MATCH_1} seed=${CMAKE_MATCH_2}\n")
-    message(SEND_ERROR "saved failure passes on replay: ${line}")
-  endif()
-endforeach()
+expect_saved_failures("${replay}" "on replay")
+execute_process(COMMAND "${RUNNER}" --protocol=raft --evolve=1 --population=2
+                        --elite=1 "--seed-file=${failures}"
+                OUTPUT_VARIABLE evolved)
+expect_saved_failures("${evolved}" "under --evolve")
 
 set(corpus "${CMAKE_CURRENT_BINARY_DIR}/chaos_roundtrip_corpus.txt")
 set(regenerated "${CMAKE_CURRENT_BINARY_DIR}/chaos_roundtrip_regenerated.txt")

@@ -396,6 +396,24 @@ TEST(MutatorTest, SpliceMixesParentsWithinBounds) {
   }
 }
 
+TEST(MutatorTest, SpliceWrapsAPartnersReplicasIntoTheChild) {
+  // A seed file may mix replica counts, so an --evolve offspring's splice
+  // partner can name replicas the child's cluster lacks.
+  ScheduleLimits narrow;
+  narrow.num_replicas = 3;
+  ScheduleLimits wide;
+  wide.num_replicas = 7;
+  const Schedule a = generate_schedule(1, narrow);
+  Rng rng(5);
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    const Schedule child =
+        splice_schedules(a, generate_schedule(seed, wide), rng, narrow);
+    for (const FaultEvent& e : child.events) {
+      EXPECT_LT(std::max(e.a, e.b), narrow.num_replicas) << e.describe();
+    }
+  }
+}
+
 // --- explicit-schedule runs -------------------------------------------------
 
 TEST(ScheduleRunTest, ExplicitScheduleMatchesSeedExpansion) {
@@ -467,8 +485,8 @@ TEST(EvolveTest, DeterministicAndBeatsRandomBaselineOnEqualBudget) {
   EXPECT_EQ(evolved.mean_score, again.mean_score);
   ASSERT_EQ(evolved.population.size(), again.population.size());
   for (size_t i = 0; i < evolved.population.size(); ++i) {
-    EXPECT_EQ(serialize_schedule(evolved.population[i].schedule),
-              serialize_schedule(again.population[i].schedule));
+    EXPECT_EQ(serialize_run(evolved.population[i].run),
+              serialize_run(again.population[i].run));
   }
 
   // Equal-budget baseline: the same number of pure random-seed runs, keeping
@@ -506,10 +524,8 @@ TEST(EvolveTest, SeededCorpusEntersTheInitialPopulation) {
   eopt.base.protocol = "raft";
 
   EvolveCandidate seed_cand;
-  seed_cand.protocol = "raft";
-  RunOptions seed_opt = eopt.base;
-  seed_opt.seed = 42;
-  seed_cand.schedule = schedule_of(seed_opt);
+  seed_cand.run = eopt.base;
+  seed_cand.run.seed = 42;
 
   const EvolveStats stats = evolve(eopt, {seed_cand});
   EXPECT_EQ(stats.runs, 4u + 3u);

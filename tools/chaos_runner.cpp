@@ -34,9 +34,10 @@
 // batch: the population seeds from --seed-file (if given) plus fresh random
 // schedules, every run is scored with the harness coverage counters (leader
 // changes, revocations, snapshot installs, restarts), and the top scorers
-// are kept/mutated for N generations. All evolved runs execute under the
-// CLI flags (--restarts, --compaction-cap, ...); --corpus-out persists the
-// elite population as schedule blocks.
+// are kept/mutated for N generations. Seed-file entries run under their own
+// flags, fresh schedules under the CLI flags (--restarts, --compaction-cap,
+// ...), and offspring under their parent's; --corpus-out persists the elite
+// population as schedule blocks.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -160,12 +161,10 @@ int run_evolution(const CliOptions& cli,
   eopt.protocols = protocols;
   eopt.base = cli.run;
 
-  // Seed the population from --seed-file entries: explicit schedule blocks
-  // verbatim, seed lines expanded exactly as run_one would expand them.
+  // Seed the population from the --seed-file entries, each under its own
+  // flags.
   std::vector<chaos::EvolveCandidate> seeds;
-  for (const chaos::RunOptions& run : planned) {
-    seeds.push_back({run.protocol, chaos::schedule_of(run)});
-  }
+  for (const chaos::RunOptions& run : planned) seeds.push_back({run});
 
   // praft-lint: allow(D2 wall-clock is reporting-only; never in trajectories)
   const auto wall_start = std::chrono::steady_clock::now();
@@ -173,7 +172,7 @@ int run_evolution(const CliOptions& cli,
   for (const chaos::RunResult& r : stats.failures) print_failure(r);
   if (!cli.failures_out.empty() && !stats.failures.empty()) {
     // Evolved failures are only replayable as schedule blocks: persist the
-    // exact (protocol, schedule, flags) each failing run executed under.
+    // exact run each failure came from.
     std::FILE* ff = std::fopen(cli.failures_out.c_str(), "w");
     if (ff == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", cli.failures_out.c_str());
@@ -183,7 +182,7 @@ int run_evolution(const CliOptions& cli,
       const std::string violated = stats.failures[i].violations.empty()
                                        ? "?"
                                        : stats.failures[i].violations.front();
-      std::fputs(chaos::serialize_run(eopt.run_of(stats.failed_candidates[i]),
+      std::fputs(chaos::serialize_run(stats.failed_candidates[i].run,
                                       "FAIL: " + violated)
                      .c_str(),
                  ff);
@@ -213,10 +212,9 @@ int run_evolution(const CliOptions& cli,
                  static_cast<unsigned long long>(cli.seed),
                  chaos::run_flags(cli.run).c_str());
     for (const chaos::EvolveCandidate& c : stats.population) {
-      std::fputs(chaos::serialize_run(eopt.run_of(c),
-                                      "cov=" + std::to_string(c.score))
-                     .c_str(),
-                 cf);
+      std::fputs(
+          chaos::serialize_run(c.run, "cov=" + std::to_string(c.score)).c_str(),
+          cf);
     }
     std::fclose(cf);
     std::printf("corpus: wrote %zu evolved schedules to %s\n",
