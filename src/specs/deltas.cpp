@@ -14,26 +14,12 @@ using spec::V;
 using spec::Value;
 using spec::VT;
 
-namespace {
+using detail::acceptor_domain;
+using detail::index_domain;
+using detail::per_acceptor;
+using detail::per_index;
 
-Domain acceptor_domain(const ConsensusScope& sc) {
-  Domain d;
-  for (int a = 0; a < sc.acceptors; ++a) d.push_back(V(a));
-  return d;
-}
-Domain index_domain(const ConsensusScope& sc) {
-  Domain d;
-  for (int i = 0; i < sc.indexes; ++i) d.push_back(V(i));
-  return d;
-}
-Value per_acceptor(const ConsensusScope& sc, const Value& cell) {
-  Value::Tuple t(static_cast<size_t>(sc.acceptors), cell);
-  return Value::tuple(std::move(t));
-}
-Value per_index(const ConsensusScope& sc, const Value& cell) {
-  Value::Tuple t(static_cast<size_t>(sc.indexes), cell);
-  return Value::tuple(std::move(t));
-}
+namespace {
 
 constexpr int kLeaseDuration = 2;
 constexpr int kTimerMax = 3;

@@ -32,8 +32,19 @@ struct ConsensusScope {
 /// OneValuePerBallot (B.1's key safety lemmas).
 std::unique_ptr<spec::Spec> make_multipaxos_spec(const ConsensusScope& scope);
 
-/// Shared helpers for both specs (entry = <<bal, val>>).
+/// Shared helpers for both specs and the optimization deltas (entry =
+/// <<bal, val>>).
 namespace detail {
+/// Acceptors 0..acceptors-1, ballots 1..ballots, indexes 0..indexes-1, and
+/// the non-empty acceptor subsets as bitmasks.
+spec::Domain acceptor_domain(const ConsensusScope& sc);
+spec::Domain ballot_domain(const ConsensusScope& sc);
+spec::Domain index_domain(const ConsensusScope& sc);
+spec::Domain mask_domain(const ConsensusScope& sc);
+/// A tuple of `cell`, one per acceptor / per index.
+spec::Value per_acceptor(const ConsensusScope& sc, const spec::Value& cell);
+spec::Value per_index(const ConsensusScope& sc, const spec::Value& cell);
+
 spec::Value empty_entry();
 spec::Value highest_ballot_entry(const std::vector<spec::Value>& logs,
                                  size_t index);

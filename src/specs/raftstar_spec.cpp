@@ -13,36 +13,14 @@ using spec::V;
 using spec::Value;
 using spec::VT;
 
-namespace {
+using detail::acceptor_domain;
+using detail::ballot_domain;
+using detail::index_domain;
+using detail::mask_domain;
+using detail::per_acceptor;
+using detail::per_index;
 
-Domain acceptor_domain(const ConsensusScope& sc) {
-  Domain d;
-  for (int a = 0; a < sc.acceptors; ++a) d.push_back(V(a));
-  return d;
-}
-Domain ballot_domain(const ConsensusScope& sc) {
-  Domain d;
-  for (int b = 1; b <= sc.ballots; ++b) d.push_back(V(b));
-  return d;
-}
-Domain index_domain(const ConsensusScope& sc) {
-  Domain d;
-  for (int i = 0; i < sc.indexes; ++i) d.push_back(V(i));
-  return d;
-}
-Domain mask_domain(const ConsensusScope& sc) {
-  Domain d;
-  for (int m = 1; m < (1 << sc.acceptors); ++m) d.push_back(V(m));
-  return d;
-}
-Value per_acceptor(const ConsensusScope& sc, const Value& cell) {
-  Value::Tuple t(static_cast<size_t>(sc.acceptors), cell);
-  return Value::tuple(std::move(t));
-}
-Value per_index(const ConsensusScope& sc, const Value& cell) {
-  Value::Tuple t(static_cast<size_t>(sc.indexes), cell);
-  return Value::tuple(std::move(t));
-}
+namespace {
 
 /// logs[a] in Paxos terms: i-th entry = <<logBallot[a][i], raftlogs[a][i].val>>.
 Value mapped_log(const Spec& sp, const State& s, size_t a, int indexes) {
