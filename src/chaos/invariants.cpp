@@ -37,27 +37,10 @@ std::string InvariantChecker::describe(const kv::Command& cmd) {
 }
 
 void InvariantChecker::attach(harness::ReplicaGroup& group) {
+  group.set_trace(this);
   group.install_apply_probe(
       [this](NodeId r, consensus::LogIndex i, const kv::Command& c) {
         on_apply(r, i, c);
-      });
-  group.install_watermark_probe([this](NodeId r, consensus::LogIndex commit,
-                                       consensus::LogIndex applied) {
-    on_watermark(r, commit, applied);
-  });
-  group.install_snapshot_probe(
-      [this](NodeId r, consensus::LogIndex idx, uint64_t fp) {
-        on_snapshot_install(r, idx, fp);
-      });
-  group.install_hard_state_probe(
-      [this](NodeId r, const consensus::HardState& hs) {
-        on_sent_state(r, hs);
-      });
-  group.set_restart_probe(
-      [this](NodeId r, const consensus::HardState& recovered,
-             const storage::RecoveryStats& stats,
-             consensus::LogIndex applied) {
-        on_restart(r, recovered, stats, applied);
       });
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "consensus/trace.h"
 #include "consensus/types.h"
 #include "kv/command.h"
 #include "storage/wal.h"
@@ -57,14 +58,14 @@ namespace praft::chaos {
 ///
 /// Violations are recorded (not thrown) together with a bounded recent-event
 /// trace so a chaos runner can print seed + trace and keep scanning.
-class InvariantChecker {
+class InvariantChecker final : public consensus::Trace {
  public:
   explicit InvariantChecker(size_t trace_capacity = 48)
       : trace_capacity_(trace_capacity) {}
 
-  /// Installs the apply, watermark, snapshot, hard-state and restart probes
-  /// on `group` (they stick across restarts). Client replies arrive through
-  /// on_reply from whichever cluster owns the clients.
+  /// Becomes `group`'s Trace and installs its apply probe (both reach every
+  /// incarnation of every member). Client replies arrive through on_reply
+  /// from whichever cluster owns the clients.
   void attach(harness::ReplicaGroup& group);
 
   /// Annotates the trace (fault activations, phase markers).
@@ -73,18 +74,16 @@ class InvariantChecker {
   // Streaming observation points (normally fed via attach()).
   void on_apply(NodeId replica, consensus::LogIndex idx,
                 const kv::Command& cmd);
-  void on_watermark(NodeId replica, consensus::LogIndex commit,
-                    consensus::LogIndex applied);
   void on_reply(const kv::Command& cmd, uint64_t value, bool ok);
+  // consensus::Trace
+  void on_watermark(NodeId replica, consensus::LogIndex commit,
+                    consensus::LogIndex applied) override;
   void on_snapshot_install(NodeId replica, consensus::LogIndex idx,
-                           uint64_t store_fp);
-  /// Hard state a message depended on, at the moment it left `replica`.
-  void on_sent_state(NodeId replica, const consensus::HardState& hs);
-  /// A replica finished a crash-restart with `recovered` hard state, having
-  /// replayed per `stats`; its applied index is now `applied`.
+                           uint64_t store_fp) override;
+  void on_sent_state(NodeId replica, const consensus::HardState& hs) override;
   void on_restart(NodeId replica, const consensus::HardState& recovered,
                   const storage::RecoveryStats& stats,
-                  consensus::LogIndex applied);
+                  consensus::LogIndex applied) override;
 
   /// Arms the bounded-memory invariant: each sample asserts every replica's
   /// compactable (applied-but-uncompacted) entries stay at or below `cap`.

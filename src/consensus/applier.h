@@ -3,7 +3,9 @@
 #include <utility>
 
 #include "common/check.h"
+#include "consensus/env.h"
 #include "consensus/snapshot.h"
+#include "consensus/trace.h"
 #include "consensus/types.h"
 
 namespace praft::consensus {
@@ -31,9 +33,14 @@ class Applier {
 
   void set_apply(ApplyFn fn) { apply_ = std::move(fn); }
 
-  /// Invariant observation point: called with the (commit, applied)
-  /// watermarks after every drain, including drains that delivered nothing.
-  void set_probe(WatermarkProbe probe) { probe_ = std::move(probe); }
+  /// Reports the (commit, applied) watermarks after every drain (including
+  /// drains that delivered nothing) and every snapshot install to the Trace
+  /// of `env`, as replica `self`. Each node's constructor points its Applier
+  /// at its own Env; an Applier never pointed anywhere reports nothing.
+  void set_trace(const Env& env, NodeId self) {
+    env_ = &env;
+    self_ = self;
+  }
 
   /// Snapshot hooks (installed by the harness adapter owning the state
   /// machine): `capture` serializes the store at the current applied
@@ -66,7 +73,7 @@ class Applier {
     restore_(snap.state, snap.last_index);
     applied_ = snap.last_index;
     if (commit_ < applied_) commit_ = applied_;
-    if (probe_) probe_(commit_, applied_);
+    report();
     return true;
   }
 
@@ -107,14 +114,20 @@ class Applier {
     }
     PRAFT_CHECK(applied_ <= commit_);
     draining_ = false;
-    if (probe_) probe_(commit_, applied_);
+    report();
+  }
+
+  void report() const {
+    if (env_ == nullptr) return;
+    if (Trace* t = env_->trace()) t->on_watermark(self_, commit_, applied_);
   }
 
   LogIndex commit_;
   LogIndex applied_;
   bool draining_ = false;
   ApplyFn apply_;
-  WatermarkProbe probe_;
+  const Env* env_ = nullptr;
+  NodeId self_ = kNoNode;
   StateCapture capture_;
   StateRestore restore_;
 };

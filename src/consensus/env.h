@@ -9,6 +9,8 @@
 
 namespace praft::consensus {
 
+class Trace;
+
 /// The only door between a protocol node and the outside world. Protocol
 /// implementations are sans-io: they never touch the simulator (or a real
 /// socket) directly, which makes them unit-testable with scripted Envs and
@@ -41,8 +43,15 @@ class Env {
   Stats& stats() { return stats_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
+  /// The observer of every node this Env serves, or null (untraced). Like
+  /// the Stats block it outlives the nodes, so one set_trace reaches a
+  /// rebuilt node too.
+  [[nodiscard]] Trace* trace() const { return trace_; }
+  void set_trace(Trace* trace) { trace_ = trace; }
+
  private:
   Stats stats_;
+  Trace* trace_ = nullptr;
 };
 
 }  // namespace praft::consensus

@@ -43,11 +43,6 @@ class NodeIface {
   /// Registers the in-order apply callback (exactly once per position).
   virtual void set_apply(ApplyFn fn) = 0;
 
-  /// Registers a watermark observer on the node's Applier: called with the
-  /// (commit, applied) watermarks after every advance. Used by invariant
-  /// checkers (src/chaos); default no-op for nodes without an Applier.
-  virtual void set_watermark_probe(WatermarkProbe probe) { (void)probe; }
-
   /// Installs the snapshot capture/restore hooks on the node's Applier (the
   /// harness adapter that owns the kv::Store calls this once). Without them
   /// the node cannot compact or install snapshots; default no-op for nodes
@@ -59,7 +54,7 @@ class NodeIface {
 
   /// Compaction verb: checkpoint the state machine at the applied watermark
   /// and discard the covered log prefix now, regardless of the
-  /// TimingOptions size/interval policy. No-op when state hooks are absent
+  /// TimingOptions::compaction_log_cap. No-op when state hooks are absent
   /// or nothing is compactable.
   virtual void compact() {}
 
@@ -79,12 +74,6 @@ class NodeIface {
   /// (see consensus::HardState for the per-protocol field table). Default:
   /// an all-defaults state (protocols without durable state).
   [[nodiscard]] virtual HardState hard_state() const { return {}; }
-
-  /// Observes the hard state each outgoing message depended on, at the
-  /// moment the message actually leaves the node (after its fsync barrier —
-  /// or without one, for the injected persistence bug). Installed by the
-  /// chaos checker; default no-op for diskless nodes.
-  virtual void set_hard_state_probe(HardStateProbe probe) { (void)probe; }
 
   /// Rebuilds this node's protocol state purely from its durable image:
   /// hard state, newest snapshot (installed through the Applier's state

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <unordered_map>
 
@@ -67,8 +66,7 @@ class PeerPipeline {
         max_batches_(opt.pipeline_max_batches),
         window_max_(opt.pipeline_inflight_bytes),
         window_min_(std::max<size_t>(1, opt.pipeline_inflight_bytes / 16)),
-        retransmit_timeout_(opt.pipeline_retransmit_timeout),
-        rto_adaptive_(opt.pipeline_rto_adaptive) {}
+        retransmit_timeout_(opt.pipeline_retransmit_timeout) {}
 
   /// True when `peer` has room for one more batch. Always true with nothing
   /// outstanding (progress guarantee).
@@ -87,7 +85,6 @@ class PeerPipeline {
     Peer& p = touch(peer);
     p.sent.push_back(Sent{lo, hi, bytes, now});
     p.inflight_bytes += bytes;
-    ++sends_;
   }
 
   /// Cumulative ack: retires every outstanding batch whose end position is
@@ -112,7 +109,6 @@ class PeerPipeline {
     }
     if (p.sent.empty()) p.inflight_bytes = 0;
     if (retired) {
-      ++acks_;
       p.window = std::min(window_max_, p.window + window_max_ / 8);
       if (now >= 0 && now >= sent_at) sample_rtt(p, now - sent_at);
     }
@@ -178,9 +174,6 @@ class PeerPipeline {
     return it == peers_.end() || !it->second.rtt_seen ? 0 : it->second.srtt;
   }
 
-  [[nodiscard]] int64_t sends() const { return sends_; }
-  [[nodiscard]] int64_t acks() const { return acks_; }
-
  private:
   struct Sent {
     LogIndex lo;   // first position covered
@@ -230,7 +223,7 @@ class PeerPipeline {
   }
 
   [[nodiscard]] Duration rto_of(const Peer& p) const {
-    if (!rto_adaptive_ || !p.rtt_seen) return retransmit_timeout_;
+    if (!p.rtt_seen) return retransmit_timeout_;
     return std::max(retransmit_timeout_, p.srtt + 4 * p.rttvar);
   }
 
@@ -240,10 +233,7 @@ class PeerPipeline {
   size_t window_max_;
   size_t window_min_;
   Duration retransmit_timeout_;
-  bool rto_adaptive_;
   std::unordered_map<NodeId, Peer> peers_;
-  int64_t sends_ = 0;
-  int64_t acks_ = 0;
 };
 
 }  // namespace praft::consensus

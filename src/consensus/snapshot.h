@@ -39,7 +39,7 @@ using StateCapture = std::function<kv::StoreImage()>;
 
 /// Replaces the state machine with a snapshot image whose coverage ends at
 /// `last_index`. The adapter also drops reply bookkeeping the snapshot
-/// superseded and notifies snapshot-install probes (chaos invariants).
+/// superseded and reports the install to its Env's Trace (chaos invariants).
 using StateRestore =
     std::function<void(const kv::StoreImage& state, LogIndex last_index)>;
 

@@ -52,7 +52,6 @@ class ElectionTimer {
   /// Records leader activity (heartbeat seen, vote granted): defers expiry.
   void touch() { last_activity_ = env_.now(); }
 
-  [[nodiscard]] Time last_activity() const { return last_activity_; }
   [[nodiscard]] uint64_t epoch() const { return epoch_; }
 
  private:

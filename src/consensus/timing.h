@@ -63,30 +63,19 @@ struct TimingOptions {
   /// the lowest in-flight position (windowed retransmit probe) instead of
   /// blanket per-tick resends. Default sits above the worst modeled WAN RTT
   /// (aws5 tops out at 292 ms) so healthy links never probe spuriously.
+  /// It is the floor of an RTT-adaptive timeout (Jacobson/Karels, see
+  /// consensus::PeerPipeline): max(this, srtt + 4 * rttvar), this value
+  /// alone before the first ack sample — links whose acks legitimately slow
+  /// down (CPU saturation, long queues) stop probing spuriously.
   Duration pipeline_retransmit_timeout = msec(600);
-  /// RTT-adaptive loss detection (Jacobson/Karels): when on, each peer keeps
-  /// a smoothed RTT + variance from ack round-trips and the effective
-  /// retransmit timeout becomes max(pipeline_retransmit_timeout,
-  /// srtt + 4 * rttvar) — the fixed value above stays as the floor (and the
-  /// fallback before the first sample), so healthy links never probe earlier
-  /// than today; links whose acks legitimately slow down (CPU saturation,
-  /// long queues) stop probing spuriously.
-  bool pipeline_rto_adaptive = true;
-  /// Log compaction trigger (size leg): when > 0, a node checkpoints the
-  /// state machine and discards the applied log prefix as soon as more than
-  /// this many applied-but-uncompacted entries are resident. 0 disables
-  /// size-triggered compaction. Requires snapshot state hooks (installed by
-  /// the harness adapter); protocols check after every apply advance, so the
-  /// retained applied prefix stays <= the cap between events.
+  /// Log compaction trigger: when > 0, a node checkpoints the state machine
+  /// and discards the applied log prefix as soon as more than this many
+  /// applied-but-uncompacted entries are resident. 0 disables it (only the
+  /// NodeIface::compact verb compacts). Requires snapshot state hooks
+  /// (installed by the harness adapter); protocols check after every apply
+  /// advance, so the retained applied prefix stays <= the cap between events
+  /// (Raft, Raft* and MultiPaxos heartbeats re-check it as a backstop).
   size_t compaction_log_cap = 0;
-  /// Compaction trigger (interval leg): when > 0, also checkpoint whenever
-  /// this much time has passed since the last compaction and anything is
-  /// compactable — bounds staleness of the retained snapshot under light
-  /// load, where the size trigger alone may never fire (the first firing
-  /// comes one interval after node start, then one interval after each
-  /// compaction). Checked on the same apply/heartbeat paths as the size
-  /// leg. 0 disables.
-  Duration compaction_interval = 0;
   /// Modeled fsync duration for the durable store (src/storage): every
   /// write a node makes to its hard state file / write-ahead log becomes
   /// durable only when a sync of this duration completes on the node's disk
@@ -120,31 +109,16 @@ struct TimingOptions {
   [[nodiscard]] int commit_quorum(int true_majority) const {
     return unsafe_commit_quorum > 0 ? unsafe_commit_quorum : true_majority;
   }
-};
 
-/// Per-node evaluation state for the compaction policy above: one instance
-/// per protocol node, consulted on every apply advance / maintenance tick so
-/// all four protocols share the exact trigger semantics.
-class CompactionTrigger {
- public:
-  /// True when a compaction should run now. `compactable` is the node's
-  /// applied-but-uncompacted entry count; `force` is the NodeIface::compact
-  /// verb (still requires something to compact).
-  [[nodiscard]] bool due(const TimingOptions& opt, size_t compactable,
-                         Time now, bool force) const {
+  /// The compaction policy all four protocols share: compact now when the
+  /// node's `compactable` (applied-but-uncompacted) entries exceed
+  /// compaction_log_cap, or when `force`d (the NodeIface::compact verb) —
+  /// and never with nothing to compact.
+  [[nodiscard]] bool compaction_due(size_t compactable, bool force) const {
     if (compactable == 0) return false;
-    if (force) return true;
-    if (opt.compaction_log_cap > 0 && compactable > opt.compaction_log_cap) {
-      return true;
-    }
-    return opt.compaction_interval > 0 &&
-           now - last_ >= opt.compaction_interval;
+    return force ||
+           (compaction_log_cap > 0 && compactable > compaction_log_cap);
   }
-
-  void fired(Time now) { last_ = now; }
-
- private:
-  Time last_ = 0;
 };
 
 }  // namespace praft::consensus

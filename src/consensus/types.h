@@ -57,19 +57,9 @@ struct HardState {
   friend bool operator==(const HardState&, const HardState&) = default;
 };
 
-/// Observes the hard state a message depended on, fired when the message
-/// actually leaves the node (see storage::Persister). The chaos checker uses
-/// it to assert recovered nodes never regress below externally-visible state.
-using HardStateProbe = std::function<void(const HardState&)>;
-
 /// Delivered exactly once per log position, in log order, once the position
 /// is committed/chosen and all earlier positions have been delivered.
 using ApplyFn = std::function<void(LogIndex, const kv::Command&)>;
-
-/// Observes the Applier's (commit, applied) watermarks after every advance.
-/// Installed by invariant checkers (src/chaos) to assert monotonicity from
-/// outside the protocol.
-using WatermarkProbe = std::function<void(LogIndex commit, LogIndex applied)>;
 
 /// Message sizes derive from each message's `fields` list (net/field_codec.h),
 /// so `encode(m).size() == wire_size(m)` by construction and cost accounting

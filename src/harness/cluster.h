@@ -93,7 +93,7 @@ class Cluster {
   }
 
   // -- Trace hooks (chaos/invariant checking) ------------------------------
-  // Replica-side probes live on group(); the apply probe is forwarded here.
+  // The replica Trace is set on group(); the apply probe is forwarded here.
   using ApplyProbe = ReplicaGroup::ApplyProbe;
   int install_apply_probe(ApplyProbe probe) {
     return group_.install_apply_probe(std::move(probe));

@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "consensus/node_iface.h"
 #include "consensus/registry.h"
+#include "consensus/trace.h"
 #include "harness/server.h"
 
 namespace praft::harness {
@@ -59,8 +60,8 @@ class LogServer : public ReplicaServer {
           // from an apply anymore; drop them (clients retry end-to-end).
           pending_.erase(pending_.begin(),
                          pending_.upper_bound(last_index));
-          if (snapshot_probe_) {
-            snapshot_probe_(id(), last_index, store_.fingerprint());
+          if (consensus::Trace* t = host_.trace()) {
+            t->on_snapshot_install(id(), last_index, store_.fingerprint());
           }
         });
     // Crash-restart recovery: a store that already holds durable state means
@@ -100,15 +101,6 @@ class LogServer : public ReplicaServer {
   using ApplyProbe =
       std::function<void(NodeId, consensus::LogIndex, const kv::Command&)>;
   void set_apply_probe(ApplyProbe probe) { apply_probe_ = std::move(probe); }
-
-  /// Test probe: observes every snapshot install on this replica — the
-  /// covered last index plus the store fingerprint right after the restore
-  /// (chaos invariants verify it equals replaying the agreed prefix).
-  using SnapshotProbe =
-      std::function<void(NodeId, consensus::LogIndex, uint64_t store_fp)>;
-  void set_snapshot_probe(SnapshotProbe probe) {
-    snapshot_probe_ = std::move(probe);
-  }
 
   void handle(const net::Packet& p) override {
     if (const auto* hm = net::payload_as<Message>(p)) {
@@ -249,7 +241,6 @@ class LogServer : public ReplicaServer {
   // any walk over the map must be seed-stable (lint rule D1).
   std::map<consensus::LogIndex, PendingOp> pending_;
   ApplyProbe apply_probe_;
-  SnapshotProbe snapshot_probe_;
   storage::RecoveryStats recovery_;
 };
 

@@ -71,14 +71,22 @@ void ReplicaGroup::crash(int j) {
 void ReplicaGroup::restart(int j) {
   PRAFT_CHECK(j >= 0 && j < size());
   if (up(j)) crash(j);
+  NodeHost& host = *hosts_[static_cast<size_t>(j)];
+  // Recovery replays the durable image through the same Applier and restore
+  // hook as live traffic, so the trace is detached while it runs: the trace
+  // sees the rebuilt node from start() on, and on_restart reports what the
+  // recovery did.
+  consensus::Trace* trace = host.trace();
+  host.set_trace(nullptr);
   servers_[static_cast<size_t>(j)] = make_named_server(j);
-  install_probes_on(j);
-  servers_[static_cast<size_t>(j)]->start();
+  host.set_trace(trace);
+  LogServer& ls = server(j);
+  if (apply_probe_) ls.set_apply_probe(apply_probe_);
+  ls.start();
   ++restarts_;
-  if (restart_probe_) {
-    const LogServer& ls = server(j);
-    restart_probe_(ls.id(), ls.node_iface().hard_state(), ls.recovery(),
-                   ls.node_iface().applied_index());
+  if (trace != nullptr) {
+    trace->on_restart(ls.id(), ls.node_iface().hard_state(), ls.recovery(),
+                      ls.node_iface().applied_index());
   }
 }
 
@@ -86,62 +94,25 @@ int ReplicaGroup::leader() const {
   for (int j = 0; j < size(); ++j) {
     if (!up(j)) continue;  // crashed, awaiting restart
     const NodeId node = id(j);
-    if (!net_.node_up(node) || net_.faults().is_down(node, sim_.now())) {
-      continue;
-    }
+    if (net_.faults().is_down(node, sim_.now())) continue;
     if (server(j).is_leader()) return j;
   }
   return -1;
 }
 
-void ReplicaGroup::install_probes_on(int j) {
-  LogServer& ls = server(j);
-  if (apply_probe_) ls.set_apply_probe(apply_probe_);
-  if (snapshot_probe_) ls.set_snapshot_probe(snapshot_probe_);
-  const NodeId node = ls.id();
-  if (watermark_probe_) {
-    ls.node_iface().set_watermark_probe(
-        [probe = watermark_probe_, node](consensus::LogIndex commit,
-                                         consensus::LogIndex applied) {
-          probe(node, commit, applied);
-        });
-  }
-  if (hard_state_probe_) {
-    ls.node_iface().set_hard_state_probe(
-        [probe = hard_state_probe_, node](const consensus::HardState& hs) {
-          probe(node, hs);
-        });
-  }
-}
-
-int ReplicaGroup::reinstall_probes() {
-  int hooked = 0;
-  for (int j = 0; j < size(); ++j) {
-    if (!up(j)) continue;
-    install_probes_on(j);
-    ++hooked;
-  }
-  return hooked;
+void ReplicaGroup::set_trace(consensus::Trace* trace) {
+  for (const auto& host : hosts_) host->set_trace(trace);
 }
 
 int ReplicaGroup::install_apply_probe(ApplyProbe probe) {
   apply_probe_ = std::move(probe);
-  return reinstall_probes();
-}
-
-int ReplicaGroup::install_watermark_probe(WatermarkProbe probe) {
-  watermark_probe_ = std::move(probe);
-  return reinstall_probes();
-}
-
-int ReplicaGroup::install_snapshot_probe(SnapshotProbe probe) {
-  snapshot_probe_ = std::move(probe);
-  return reinstall_probes();
-}
-
-int ReplicaGroup::install_hard_state_probe(HardStateProbe probe) {
-  hard_state_probe_ = std::move(probe);
-  return reinstall_probes();
+  int hooked = 0;
+  for (int j = 0; j < size(); ++j) {
+    if (!up(j)) continue;
+    server(j).set_apply_probe(apply_probe_);
+    ++hooked;
+  }
+  return hooked;
 }
 
 consensus::Stats ReplicaGroup::stats() const {

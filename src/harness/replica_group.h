@@ -9,6 +9,7 @@
 #include "consensus/node_iface.h"
 #include "consensus/stats.h"
 #include "consensus/timing.h"
+#include "consensus/trace.h"
 #include "harness/cost_model.h"
 #include "harness/host.h"
 #include "harness/log_server.h"
@@ -19,7 +20,7 @@
 namespace praft::harness {
 
 /// One consensus group and its whole replica lifecycle: hosts, servers,
-/// durable stores, the group template and installed probes.
+/// durable stores, the group template and the apply probe.
 /// harness::Cluster owns one; shard::ShardedCluster owns one per group.
 /// Each member also records the machine it runs on, so machine-level
 /// faults address a flat cluster (machine m hosts replica m) and a sharded
@@ -52,6 +53,8 @@ class ReplicaGroup {
   void crash(int j);
   /// Rebuilds member `j` purely from its durable image (hard state +
   /// snapshot + WAL replay) and starts it. Crashes it first if still up.
+  /// The recovery itself is untraced: the host's Trace sees the rebuilt
+  /// node from start() on, then Trace::on_restart.
   void restart(int j);
 
   [[nodiscard]] int size() const { return static_cast<int>(hosts_.size()); }
@@ -86,37 +89,16 @@ class ReplicaGroup {
   /// may still believe it leads; it does not count.
   [[nodiscard]] int leader() const;
 
-  // -- Trace hooks ----------------------------------------------------------
-  // Every probe is stored and re-applied to each restarted incarnation; the
-  // install_* calls return how many live members they hooked.
+  // -- Observation ----------------------------------------------------------
+  /// Points every member's host at `trace` (null: untraced). The host
+  /// outlives crash-restarts, so this one call reaches every incarnation.
+  void set_trace(consensus::Trace* trace);
 
-  /// Observes every (replica, index, command) apply.
+  /// Observes every (replica, index, command) apply. Stored and re-applied
+  /// to each restarted incarnation; returns how many live members it hooked.
   using ApplyProbe =
       std::function<void(NodeId, consensus::LogIndex, const kv::Command&)>;
-  /// Observes every replica's (commit, applied) watermark advance.
-  using WatermarkProbe = std::function<void(
-      NodeId, consensus::LogIndex commit, consensus::LogIndex applied)>;
-  /// Observes every snapshot install: (replica, covered last index, store
-  /// fingerprint after the restore).
-  using SnapshotProbe =
-      std::function<void(NodeId, consensus::LogIndex, uint64_t store_fp)>;
-  /// Observes the hard state each protocol message depended on, at the
-  /// moment the message leaves its replica (see storage::Persister).
-  using HardStateProbe =
-      std::function<void(NodeId, const consensus::HardState&)>;
-  /// Observes every completed restart: the recovered hard state, what the
-  /// recovery replayed, and the applied index right after it.
-  using RestartProbe = std::function<void(
-      NodeId, const consensus::HardState& recovered,
-      const storage::RecoveryStats& stats, consensus::LogIndex applied)>;
-
   int install_apply_probe(ApplyProbe probe);
-  int install_watermark_probe(WatermarkProbe probe);
-  int install_snapshot_probe(SnapshotProbe probe);
-  int install_hard_state_probe(HardStateProbe probe);
-  void set_restart_probe(RestartProbe probe) {
-    restart_probe_ = std::move(probe);
-  }
 
   // -- Counters -------------------------------------------------------------
   [[nodiscard]] int64_t restarts() const { return restarts_; }
@@ -129,11 +111,6 @@ class ReplicaGroup {
 
  private:
   std::unique_ptr<LogServer> make_named_server(int j);
-  /// Applies every stored probe to member `j` (idempotent overwrites): the
-  /// one wrapper implementation, shared by install_*_probe on live members
-  /// and restart on rebuilt ones.
-  void install_probes_on(int j);
-  int reinstall_probes();
 
   sim::Simulator& sim_;
   sim::Network& net_;
@@ -148,10 +125,6 @@ class ReplicaGroup {
   std::string protocol_;
   consensus::TimingOptions timing_;
   ApplyProbe apply_probe_;
-  WatermarkProbe watermark_probe_;
-  SnapshotProbe snapshot_probe_;
-  HardStateProbe hard_state_probe_;
-  RestartProbe restart_probe_;
   int64_t restarts_ = 0;
 };
 

@@ -20,13 +20,14 @@ MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
       group_(std::move(group)),
       env_(env),
       opt_(opt),
-      persister_(env, store, opt_.fsync_duration, opt_.sync_batch_delay,
-                 [this] { return hard_state(); }),
+      persister_(env, group_.self, store, opt_.fsync_duration,
+                 opt_.sync_batch_delay, [this] { return hard_state(); }),
       status_(env),
       batcher_(env, opt_, [this] { flush(); }),
       applier_(/*start=*/-1),
       pipe_(opt_, env.stats()) {
   group_.validate();
+  applier_.set_trace(env_, group_.self);
   rank_ = group_.rank_of(group_.self);
   n_ = group_.n();
   next_own_ = rank_;
@@ -339,9 +340,7 @@ size_t MenciusNode::history_above_floor() const {
 
 void MenciusNode::maybe_compact(bool force) {
   if (recovering_ || !applier_.can_snapshot()) return;
-  if (!compaction_.due(opt_, history_above_floor(), env_.now(), force)) {
-    return;
-  }
+  if (!opt_.compaction_due(history_above_floor(), force)) return;
   // Checkpoint at the applied floor. Unlike the log-structured protocols,
   // Mencius prunes slots at apply time already; what compaction bounds is
   // the decided-value history retained for revocation prepares and learn
@@ -350,16 +349,15 @@ void MenciusNode::maybe_compact(bool force) {
   snap_.last_index = applier_.applied();
   snap_.last_term = 0;
   snap_.state = applier_.capture_state();
-  // Under an interval-only policy (cap == 0) keep a fixed warm tail:
+  // A forced compaction without a cap (cap == 0) keeps a fixed warm tail:
   // emptying the history entirely would turn every learn/revocation touch
   // of a recently executed slot into a full snapshot transfer.
-  constexpr size_t kIntervalWarmTail = 1024;
+  constexpr size_t kUncappedWarmTail = 1024;
   const size_t keep =
       opt_.compaction_log_cap > 0 ? opt_.compaction_log_cap / 2
-                                  : kIntervalWarmTail;
+                                  : kUncappedWarmTail;
   while (decided_history_.size() > keep) decided_history_.pop_front();
   persister_.snapshot(snap_);
-  compaction_.fired(env_.now());
   PRAFT_LOG(kDebug) << "mencius " << group_.self << " checkpointed @"
                     << snap_.last_index;
 }

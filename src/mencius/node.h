@@ -86,10 +86,6 @@ class MenciusNode : public consensus::NodeIface {
   using AckFn = std::function<void(const kv::Command&)>;
   void set_acked(AckFn fn) { acked_ = std::move(fn); }
 
-  void set_watermark_probe(consensus::WatermarkProbe probe) override {
-    applier_.set_probe(std::move(probe));
-  }
-
   void set_state_hooks(consensus::StateCapture capture,
                        consensus::StateRestore restore) override {
     applier_.set_state_hooks(std::move(capture), std::move(restore));
@@ -119,9 +115,6 @@ class MenciusNode : public consensus::NodeIface {
     return consensus::HardState{max_promised_round_, kNoNode, next_own_,
                                 rev_round_, own_rev_floor_};
   }
-  void set_hard_state_probe(consensus::HardStateProbe probe) override {
-    persister_.set_probe(std::move(probe));
-  }
   storage::RecoveryStats recover(const storage::DurableImage& img) override;
 
   /// Proposes a command on this node's next own slot. Always succeeds
@@ -140,7 +133,6 @@ class MenciusNode : public consensus::NodeIface {
 
   [[nodiscard]] NodeId id() const override { return group_.self; }
   [[nodiscard]] int rank() const { return rank_; }
-  [[nodiscard]] LogIndex applied_floor() const { return applier_.next_index(); }
   [[nodiscard]] LogIndex next_own() const { return next_own_; }
   [[nodiscard]] NodeId owner_of(LogIndex i) const {
     return group_.members[static_cast<size_t>(i) % group_.members.size()];
@@ -291,7 +283,6 @@ class MenciusNode : public consensus::NodeIface {
 
   // Latest checkpoint (covers all slots <= snap_.last_index).
   consensus::Snapshot snap_;
-  consensus::CompactionTrigger compaction_;
 
   // Active revocation this node is running (one at a time).
   struct Revocation {

@@ -127,7 +127,6 @@ class BufferPool {
 
   [[nodiscard]] const PoolStats& stats() const { return stats_; }
   [[nodiscard]] size_t free_frames() const { return free_.size(); }
-  [[nodiscard]] size_t total_slabs() const { return slabs_.size(); }
 
  private:
   friend class Frame;

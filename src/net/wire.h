@@ -170,7 +170,6 @@ class WireReader {
   }
 
   [[nodiscard]] size_t pos() const { return pos_; }
-  [[nodiscard]] size_t remaining() const { return f_.size - pos_; }
 
   /// Asserts the frame was fully consumed — catches codecs that read short.
   void finish() const { PRAFT_CHECK_MSG(pos_ == f_.size, "trailing bytes"); }

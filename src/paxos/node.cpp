@@ -13,14 +13,15 @@ PaxosNode::PaxosNode(consensus::Group group, consensus::Env& env, Options opt,
       group_(std::move(group)),
       env_(env),
       opt_(opt),
-      persister_(env, store, opt_.fsync_duration, opt_.sync_batch_delay,
-                 [this] { return hard_state(); }),
+      persister_(env, group_.self, store, opt_.fsync_duration,
+                 opt_.sync_batch_delay, [this] { return hard_state(); }),
       election_(env, opt_.election_timeout_min, opt_.election_timeout_max),
       heartbeat_(env),
       batcher_(env, opt_, [this] { flush_batch(); }),
       prepare_acks_(group_.majority()),
       pipe_(opt_, env.stats()) {
   group_.validate();
+  applier_.set_trace(env_, group_.self);
   ballot_ = Ballot{0, kNoNode};
   // Write-ahead mirroring: persist_inst() routes each instance's full
   // accepted/chosen state through this hook into one coalescing WAL record.
@@ -199,7 +200,8 @@ void PaxosNode::heartbeat_tick() {
     }
     persister_.send(peer, Message{hb}, wire_size(hb));
   }
-  // Interval-leg compaction on an idle leader (apply advances stopped).
+  // Backstop for the compaction cap on an idle leader; every apply advance
+  // re-checks it too.
   maybe_compact(/*force=*/false);
 }
 
@@ -417,13 +419,12 @@ void PaxosNode::maybe_compact(bool force) {
   if (recovering_ || !applier_.can_snapshot()) return;
   const LogIndex target = applier_.applied();
   const auto compactable = static_cast<size_t>(target - instances_.floor());
-  if (!compaction_.due(opt_, compactable, env_.now(), force)) return;
+  if (!opt_.compaction_due(compactable, force)) return;
   snap_.last_index = target;
   snap_.last_term = 0;  // ballot-numbered protocol: no prev-term checks
   snap_.state = applier_.capture_state();
   instances_.set_floor(target);
   persister_.snapshot(snap_);
-  compaction_.fired(env_.now());
   PRAFT_LOG(kDebug) << "paxos " << group_.self
                     << " compacted instances to " << target;
 }
@@ -518,8 +519,8 @@ void PaxosNode::on_heartbeat(const Heartbeat& m) {
   if (m.commit_floor > commit_floor()) {
     sync_to_floor(m.bal, m.commit_floor);
   } else {
-    // Already caught up: still give the interval-leg compaction its tick
-    // (an idle follower otherwise never re-evaluates the trigger).
+    // Already caught up: the same compaction-cap backstop on an idle
+    // follower.
     maybe_compact(/*force=*/false);
   }
 }

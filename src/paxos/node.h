@@ -57,10 +57,6 @@ class PaxosNode : public consensus::NodeIface {
     applier_.set_apply(std::move(fn));
   }
 
-  void set_watermark_probe(consensus::WatermarkProbe probe) override {
-    applier_.set_probe(std::move(probe));
-  }
-
   void set_state_hooks(consensus::StateCapture capture,
                        consensus::StateRestore restore) override {
     applier_.set_state_hooks(std::move(capture), std::move(restore));
@@ -97,9 +93,6 @@ class PaxosNode : public consensus::NodeIface {
   /// accepted tail (monotone — acceptors never un-accept).
   [[nodiscard]] consensus::HardState hard_state() const override {
     return consensus::HardState{ballot_.round, ballot_.node, -1, 0, log_tail_};
-  }
-  void set_hard_state_probe(consensus::HardStateProbe probe) override {
-    persister_.set_probe(std::move(probe));
   }
   storage::RecoveryStats recover(const storage::DurableImage& img) override;
 
@@ -182,7 +175,6 @@ class PaxosNode : public consensus::NodeIface {
   // Latest checkpoint: covers exactly the pruned instances (snap_.last_index
   // == instances_.floor() after the first compaction).
   consensus::Snapshot snap_;
-  consensus::CompactionTrigger compaction_;
 
   // Shared runtime machinery.
   consensus::ElectionTimer election_;

@@ -65,8 +65,8 @@ class Core : public consensus::NodeIface {
         group_(std::move(group)),
         env_(env),
         opt_(opt),
-        persister_(env, store, opt_.fsync_duration, opt_.sync_batch_delay,
-                   [this] { return hard_state(); }),
+        persister_(env, group_.self, store, opt_.fsync_duration,
+                   opt_.sync_batch_delay, [this] { return hard_state(); }),
         mirror_(persister_, log_),
         election_(env, opt_.election_timeout_min, opt_.election_timeout_max),
         heartbeat_(env),
@@ -77,6 +77,7 @@ class Core : public consensus::NodeIface {
         votes_(group_.majority()),
         pipe_(opt_, env.stats()) {
     group_.validate();
+    applier_.set_trace(env_, group_.self);
     election_.set_gate([this] { return role_ != Role::kLeader; });
     election_.set_handler([this](bool expired) {
       if (expired) start_election();
@@ -85,8 +86,8 @@ class Core : public consensus::NodeIface {
     heartbeat_.set_handler([this] {
       probe_retransmits();
       broadcast_append();
-      // Interval-leg compaction must also fire on an idle leader (followers
-      // re-evaluate on the commit_to every heartbeat append triggers).
+      // Backstop for the compaction cap on an idle leader; every apply
+      // advance re-checks it too.
       maybe_compact(/*force=*/false);
     });
   }
@@ -146,9 +147,6 @@ class Core : public consensus::NodeIface {
   void set_apply(consensus::ApplyFn fn) override {
     applier_.set_apply(std::move(fn));
   }
-  void set_watermark_probe(consensus::WatermarkProbe probe) override {
-    applier_.set_probe(std::move(probe));
-  }
   void set_state_hooks(consensus::StateCapture capture,
                        consensus::StateRestore restore) override {
     applier_.set_state_hooks(std::move(capture), std::move(restore));
@@ -172,9 +170,6 @@ class Core : public consensus::NodeIface {
   /// Raft's hard state: currentTerm + votedFor (§5 "Persistent state").
   [[nodiscard]] consensus::HardState hard_state() const override {
     return consensus::HardState{term_, voted_for_, -1, 0, -1};
-  }
-  void set_hard_state_probe(consensus::HardStateProbe probe) override {
-    persister_.set_probe(std::move(probe));
   }
   storage::RecoveryStats recover(const storage::DurableImage& img) override {
     PRAFT_CHECK_MSG(role_ == Role::kFollower && last_index() == 0 &&
@@ -429,7 +424,6 @@ class Core : public consensus::NodeIface {
   // (snap_.last_index == log_.base_index() after the first compaction), so
   // any follower behind the base can be served a snapshot.
   consensus::Snapshot snap_;
-  consensus::CompactionTrigger compaction_;
 
   // Volatile state.
   Role role_ = Role::kFollower;
@@ -665,14 +659,13 @@ class Core : public consensus::NodeIface {
     if (recovering_ || !applier_.can_snapshot()) return;
     const LogIndex target = applier_.applied();
     const auto compactable = static_cast<size_t>(target - log_.base_index());
-    if (!compaction_.due(opt_, compactable, env_.now(), force)) return;
+    if (!opt_.compaction_due(compactable, force)) return;
     snap_.last_index = target;
     snap_.last_term = term_at(target);
     snap_.state = applier_.capture_state();
     log_.compact_to(target);
     // Durably: the snapshot substitutes for the WAL prefix it covers.
     persister_.snapshot(snap_);
-    compaction_.fired(env_.now());
     PRAFT_LOG(kDebug) << F::kName << " " << group_.self
                       << " compacted log to " << target;
   }

@@ -139,7 +139,7 @@ class ShardedCluster {
   [[nodiscard]] uint64_t client_retries() const;
 
   // -- Trace hooks (chaos/invariant checking) ------------------------------
-  // Replica-side probes live on group(g); the apply probe is forwarded here.
+  // The replica Trace is set on group(g); the apply probe is forwarded here.
   using ApplyProbe = harness::ReplicaGroup::ApplyProbe;
   /// Client reply probe tagged with the group that owns the command's key
   /// (one probe observes every client).

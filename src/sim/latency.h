@@ -15,7 +15,6 @@ class LatencyMatrix {
   LatencyMatrix(int num_sites, Duration default_rtt);
 
   void set_rtt(SiteId a, SiteId b, Duration rtt);  // symmetric
-  void set_local_rtt(Duration rtt) { local_rtt_ = rtt; }
   void set_jitter(double fraction) { jitter_ = fraction; }
   void set_site_name(SiteId s, std::string name);
 

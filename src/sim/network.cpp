@@ -16,23 +16,13 @@ NodeId Network::add_node(SiteId site, net::DeliverFn deliver,
   PRAFT_CHECK(site >= 0 && site < latency_.num_sites());
   PRAFT_CHECK(deliver != nullptr);
   nodes_.push_back(Node{site, std::move(deliver),
-                        EgressLink(egress_bytes_per_us), true, {}});
+                        EgressLink(egress_bytes_per_us), {}});
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
 SiteId Network::site_of(NodeId n) const {
   PRAFT_CHECK(n >= 0 && n < num_nodes());
   return nodes_[static_cast<size_t>(n)].site;
-}
-
-void Network::set_node_up(NodeId n, bool up) {
-  PRAFT_CHECK(n >= 0 && n < num_nodes());
-  nodes_[static_cast<size_t>(n)].up = up;
-}
-
-bool Network::node_up(NodeId n) const {
-  PRAFT_CHECK(n >= 0 && n < num_nodes());
-  return nodes_[static_cast<size_t>(n)].up;
 }
 
 Duration Network::egress_busy(NodeId n) const {
@@ -42,8 +32,7 @@ Duration Network::egress_busy(NodeId n) const {
 
 bool Network::usable(NodeId n, Time t) const {
   if (n < 0 || n >= num_nodes()) return false;
-  const auto& node = nodes_[static_cast<size_t>(n)];
-  return node.up && !faults_.is_down(n, t);
+  return !faults_.is_down(n, t);
 }
 
 void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {

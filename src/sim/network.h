@@ -48,10 +48,6 @@ class Network {
   [[nodiscard]] SiteId site_of(NodeId n) const;
   [[nodiscard]] int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
-  /// Manual up/down control (in addition to the FaultPlan windows).
-  void set_node_up(NodeId n, bool up);
-  [[nodiscard]] bool node_up(NodeId n) const;
-
   [[nodiscard]] uint64_t messages_sent() const { return messages_sent_; }
   [[nodiscard]] uint64_t messages_delivered() const { return messages_delivered_; }
   [[nodiscard]] uint64_t bytes_sent() const { return bytes_sent_; }
@@ -59,14 +55,12 @@ class Network {
   [[nodiscard]] const net::PoolStats& pool_stats() const {
     return pool_.stats();
   }
-  [[nodiscard]] net::BufferPool& pool() { return pool_; }
 
  private:
   struct Node {
     SiteId site;
     net::DeliverFn deliver;
     EgressLink egress;
-    bool up = true;
     // Per-link FIFO ordering (TCP semantics): jitter may stretch but never
     // reorder a (src, dst) stream. last_arrival[dst] is the latest arrival
     // scheduled on the link to dst; grown on demand, a new link starts at 0.

@@ -57,7 +57,6 @@ class EgressLink {
 
   [[nodiscard]] Duration busy_time() const { return q_.busy_time(); }
   [[nodiscard]] Duration backlog(Time now) const { return q_.backlog(now); }
-  [[nodiscard]] bool limited() const { return rate_ > 0.0; }
 
  private:
   double rate_;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "consensus/env.h"
+#include "consensus/trace.h"
 #include "consensus/types.h"
 #include "storage/wal.h"
 
@@ -33,29 +34,26 @@ namespace praft::storage {
 ///    every staged write commits synchronously, so sends never defer and
 ///    event trajectories are identical to the diskless mode — but the store
 ///    still holds a complete durable image, so crash-restart works.
+///
+/// Every message that leaves reports the hard state it depended on to the
+/// Env's Trace (Trace::on_sent_state), as replica `self`: captured when the
+/// message was sent, reported when it actually leaves.
 class Persister {
  public:
   using HardStateFn = std::function<consensus::HardState()>;
 
-  Persister(consensus::Env& env, DurableStore* store, Duration fsync_duration,
-            Duration sync_batch_delay, HardStateFn hard_state)
+  Persister(consensus::Env& env, NodeId self, DurableStore* store,
+            Duration fsync_duration, Duration sync_batch_delay,
+            HardStateFn hard_state)
       : env_(env),
+        self_(self),
         store_(store),
         fsync_(fsync_duration),
         delay_(sync_batch_delay),
         hard_state_(std::move(hard_state)) {}
 
   [[nodiscard]] bool enabled() const { return store_ != nullptr; }
-  [[nodiscard]] bool synchronous() const {
-    return store_ == nullptr || (fsync_ == 0 && delay_ == 0);
-  }
   [[nodiscard]] DurableStore* store() { return store_; }
-
-  /// Observes the hard state each released message depended on (installed by
-  /// the chaos checker through NodeIface::set_hard_state_probe).
-  void set_probe(consensus::HardStateProbe probe) {
-    probe_ = std::move(probe);
-  }
 
   // -- Staging (no-ops without a store) -------------------------------------
   void hard_state() {
@@ -80,13 +78,12 @@ class Persister {
   }
 
   /// Sends `payload` once every write staged so far is durable. The hard
-  /// state the message depends on is captured NOW; the probe sees it when
+  /// state the message depends on is captured NOW; the trace sees it when
   /// the message actually leaves.
   void send(NodeId to, std::any payload, size_t bytes) {
     const consensus::HardState hs = hard_state_();
     if (clean()) {
-      if (probe_) probe_(hs);
-      env_.send(to, std::move(payload), bytes);
+      leave(to, std::move(payload), bytes, hs);
       return;
     }
     waiters_.push_back(Waiter{store_->staged_seq(), to, std::move(payload),
@@ -107,12 +104,11 @@ class Persister {
 
   /// TEST-ONLY unsafe path (TimingOptions::unsafe_skip_vote_fsync): sends
   /// immediately WITHOUT waiting for the staged hard state to reach disk —
-  /// the classic missing-fsync-before-vote-reply bug. The probe still
+  /// the classic missing-fsync-before-vote-reply bug. The trace still
   /// records the state the message depended on, which is how the chaos
   /// checker convicts a later crash of regressing externally-visible state.
   void send_unsynced(NodeId to, std::any payload, size_t bytes) {
-    if (probe_) probe_(hard_state_());
-    env_.send(to, std::move(payload), bytes);
+    leave(to, std::move(payload), bytes, hard_state_());
   }
 
  private:
@@ -124,6 +120,12 @@ class Persister {
     consensus::HardState hs;
     std::function<void()> fn;  // barrier waiters; null for sends
   };
+
+  void leave(NodeId to, std::any&& payload, size_t bytes,
+             const consensus::HardState& hs) {
+    if (consensus::Trace* t = env_.trace()) t->on_sent_state(self_, hs);
+    env_.send(to, std::move(payload), bytes);
+  }
 
   [[nodiscard]] bool clean() const {
     return store_ == nullptr || (!store_->dirty() && waiters_.empty());
@@ -163,18 +165,17 @@ class Persister {
       if (w.fn) {
         w.fn();
       } else {
-        if (probe_) probe_(w.hs);
-        env_.send(w.to, std::move(w.payload), w.bytes);
+        leave(w.to, std::move(w.payload), w.bytes, w.hs);
       }
     }
   }
 
   consensus::Env& env_;
+  NodeId self_;
   DurableStore* store_;
   Duration fsync_;
   Duration delay_;
   HardStateFn hard_state_;
-  consensus::HardStateProbe probe_;
   std::deque<Waiter> waiters_;
   bool sync_pending_ = false;
 };

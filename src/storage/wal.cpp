@@ -1,7 +1,6 @@
 #include "storage/wal.h"
 
 #include "common/check.h"
-#include "net/field_codec.h"
 
 namespace praft::storage {
 
@@ -28,22 +27,18 @@ void DurableStore::stage_snapshot(consensus::Snapshot snap) {
 void DurableStore::apply(const StagedOp& op) {
   if (const auto* hs = std::get_if<consensus::HardState>(&op)) {
     hard_ = *hs;
-    bytes_synced_ += 40;
     return;
   }
   if (const auto* rec = std::get_if<WalRecord>(&op)) {
-    bytes_synced_ += rec->wire_bytes();
     if (rec->index <= snapshot_floor()) return;  // already inside the snapshot
     wal_.materialize(rec->index) = *rec;  // coalesce: the newest record wins
     return;
   }
   if (const auto* tr = std::get_if<Truncate>(&op)) {
     wal_.erase_after(tr->last_kept);
-    bytes_synced_ += 16;
     return;
   }
   const auto& snap = std::get<consensus::Snapshot>(op);
-  bytes_synced_ += net::size_of(snap);
   if (!snap.valid() || snap.last_index <= snapshot_floor()) return;
   snap_ = snap;
   // The snapshot substitutes for replaying everything it covers.

@@ -28,11 +28,6 @@ struct WalRecord {
   bool decided = false;           // chosen/decided (Paxos-family finality)
   bool has_value = false;
   kv::Command cmd;
-
-  /// Modeled on-disk size (fsync cost accounting + bench reporting).
-  [[nodiscard]] size_t wire_bytes() const {
-    return 40 + (has_value ? cmd.wire_bytes() : 0);
-  }
 };
 
 /// Everything a restarted node gets back from stable storage: the last
@@ -76,8 +71,6 @@ class DurableStore {
  public:
   /// Sequence number of the most recently staged mutation (0 = none yet).
   [[nodiscard]] uint64_t staged_seq() const { return staged_seq_; }
-  /// Sequence number of the most recently committed mutation.
-  [[nodiscard]] uint64_t synced_seq() const { return synced_seq_; }
   [[nodiscard]] bool dirty() const { return staged_seq_ > synced_seq_; }
 
   void stage_hard_state(const consensus::HardState& hs);
@@ -116,9 +109,8 @@ class DurableStore {
   /// The modeled disk this store syncs through (queueing = fsync backlog).
   [[nodiscard]] sim::SerialResource& disk() { return disk_; }
 
-  // Lifetime counters for bench/diagnostics.
+  // Lifetime counter for bench/diagnostics.
   [[nodiscard]] uint64_t syncs() const { return syncs_; }
-  [[nodiscard]] uint64_t bytes_synced() const { return bytes_synced_; }
   /// Counts one completed fsync batch (called by the Persister).
   void note_sync() { ++syncs_; }
 
@@ -149,7 +141,6 @@ class DurableStore {
 
   sim::SerialResource disk_;
   uint64_t syncs_ = 0;
-  uint64_t bytes_synced_ = 0;
 };
 
 }  // namespace praft::storage

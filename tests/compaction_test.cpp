@@ -204,73 +204,21 @@ TEST(ApplierSnapshotTest, DrainResumesContiguouslyAfterInstall) {
 }
 
 // ---------------------------------------------------------------------------
-// CompactionTrigger: the shared size/interval policy evaluation.
+// TimingOptions::compaction_due: the shared size-or-force policy.
 // ---------------------------------------------------------------------------
 
-TEST(CompactionTriggerTest, SizeIntervalAndForceLegs) {
+TEST(CompactionTriggerTest, SizeAndForceLegs) {
   consensus::TimingOptions opt;
-  consensus::CompactionTrigger trig;
 
   // Disabled policy: only force fires, and never with nothing to compact.
-  EXPECT_FALSE(trig.due(opt, 100, msec(0), /*force=*/false));
-  EXPECT_TRUE(trig.due(opt, 100, msec(0), /*force=*/true));
-  EXPECT_FALSE(trig.due(opt, 0, msec(0), /*force=*/true));
+  EXPECT_FALSE(opt.compaction_due(100, /*force=*/false));
+  EXPECT_TRUE(opt.compaction_due(100, /*force=*/true));
+  EXPECT_FALSE(opt.compaction_due(0, /*force=*/true));
 
   // Size leg: strictly above the cap.
   opt.compaction_log_cap = 10;
-  EXPECT_FALSE(trig.due(opt, 10, msec(0), false));
-  EXPECT_TRUE(trig.due(opt, 11, msec(0), false));
-
-  // Interval leg: fires once an interval has elapsed since the last
-  // compaction (node start counts as time zero).
-  opt.compaction_log_cap = 0;
-  opt.compaction_interval = msec(500);
-  EXPECT_FALSE(trig.due(opt, 1, msec(0), false));
-  EXPECT_FALSE(trig.due(opt, 1, msec(499), false));
-  EXPECT_TRUE(trig.due(opt, 1, msec(500), false));
-  trig.fired(msec(500));
-  EXPECT_FALSE(trig.due(opt, 1, msec(999), false));
-  EXPECT_TRUE(trig.due(opt, 1, msec(1000), false));
-}
-
-TEST(CompactionTriggerTest, IntervalOnlyPolicyCompactsUnderLightLoad) {
-  // A cap would never fire here (the log stays tiny); the interval leg must
-  // still advance the compaction floor on every replica — including IDLE
-  // ones after traffic stops, where no apply advance re-evaluates the
-  // trigger (heartbeat/maintenance ticks carry it instead).
-  for (const std::string& protocol : consensus::protocol_names()) {
-    harness::ClusterConfig cfg;
-    cfg.num_replicas = 3;
-    cfg.seed = 13;
-    harness::Cluster cluster(cfg);
-    consensus::TimingOptions timing;
-    timing.election_timeout_min = msec(300);
-    timing.election_timeout_max = msec(600);
-    timing.heartbeat_interval = msec(60);
-    timing.compaction_interval = sec(1);
-    cluster.build_replicas(protocol, timing);
-    if (!cluster.server(0).leaderless()) {
-      cluster.establish_leader(0, sec(10));
-    } else {
-      cluster.run_for(msec(500));
-    }
-    kv::WorkloadConfig wl;
-    wl.read_fraction = 0.0;
-    cluster.add_clients(1, wl, cluster.sim().now());
-    cluster.run_for(sec(6));
-    cluster.stop_clients();
-    // Idle tail: several intervals with no new applies anywhere.
-    cluster.run_for(sec(4));
-    for (int i = 0; i < cluster.num_replicas(); ++i) {
-      EXPECT_GT(iface(cluster, i).applied_index(), 0)
-          << protocol << " replica " << i;
-      EXPECT_GT(iface(cluster, i).compaction_floor(), 0)
-          << protocol << " replica " << i;
-      EXPECT_EQ(iface(cluster, i).compactable_entries(), 0u)
-          << protocol << " replica " << i
-          << " kept an applied tail uncompacted while idle";
-    }
-  }
+  EXPECT_FALSE(opt.compaction_due(10, false));
+  EXPECT_TRUE(opt.compaction_due(11, false));
 }
 
 // ---------------------------------------------------------------------------

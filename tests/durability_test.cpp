@@ -11,8 +11,13 @@
 //    deliberate skip-fsync-before-vote-reply bug being convicted.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "chaos/runner.h"
 #include "consensus/group.h"
+#include "consensus/trace.h"
 #include "harness/cluster.h"
 #include "harness/log_server.h"
 #include "kv/workload.h"
@@ -185,7 +190,8 @@ TEST(DurableStoreTest, GappedAndOutOfOrderIndicesKeepTheirPositions) {
 TEST(PersisterTest, SendsWaitForTheCoveringFsync) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, &store, /*fsync=*/msec(2), /*batch=*/msec(1),
+  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/msec(2),
+                       /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
   p.send(7, std::string("hello"), 16);
@@ -200,7 +206,8 @@ TEST(PersisterTest, SendsWaitForTheCoveringFsync) {
 TEST(PersisterTest, BarrierRunsAfterDurabilityAndGroupCommitCoalesces) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, &store, /*fsync=*/msec(2), /*batch=*/msec(1),
+  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/msec(2),
+                       /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   int fired = 0;
   for (int k = 1; k <= 5; ++k) {
@@ -218,7 +225,8 @@ TEST(PersisterTest, BarrierRunsAfterDurabilityAndGroupCommitCoalesces) {
 TEST(PersisterTest, UnsyncedSendSkipsTheBarrier) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, &store, /*fsync=*/msec(2), /*batch=*/msec(1),
+  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/msec(2),
+                       /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
   p.send_unsynced(7, std::string("leak"), 16);
@@ -226,11 +234,50 @@ TEST(PersisterTest, UnsyncedSendSkipsTheBarrier) {
   EXPECT_TRUE(store.dirty());        // ... and nothing armed a sync
 }
 
+/// Records the hard states a Persister reports, with the reporting replica.
+struct SentStates final : consensus::Trace {
+  void on_sent_state(NodeId r, const consensus::HardState& hs) override {
+    sent.emplace_back(r, hs);
+  }
+  std::vector<std::pair<NodeId, consensus::HardState>> sent;
+};
+
+TEST(PersisterTest, TraceSeesTheSendTimeHardStateWhenTheMessageLeaves) {
+  test::ScriptedEnv env;
+  SentStates trace;
+  env.set_trace(&trace);
+  storage::DurableStore store;
+  consensus::HardState hs;
+  hs.term = 1;
+  storage::Persister p(env, /*self=*/3, &store, /*fsync=*/msec(2),
+                       /*batch=*/msec(1), [&hs] { return hs; });
+  p.hard_state();
+  p.send(7, std::string("vote"), 16);  // depends on term 1, held for fsync
+  hs.term = 2;
+  p.hard_state();  // newer state staged while the message waits
+  EXPECT_TRUE(trace.sent.empty());
+  env.advance(msec(10));
+  ASSERT_EQ(env.outbox.size(), 1u);
+  ASSERT_EQ(trace.sent.size(), 1u);  // reported as the fsync released it
+  EXPECT_EQ(trace.sent[0].first, 3);
+  EXPECT_EQ(trace.sent[0].second.term, 1);  // not the newer term 2
+
+  // The unsynced path reports at once, with the state current at the call.
+  hs.term = 3;
+  p.hard_state();
+  p.send_unsynced(7, std::string("leak"), 16);
+  EXPECT_EQ(env.outbox.size(), 2u);
+  ASSERT_EQ(trace.sent.size(), 2u);
+  EXPECT_EQ(trace.sent[1].first, 3);
+  EXPECT_EQ(trace.sent[1].second.term, 3);
+  EXPECT_TRUE(store.dirty());
+}
+
 TEST(PersisterTest, ZeroCostStorageIsSynchronous) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, &store, /*fsync=*/0, /*batch=*/0,
-                       [] { return consensus::HardState{}; });
+  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/0,
+                       /*batch=*/0, [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
   EXPECT_FALSE(store.dirty());  // committed inline
   p.send(7, std::string("now"), 16);

@@ -7,24 +7,66 @@
 
 #include "consensus/stats.h"
 #include "consensus/timing.h"
+#include "consensus/trace.h"
 #include "harness/cluster.h"
 #include "harness/log_server.h"
 #include "harness/replica_group.h"
 #include "kv/workload.h"
 #include "shard/sharded_cluster.h"
+#include "storage/wal.h"
 
 namespace praft {
 namespace {
 
-consensus::TimingOptions durable_timing() {
+consensus::TimingOptions durable_timing(size_t log_cap = 0) {
   consensus::TimingOptions t;
   t.election_timeout_min = msec(150);
   t.election_timeout_max = msec(300);
   t.heartbeat_interval = msec(40);
   t.batch_delay = msec(1);
   t.fsync_duration = msec(1);
+  t.compaction_log_cap = log_cap;
   return t;
 }
+
+/// Records every consensus::Trace event as (kind, replica), in order.
+class RecordingTrace final : public consensus::Trace {
+ public:
+  enum class Kind { kWatermark, kSnapshot, kSentState, kRestart };
+  struct Event {
+    Kind kind;
+    NodeId replica;
+  };
+
+  void on_watermark(NodeId r, consensus::LogIndex,
+                    consensus::LogIndex) override {
+    events.push_back({Kind::kWatermark, r});
+  }
+  void on_snapshot_install(NodeId r, consensus::LogIndex, uint64_t) override {
+    events.push_back({Kind::kSnapshot, r});
+  }
+  void on_sent_state(NodeId r, const consensus::HardState&) override {
+    events.push_back({Kind::kSentState, r});
+  }
+  void on_restart(NodeId r, const consensus::HardState&,
+                  const storage::RecoveryStats& stats,
+                  consensus::LogIndex) override {
+    events.push_back({Kind::kRestart, r});
+    last_recovery = stats;
+  }
+
+  /// Events of `kind` from `replica` recorded at or after position `from`.
+  [[nodiscard]] int count(Kind kind, NodeId replica, size_t from = 0) const {
+    int n = 0;
+    for (size_t i = from; i < events.size(); ++i) {
+      if (events[i].kind == kind && events[i].replica == replica) ++n;
+    }
+    return n;
+  }
+
+  std::vector<Event> events;
+  storage::RecoveryStats last_recovery;
+};
 
 /// The ReplicaGroup lifecycle seen through both fronts that own one: a flat
 /// Cluster's only group (param false) and group 1 of a two-group
@@ -33,8 +75,9 @@ consensus::TimingOptions durable_timing() {
 /// closed-loop clients before the test starts.
 class ReplicaGroupLifecycleTest : public ::testing::TestWithParam<bool> {
  protected:
-  explicit ReplicaGroupLifecycleTest(std::string protocol = "raft")
-      : protocol_(std::move(protocol)) {}
+  explicit ReplicaGroupLifecycleTest(std::string protocol = "raft",
+                                     size_t log_cap = 0)
+      : protocol_(std::move(protocol)), timing_(durable_timing(log_cap)) {}
 
   void SetUp() override {
     kv::WorkloadConfig wl;
@@ -45,7 +88,7 @@ class ReplicaGroupLifecycleTest : public ::testing::TestWithParam<bool> {
       cfg.num_machines = 3;
       cfg.replicas_per_group = 3;
       cfg.protocols = {protocol_};
-      cfg.timing = durable_timing();
+      cfg.timing = timing_;
       cfg.latency = sim::LatencyMatrix(3, msec(1));
       cfg.seed = 11;
       sharded_ = std::make_unique<shard::ShardedCluster>(std::move(cfg));
@@ -59,7 +102,7 @@ class ReplicaGroupLifecycleTest : public ::testing::TestWithParam<bool> {
       cfg.latency = sim::LatencyMatrix(3, msec(1));
       cfg.seed = 11;
       flat_ = std::make_unique<harness::Cluster>(std::move(cfg));
-      flat_->build_replicas(protocol_, durable_timing());
+      flat_->build_replicas(protocol_, timing_);
       ASSERT_GE(flat_->establish_leader(0), 0);
       flat_->add_clients(2, wl, flat_->sim().now());
       group_ = &flat_->group();
@@ -80,42 +123,43 @@ class ReplicaGroupLifecycleTest : public ::testing::TestWithParam<bool> {
   int follower() const { return (group_->leader() + 1) % group_->size(); }
 
   std::string protocol_;
+  consensus::TimingOptions timing_;
   std::unique_ptr<harness::Cluster> flat_;
   std::unique_ptr<shard::ShardedCluster> sharded_;
   harness::ReplicaGroup* group_ = nullptr;
 };
 
 TEST_P(ReplicaGroupLifecycleTest, ProbeInstalledBeforeCrashFiresAfterRestart) {
+  using Kind = RecordingTrace::Kind;
   harness::ReplicaGroup& g = *group_;
   const int victim = follower();
   const NodeId id = g.id(victim);
   int64_t applies = 0;
-  int restarts_seen = 0;
+  RecordingTrace trace;
   g.install_apply_probe(
       [&applies, id](NodeId r, consensus::LogIndex, const kv::Command&) {
         if (r == id) ++applies;
       });
-  g.set_restart_probe([&restarts_seen, id](NodeId r,
-                                           const consensus::HardState&,
-                                           const storage::RecoveryStats& st,
-                                           consensus::LogIndex) {
-    EXPECT_EQ(r, id);
-    EXPECT_TRUE(st.recovered);
-    ++restarts_seen;
-  });
+  g.set_trace(&trace);
   run_for(msec(500));
   ASSERT_GT(applies, 0);
+  ASSERT_GT(trace.count(Kind::kWatermark, id), 0);
 
   g.crash(victim);
   run_for(msec(500));
   const int64_t before_restart = applies;  // nothing applies while down
+  const size_t restarted_at = trace.events.size();
   g.restart(victim);
   run_for(sec(1));
-  EXPECT_EQ(restarts_seen, 1);
+  EXPECT_EQ(trace.count(Kind::kRestart, id), 1);
+  EXPECT_TRUE(trace.last_recovery.recovered);
   EXPECT_EQ(g.restarts(), 1);
-  // Probes were installed once, on the first incarnation; the rebuilt one
-  // reports its catch-up and new applies through the same probe.
+  // The apply probe and the trace were installed once, on the first
+  // incarnation; the rebuilt one reports its catch-up, its watermarks and
+  // the hard state its replies depended on through the same two.
   EXPECT_GT(applies, before_restart);
+  EXPECT_GT(trace.count(Kind::kWatermark, id, restarted_at), 0);
+  EXPECT_GT(trace.count(Kind::kSentState, id, restarted_at), 0);
 }
 
 TEST_P(ReplicaGroupLifecycleTest, RestartingAnUpReplicaCrashesItFirst) {
@@ -179,6 +223,44 @@ std::string front_name(const ::testing::TestParamInfo<bool>& info) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Fronts, ReplicaGroupLifecycleTest, ::testing::Bool(),
+                         front_name);
+
+/// The same fronts under a compaction cap, so a member's durable image holds
+/// a snapshot that its recovery installs.
+class CompactingLifecycleTest : public ReplicaGroupLifecycleTest {
+ protected:
+  CompactingLifecycleTest() : ReplicaGroupLifecycleTest("raft", 16) {}
+};
+
+TEST_P(CompactingLifecycleTest, RecoveryIsUntraced) {
+  using Kind = RecordingTrace::Kind;
+  harness::ReplicaGroup& g = *group_;
+  const int victim = follower();
+  const NodeId id = g.id(victim);
+  RecordingTrace trace;
+  g.set_trace(&trace);
+  run_for(sec(1));
+
+  g.crash(victim);
+  ASSERT_TRUE(g.store(victim).snapshot().valid());
+  const size_t crashed_at = trace.events.size();
+  run_for(msec(500));
+  g.restart(victim);
+  ASSERT_TRUE(g.server(victim).recovery().recovered);
+  // The recovery installed the snapshot and replayed the WAL behind the
+  // trace's back: the victim's first event after the crash is its restart.
+  size_t first = crashed_at;
+  while (first < trace.events.size() && trace.events[first].replica != id) {
+    ++first;
+  }
+  ASSERT_LT(first, trace.events.size());
+  EXPECT_EQ(trace.events[first].kind, Kind::kRestart);
+  // From there on the rebuilt node is traced like any other.
+  run_for(sec(1));
+  EXPECT_GT(trace.count(Kind::kWatermark, id, first), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fronts, CompactingLifecycleTest, ::testing::Bool(),
                          front_name);
 
 /// The same fronts running Mencius: a crashed member's colleagues revoke
