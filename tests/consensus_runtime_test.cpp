@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -370,6 +371,60 @@ TEST(SlotTableTest, BothEndsStayPresent) {
   t.materialize(3) = 4;  // an emptied table restarts at any index
   EXPECT_EQ(t.back_index(), 3);
   EXPECT_EQ(*t.find(3), 4);
+}
+
+// A cell whose payload counts itself: `live` is the number of payloads that
+// some cell still holds.
+struct Payload {
+  static inline int live = 0;
+  Payload() { ++live; }
+  ~Payload() { --live; }
+  Payload(const Payload&) = delete;
+  Payload& operator=(const Payload&) = delete;
+};
+struct HoldingCell {
+  std::shared_ptr<Payload> held;
+};
+
+TEST(SlotTableTest, EraseReleasesWhatTheCellHeld) {
+  consensus::SlotTable<HoldingCell> t;
+  for (const consensus::LogIndex i : {3, 5, 6, 9, 12, 70, 200}) {
+    t.materialize(i).held = std::make_shared<Payload>();
+  }
+  ASSERT_EQ(Payload::live, 7);
+  t.erase(6);  // the middle
+  EXPECT_EQ(Payload::live, 6);
+  t.erase(6);  // a hole: nothing left to release
+  EXPECT_EQ(Payload::live, 6);
+  int seen = 0;
+  t.erase_through(5, [&](consensus::LogIndex, const HoldingCell& c) {
+    seen += c.held != nullptr ? 1 : 0;
+  });
+  EXPECT_EQ(seen, 2);  // each value is still whole when handed over
+  EXPECT_EQ(Payload::live, 4);
+  t.erase_after(12);
+  EXPECT_EQ(Payload::live, 2);
+  // A re-materialized cell starts empty, not with its old payload.
+  EXPECT_EQ(t.materialize(6).held, nullptr);
+  EXPECT_EQ(t.materialize(200).held, nullptr);
+  t.erase(9);
+  t.erase(12);
+  EXPECT_EQ(Payload::live, 0);
+}
+
+TEST(SlotTableTest, HolesAddNothingToSizeOrForEach) {
+  consensus::SlotTable<int> t;
+  t.materialize(40) = 40;
+  t.materialize(7) = 7;  // below the front
+  t.materialize(300) = 300;  // far past the back
+  t.materialize(41) = 41;
+  t.erase(41);  // a hole where a value was
+  EXPECT_EQ(t.size(), 3u);
+  std::vector<int> seen;
+  t.for_each([&](int v) { seen.push_back(v); });
+  EXPECT_EQ(seen, (std::vector<int>{7, 40, 300}));
+  EXPECT_EQ(t.find(41), nullptr);
+  EXPECT_EQ(t.find(100), nullptr);
 }
 
 TEST(SparseLogModelTest, LiveSlotsNeverMoveAsTheTableGrows) {

@@ -183,6 +183,51 @@ TEST(DurableStoreTest, GappedAndOutOfOrderIndicesKeepTheirPositions) {
   expect_wal({}, 30);
 }
 
+// Recovery trusts each record's index (MultiPaxos and Mencius replay by it;
+// only Raft's replay checks that the indexes run contiguously), so every
+// record of an image must carry its own position. Each record here names
+// its index in a field the WAL never reads, the command's key.
+TEST(DurableStoreTest, ImageGivesEachRecordItsOwnIndex) {
+  using consensus::LogIndex;
+  storage::DurableStore store;
+  const auto stage = [&](LogIndex i, consensus::Term term) {
+    storage::WalRecord r = record_at(i, term);
+    r.cmd.key = static_cast<uint64_t>(i);
+    store.stage_record(r);
+  };
+  const auto expect_image = [&](const std::vector<LogIndex>& want) {
+    store.commit_through(store.staged_seq());
+    std::vector<LogIndex> got;
+    for (const storage::WalRecord& r : store.image().records) {
+      EXPECT_EQ(r.cmd.key, static_cast<uint64_t>(r.index));
+      got.push_back(r.index);
+    }
+    EXPECT_EQ(got, want);
+  };
+
+  for (LogIndex i = 20; i <= 25; ++i) stage(i, 1);  // contiguous appends
+  expect_image({20, 21, 22, 23, 24, 25});
+
+  stage(30, 1);  // holes at 26..29 and 31..32
+  stage(33, 1);
+  stage(15, 1);  // below the front, with holes up to it
+  stage(12, 1);
+  stage(22, 2);  // an overwrite in place
+  expect_image({12, 15, 20, 21, 22, 23, 24, 25, 30, 33});
+  EXPECT_EQ(store.image().records[4].term, 2);
+
+  store.stage_truncate_after(24);
+  expect_image({12, 15, 20, 21, 22, 23, 24});
+
+  consensus::Snapshot snap;
+  snap.last_index = 16;
+  store.stage_snapshot(snap);
+  expect_image({20, 21, 22, 23, 24});
+  stage(18, 1);  // above the floor, below the front
+  stage(27, 1);
+  expect_image({18, 20, 21, 22, 23, 24, 27});
+}
+
 // ---------------------------------------------------------------------------
 // Persister: fsync barriers and group commit.
 // ---------------------------------------------------------------------------
