@@ -73,8 +73,7 @@ struct TimingOptions {
   /// applied-but-uncompacted entries are resident. 0 disables it (only the
   /// NodeIface::compact verb compacts). Requires snapshot state hooks
   /// (installed by the harness adapter); protocols check after every apply
-  /// advance, so the retained applied prefix stays <= the cap between events
-  /// (Raft, Raft* and MultiPaxos heartbeats re-check it as a backstop).
+  /// advance, so the retained applied prefix stays <= the cap between events.
   size_t compaction_log_cap = 0;
   /// Modeled fsync duration for the durable store (src/storage): every
   /// write a node makes to its hard state file / write-ahead log becomes

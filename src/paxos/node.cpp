@@ -200,9 +200,6 @@ void PaxosNode::heartbeat_tick() {
     }
     persister_.send(peer, Message{hb}, wire_size(hb));
   }
-  // Backstop for the compaction cap on an idle leader; every apply advance
-  // re-checks it too.
-  maybe_compact(/*force=*/false);
 }
 
 LogIndex PaxosNode::submit(const kv::Command& cmd) {
@@ -516,13 +513,7 @@ void PaxosNode::on_heartbeat(const Heartbeat& m) {
   }
   leader_ = m.sender;
   election_.touch();
-  if (m.commit_floor > commit_floor()) {
-    sync_to_floor(m.bal, m.commit_floor);
-  } else {
-    // Already caught up: the same compaction-cap backstop on an idle
-    // follower.
-    maybe_compact(/*force=*/false);
-  }
+  if (m.commit_floor > commit_floor()) sync_to_floor(m.bal, m.commit_floor);
 }
 
 void PaxosNode::on_learn_request(const LearnRequest& m) {

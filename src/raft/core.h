@@ -86,9 +86,6 @@ class Core : public consensus::NodeIface {
     heartbeat_.set_handler([this] {
       probe_retransmits();
       broadcast_append();
-      // Backstop for the compaction cap on an idle leader; every apply
-      // advance re-checks it too.
-      maybe_compact(/*force=*/false);
     });
   }
   // The timers, the batcher, the persister and the log mirror hold `this`.
