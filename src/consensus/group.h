@@ -1,5 +1,7 @@
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <vector>
@@ -12,6 +14,9 @@ namespace praft::consensus {
 
 /// Static membership of a consensus group (the paper never reconfigures).
 struct Group {
+  /// A QuorumTracker holds one bit per member rank.
+  static constexpr int kMaxMembers = 64;
+
   NodeId self = kNoNode;
   std::vector<NodeId> members;  // includes self
 
@@ -27,7 +32,8 @@ struct Group {
     return false;
   }
 
-  /// Index of `id` within members (used for Mencius round-robin ownership).
+  /// Index of `id` within members: Mencius round-robin ownership, and the
+  /// bit a member's acknowledgement sets in a QuorumTracker.
   [[nodiscard]] int rank_of(NodeId id) const {
     for (size_t i = 0; i < members.size(); ++i) {
       if (members[i] == id) return static_cast<int>(i);
@@ -38,33 +44,38 @@ struct Group {
 
   void validate() const {
     PRAFT_CHECK(!members.empty());
+    PRAFT_CHECK(n() <= kMaxMembers);
     PRAFT_CHECK(contains(self));
   }
 };
 
-/// Tracks distinct acknowledgements toward a quorum.
+/// Distinct acknowledgements toward a quorum, one bit per member rank
+/// (Group::rank_of): the tally of a Raft election, a Paxos prepare, and each
+/// MultiPaxos instance and Mencius slot a node proposes. Eight bytes, and it
+/// never allocates.
 class QuorumTracker {
  public:
-  explicit QuorumTracker(int needed = 0) : needed_(needed) {}
-
-  /// Returns true when this ack is new.
-  bool add(NodeId id) {
-    for (NodeId v : acks_) {
-      if (v == id) return false;
-    }
-    acks_.push_back(id);
+  /// Counts member `rank`; returns true when its ack is new.
+  bool add(int rank) {
+    const uint64_t bit = bit_of(rank);
+    if ((ranks_ & bit) != 0) return false;
+    ranks_ |= bit;
     return true;
   }
-
-  [[nodiscard]] bool reached() const {
-    return static_cast<int>(acks_.size()) >= needed_;
+  [[nodiscard]] bool has(int rank) const {
+    return (ranks_ & bit_of(rank)) != 0;
   }
-  [[nodiscard]] int count() const { return static_cast<int>(acks_.size()); }
-  [[nodiscard]] const std::vector<NodeId>& acks() const { return acks_; }
+  [[nodiscard]] int count() const { return std::popcount(ranks_); }
+  [[nodiscard]] bool reached(int needed) const { return count() >= needed; }
+  void clear() { ranks_ = 0; }
 
  private:
-  int needed_;
-  std::vector<NodeId> acks_;
+  static uint64_t bit_of(int rank) {
+    PRAFT_CHECK(rank >= 0 && rank < Group::kMaxMembers);
+    return uint64_t{1} << rank;
+  }
+
+  uint64_t ranks_ = 0;
 };
 
 /// The commit quorum's order statistic, shared by Raft and Raft*: the k-th

@@ -133,11 +133,8 @@ LogIndex MenciusNode::submit(const kv::Command& cmd) {
         !(sl->bal == Ballot{0, group_.self})) {
       return;
     }
-    bool dup = false;
-    for (NodeId a : sl->acks) dup |= (a == group_.self);
-    if (!dup) sl->acks.push_back(group_.self);
-    if (static_cast<int>(sl->acks.size()) >=
-        opt_.commit_quorum(group_.majority())) {
+    sl->acks.add(rank_);
+    if (sl->acks.reached(opt_.commit_quorum(group_.majority()))) {
       decide(i, sl->cmd);
       advance_floors();
     }
@@ -566,16 +563,13 @@ void MenciusNode::on_accept_own_ok(const AcceptOwnOk& m) {
   LogIndex acked = -1;
   for (LogIndex i : m.indexes) acked = std::max(acked, i);
   if (acked >= 0) pipe_.on_ack(m.acceptor, acked, env_.now());
+  const int acceptor = group_.rank_of(m.acceptor);
   for (LogIndex i : m.indexes) {
     Slot* s = slots_.find(i);
     if (s == nullptr) continue;
     if (s->st != St::kValued || !(s->bal == Ballot{0, group_.self})) continue;
-    bool dup = false;
-    for (NodeId a : s->acks) dup |= (a == m.acceptor);
-    if (dup) continue;
-    s->acks.push_back(m.acceptor);
-    if (static_cast<int>(s->acks.size()) >=
-        opt_.commit_quorum(group_.majority())) {
+    if (!s->acks.add(acceptor)) continue;
+    if (s->acks.reached(opt_.commit_quorum(group_.majority()))) {
       decide(i, s->cmd);  // committed on a majority at ballot 0
     }
   }
@@ -685,7 +679,7 @@ void MenciusNode::start_revocation(NodeId owner, LogIndex lo, LogIndex hi) {
   rev_.owner = owner;
   rev_.lo = lo;
   rev_.hi = hi;
-  rev_.promises = {group_.self};
+  rev_.promises.add(rank_);
   PRAFT_LOG(kInfo) << "mencius " << group_.self << " revokes slots of "
                    << owner << " in [" << lo << "," << hi << ")";
   // Self-promise, seeding with our own accepted values.
@@ -750,15 +744,12 @@ void MenciusNode::on_rev_prepare(const RevPrepare& m) {
 
 void MenciusNode::on_rev_prepare_ok(const RevPrepareOk& m) {
   if (!rev_.active || rev_.phase2 || !(m.bal == rev_.bal)) return;
-  bool dup = false;
-  for (NodeId a : rev_.promises) dup |= (a == m.from);
-  if (dup) return;
-  rev_.promises.push_back(m.from);
+  if (!rev_.promises.add(group_.rank_of(m.from))) return;
   for (const RevAccepted& a : m.accepted) {
     auto it = rev_.best.find(a.index);
     if (it == rev_.best.end() || a.bal > it->second.bal) rev_.best[a.index] = a;
   }
-  if (static_cast<int>(rev_.promises.size()) < group_.majority()) return;
+  if (!rev_.promises.reached(group_.majority())) return;
   // Phase 2: re-propose safe values, no-op (skip) everywhere else.
   rev_.phase2 = true;
   RevAccept ra;
@@ -868,11 +859,8 @@ void MenciusNode::note_rev_ack(const consensus::Ballot& bal, LogIndex i,
   if (!rev_.active || !(rev_.bal == bal)) return;
   auto ait = rev_.acks.find(i);
   if (ait == rev_.acks.end()) return;
-  bool dup = false;
-  for (NodeId a : ait->second) dup |= (a == who);
-  if (dup) return;
-  ait->second.push_back(who);
-  if (static_cast<int>(ait->second.size()) == group_.majority()) {
+  if (!ait->second.add(group_.rank_of(who))) return;
+  if (ait->second.count() == group_.majority()) {
     const Slot* s = slot_if(i);
     if (s != nullptr && i >= afloor()) {
       decide(i, s->cmd);
@@ -929,7 +917,7 @@ storage::RecoveryStats MenciusNode::recover(const storage::DurableImage& img) {
         sl.bal = Ballot{r.term, r.vnode};
         sl.proposed_at = 0;  // immediately eligible for retransmission
         if (sl.bal == Ballot{0, group_.self}) {
-          sl.acks = {group_.self};  // our accept IS durable — it was replayed
+          sl.acks.add(rank_);  // our accept IS durable — it was replayed
         }
       }
       count_op(sl.cmd, +1);
@@ -969,6 +957,7 @@ void MenciusNode::maintenance() {
   // proposal to every peer each tick.
   for (NodeId peer : group_.members) {
     if (peer == group_.self) continue;
+    const int peer_rank = group_.rank_of(peer);
     pump_peer(peer);  // backlog first: the window may have reopened
     LogIndex from = 0;
     if (pipe_.retransmit_due(peer, now)) {
@@ -995,9 +984,7 @@ void MenciusNode::maintenance() {
           now - s->proposed_at < opt_.pipeline_retransmit_timeout) {
         continue;
       }
-      bool acked = false;
-      for (NodeId a : s->acks) acked |= (a == peer);
-      if (acked) continue;
+      if (s->acks.has(peer_rank)) continue;
       retrans.items.push_back(OwnItem{i, s->cmd});
     }
     if (retrans.items.empty()) continue;

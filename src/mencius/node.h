@@ -147,13 +147,18 @@ class MenciusNode : public consensus::NodeIface {
   };
   struct Slot {
     St st = St::kEmpty;
+    bool own_pending_ack = false;  // our proposal, client not yet acked
     kv::Command cmd;
     Ballot bal;        // ballot of the held value ({0, owner} = fast path)
     Ballot promised;   // revocation promise
-    std::vector<NodeId> acks;   // proposer side (owner or revoker)
+    consensus::QuorumTracker acks;  // proposer side (owner or revoker)
     Time proposed_at = 0;
-    bool own_pending_ack = false;  // our proposal, client not yet acked
   };
+  // Slots are cells of the same SlotTable as MultiPaxos instances, ~932k of
+  // which are live at the peak of sharded-write-paxos, where 8 more bytes
+  // per cell cost ~7 MiB: a new field changes this assert on purpose, not
+  // peak_rss_mb by accident.
+  static_assert(sizeof(Slot) == 96);
 
   void on_accept_own(const AcceptOwn& m);
   void on_accept_own_ok(const AcceptOwnOk& m);
@@ -290,9 +295,9 @@ class MenciusNode : public consensus::NodeIface {
     Ballot bal;
     NodeId owner = kNoNode;
     LogIndex lo = 0, hi = 0;
-    std::vector<NodeId> promises;
+    consensus::QuorumTracker promises;
     std::map<LogIndex, RevAccepted> best;  // highest-ballot accepted per slot
-    std::map<LogIndex, std::vector<NodeId>> acks;  // phase-2 acks per slot
+    std::map<LogIndex, consensus::QuorumTracker> acks;  // phase-2, per slot
     bool phase2 = false;
   } rev_;
   consensus::Term rev_round_ = 0;  // ballot rounds used for revocations

@@ -18,7 +18,6 @@ PaxosNode::PaxosNode(consensus::Group group, consensus::Env& env, Options opt,
       election_(env, opt_.election_timeout_min, opt_.election_timeout_max),
       heartbeat_(env),
       batcher_(env, opt_, [this] { flush_batch(); }),
-      prepare_acks_(group_.majority()),
       pipe_(opt_, env.stats()) {
   group_.validate();
   applier_.set_trace(env_, group_.self);
@@ -77,8 +76,8 @@ void PaxosNode::start_prepare() {
   phase1_succeeded_ = false;
   preparing_ = true;
   leader_ = kNoNode;
-  prepare_acks_ = consensus::QuorumTracker(group_.majority());
-  prepare_acks_.add(group_.self);
+  prepare_acks_.clear();
+  prepare_acks_.add(group_.rank_of(group_.self));
   safe_vals_.clear();
   // Self-promise: include our own accepted values.
   for (LogIndex i = commit_floor() + 1; i <= log_tail_; ++i) {
@@ -95,7 +94,7 @@ void PaxosNode::start_prepare() {
     if (peer == group_.self) continue;
     persister_.send(peer, Message{p}, wire_size(p));
   }
-  if (prepare_acks_.reached()) finish_prepare();
+  if (prepare_acks_.reached(group_.majority())) finish_prepare();
 }
 
 void PaxosNode::on_prepare(const Prepare& m) {
@@ -137,7 +136,7 @@ void PaxosNode::on_prepare(const Prepare& m) {
 
 void PaxosNode::on_prepare_ok(const PrepareOk& m) {
   if (!preparing_ || m.bal != ballot_) return;
-  if (!prepare_acks_.add(m.sender)) return;
+  if (!prepare_acks_.add(group_.rank_of(m.sender))) return;
   if (m.has_snap && applier_.install_snapshot(m.snap)) {
     ++env_.stats().snapshots_installed;
     adopt_snapshot(m.snap);
@@ -148,7 +147,7 @@ void PaxosNode::on_prepare_ok(const PrepareOk& m) {
       safe_vals_[a.index] = a;
     }
   }
-  if (prepare_acks_.reached()) finish_prepare();
+  if (prepare_acks_.reached(group_.majority())) finish_prepare();
 }
 
 void PaxosNode::finish_prepare() {
@@ -230,15 +229,12 @@ void PaxosNode::flush_batch() {
   propose_range(start, cmds);
 }
 
-void PaxosNode::add_ack(Instance& in, const Ballot& b, NodeId who) {
+void PaxosNode::add_ack(Instance& in, const Ballot& b, int rank) {
   if (in.acks_bal != b) {
     in.acks.clear();
     in.acks_bal = b;
   }
-  for (NodeId n : in.acks) {
-    if (n == who) return;
-  }
-  in.acks.push_back(who);
+  in.acks.add(rank);
 }
 
 void PaxosNode::propose_range(LogIndex start,
@@ -254,7 +250,6 @@ void PaxosNode::propose_range(LogIndex start,
     in.bal = bal;
     in.cmd = cmds[k];
     in.has = true;
-    in.proposed_at = env_.now();
     log_tail_ = std::max(log_tail_, i);
     persist_inst(i);
   }
@@ -275,15 +270,15 @@ void PaxosNode::propose_range(LogIndex start,
   }
   const LogIndex end = start + static_cast<LogIndex>(cmds.size()) - 1;
   persister_.barrier([this, start, end, bal] {
+    const int self = group_.rank_of(group_.self);
     for (LogIndex i = start; i <= end; ++i) {
       if (i <= instances_.floor()) continue;
       Instance* in = instances_.find(i);
       if (in == nullptr || in->chosen || !in->has || !(in->bal == bal)) {
         continue;
       }
-      add_ack(*in, bal, group_.self);
-      if (static_cast<int>(in->acks.size()) >=
-          opt_.commit_quorum(group_.majority())) {
+      add_ack(*in, bal, self);
+      if (in->acks.reached(opt_.commit_quorum(group_.majority()))) {
         mark_chosen(i);
       }
     }
@@ -363,14 +358,14 @@ void PaxosNode::on_accept_ok(const AcceptOkBatch& m) {
   // Cumulative ack for the pipeline: the batch covering [start, start+count)
   // arrived and was durably accepted; reopen the window and refill it.
   pipe_.on_ack(m.sender, m.start + m.count - 1, env_.now());
+  const int sender = group_.rank_of(m.sender);
   for (LogIndex k = 0; k < m.count; ++k) {
     const LogIndex i = m.start + k;
     if (i <= instances_.floor()) continue;  // chosen + compacted already
     Instance& in = inst(i);
     if (in.chosen || !in.has || in.bal != m.bal) continue;
-    add_ack(in, m.bal, m.sender);
-    if (static_cast<int>(in.acks.size()) >=
-        opt_.commit_quorum(group_.majority())) {
+    add_ack(in, m.bal, sender);
+    if (in.acks.reached(opt_.commit_quorum(group_.majority()))) {
       mark_chosen(i);
     }
   }
@@ -576,7 +571,6 @@ storage::RecoveryStats PaxosNode::recover(const storage::DurableImage& img) {
     in.cmd = r.cmd;
     in.has = r.has_value;
     in.chosen = r.decided;
-    in.proposed_at = 0;  // immediately eligible for leader retransmission
     log_tail_ = std::max(log_tail_, r.index);
     ++stats.replayed;
     stats.wal_tail = std::max(stats.wal_tail, r.index);

@@ -109,9 +109,12 @@ class PaxosNode : public consensus::NodeIface {
     bool has = false;
     bool chosen = false;
     Ballot acks_bal;
-    std::vector<NodeId> acks;  // deduped acceptors (incl. self) at acks_bal
-    Time proposed_at = 0;
+    consensus::QuorumTracker acks;  // acceptors (incl. self) at acks_bal
   };
+  // ~932k instances are live at the peak of sharded-write-paxos, so 8 more
+  // bytes per instance cost ~7 MiB of peak RSS: a new field changes this
+  // assert on purpose, not peak_rss_mb by accident.
+  static_assert(sizeof(Instance) == 88);
 
   void on_prepare(const Prepare& m);
   void on_prepare_ok(const PrepareOk& m);
@@ -152,7 +155,8 @@ class PaxosNode : public consensus::NodeIface {
   /// chosen ones; anything else below the floor is fetched via LearnRequest.
   void sync_to_floor(const Ballot& sender_bal, LogIndex floor);
   void request_missing(LogIndex upto);
-  static void add_ack(Instance& in, const Ballot& b, NodeId who);
+  /// Counts the accept of the member at `rank` toward `in`'s tally at `b`.
+  static void add_ack(Instance& in, const Ballot& b, int rank);
   Instance& inst(LogIndex i);
   [[nodiscard]] const Instance* inst_if(LogIndex i) const;
 

@@ -74,7 +74,6 @@ class Core : public consensus::NodeIface {
                  [this] {
                    if (role_ == Role::kLeader) broadcast_append();
                  }),
-        votes_(group_.majority()),
         pipe_(opt_, env.stats()) {
     group_.validate();
     applier_.set_trace(env_, group_.self);
@@ -483,8 +482,8 @@ class Core : public consensus::NodeIface {
 
   void on_vote_reply(const VoteReply& m) {
     if (!current(m.term, Role::kCandidate) || !m.granted) return;
-    if (votes_.add(m.voter)) on_vote(m);
-    if (votes_.reached()) become_leader();
+    if (votes_.add(group_.rank_of(m.voter))) on_vote(m);
+    if (votes_.reached(group_.majority())) become_leader();
   }
 
   void on_append_entries(const AppendEntries& m) {
@@ -591,8 +590,8 @@ class Core : public consensus::NodeIface {
     role_ = Role::kCandidate;
     leader_ = kNoNode;
     voted_for_ = group_.self;
-    votes_ = consensus::QuorumTracker(group_.majority());
-    votes_.add(group_.self);
+    votes_.clear();
+    votes_.add(group_.rank_of(group_.self));
     on_candidacy();
     persister_.hard_state();  // the self-vote must survive a crash
     election_.touch();        // restart the clock for this attempt
@@ -604,7 +603,8 @@ class Core : public consensus::NodeIface {
       if (peer == group_.self) continue;
       send(peer, rv);
     }
-    if (votes_.reached()) become_leader();  // single-node group
+    // A single-node group wins on its own vote.
+    if (votes_.reached(group_.majority())) become_leader();
   }
 
   void step_down(Term t) {

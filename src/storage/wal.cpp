@@ -31,7 +31,8 @@ void DurableStore::apply(const StagedOp& op) {
   }
   if (const auto* rec = std::get_if<WalRecord>(&op)) {
     if (rec->index <= snapshot_floor()) return;  // already inside the snapshot
-    wal_.materialize(rec->index) = *rec;  // coalesce: the newest record wins
+    // Coalesce: the newest record wins. Its position is its index.
+    wal_.materialize(rec->index) = static_cast<const WalCell&>(*rec);
     return;
   }
   if (const auto* tr = std::get_if<Truncate>(&op)) {
@@ -43,7 +44,7 @@ void DurableStore::apply(const StagedOp& op) {
   snap_ = snap;
   // The snapshot substitutes for replaying everything it covers.
   wal_.erase_through(snap.last_index,
-                     [](consensus::LogIndex, const WalRecord&) {});
+                     [](consensus::LogIndex, const WalCell&) {});
 }
 
 void DurableStore::commit_through(uint64_t seq) {
@@ -75,7 +76,11 @@ DurableImage DurableStore::image() const {
   img.hard = hard_;
   img.snap = snap_;
   img.records.reserve(wal_.size());
-  wal_.for_each([&img](const WalRecord& r) { img.records.push_back(r); });
+  wal_.for_each([&img](consensus::LogIndex i, const WalCell& c) {
+    WalRecord& r = img.records.emplace_back();
+    static_cast<WalCell&>(r) = c;
+    r.index = i;
+  });
   return img;
 }
 

@@ -11,16 +11,16 @@
 
 namespace praft::storage {
 
-/// One durable per-position record in the write-ahead log: the union of what
-/// the four protocols must persist about a log position before a message
-/// depending on it leaves the node. Raft/Raft* use (term, cmd); MultiPaxos
-/// uses the accepted (ballot, cmd) plus the chosen flag; Mencius additionally
-/// persists the per-slot revocation promise. One record per position — a
-/// re-accept at a higher ballot OVERWRITES the record (the WAL coalesces at
-/// fsync granularity), which is what bounds recovery replay to the live
-/// positions above the snapshot floor rather than the raw write history.
-struct WalRecord {
-  consensus::LogIndex index = 0;
+/// What the write-ahead log keeps about one log position: the union of what
+/// the four protocols must persist about it before a message depending on it
+/// leaves the node. Raft/Raft* use (term, cmd); MultiPaxos uses the accepted
+/// (ballot, cmd) plus the chosen flag; Mencius additionally persists the
+/// per-slot revocation promise. One cell per position — a re-accept at a
+/// higher ballot OVERWRITES the cell (the WAL coalesces at fsync
+/// granularity), which is what bounds recovery replay to the live positions
+/// above the snapshot floor rather than the raw write history. The WAL
+/// stores cells by position, so a cell does not repeat its index.
+struct WalCell {
   consensus::Term term = 0;       // entry term / accepted ballot round
   NodeId vnode = kNoNode;         // accepted ballot owner (ballot protocols)
   consensus::Term promised = -1;  // per-slot revocation promise (Mencius)
@@ -28,6 +28,16 @@ struct WalRecord {
   bool decided = false;           // chosen/decided (Paxos-family finality)
   bool has_value = false;
   kv::Command cmd;
+};
+// ~932k WAL cells are live at the peak of sharded-write-paxos (as many as
+// MultiPaxos instances), so 8 more bytes per cell cost ~7 MiB of peak RSS:
+// a new field changes this assert on purpose, not peak_rss_mb by accident.
+static_assert(sizeof(WalCell) == 72);
+
+/// A WAL cell with its position: what protocols stage and what recovery
+/// replays.
+struct WalRecord : WalCell {
+  consensus::LogIndex index = 0;
 };
 
 /// Everything a restarted node gets back from stable storage: the last
@@ -127,9 +137,9 @@ class DurableStore {
   // Durable state.
   consensus::HardState hard_;
   consensus::Snapshot snap_;
-  // The WAL, one record per position. Raft and Raft* write contiguous runs;
+  // The WAL, one cell per position. Raft and Raft* write contiguous runs;
   // MultiPaxos and Mencius leave gaps and may write below the front.
-  consensus::SlotTable<WalRecord> wal_;
+  consensus::SlotTable<WalCell> wal_;
   bool any_synced_ = false;
 
   // Staged (volatile) mutations, in staging order. base_seq_ is the sequence

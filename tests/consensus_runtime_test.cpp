@@ -421,7 +421,10 @@ TEST(SlotTableTest, HolesAddNothingToSizeOrForEach) {
   t.erase(41);  // a hole where a value was
   EXPECT_EQ(t.size(), 3u);
   std::vector<int> seen;
-  t.for_each([&](int v) { seen.push_back(v); });
+  t.for_each([&](consensus::LogIndex i, int v) {
+    EXPECT_EQ(i, v);
+    seen.push_back(v);
+  });
   EXPECT_EQ(seen, (std::vector<int>{7, 40, 300}));
   EXPECT_EQ(t.find(41), nullptr);
   EXPECT_EQ(t.find(100), nullptr);

@@ -42,19 +42,47 @@ TEST(GroupTest, ValidateRejectsNonMemberSelf) {
   EXPECT_THROW(empty.validate(), CheckFailure);
 }
 
-TEST(QuorumTrackerTest, DedupesAcks) {
-  QuorumTracker t(2);
+TEST(GroupTest, ValidateRejectsMoreMembersThanATallyHasBits) {
+  Group g;
+  g.self = 0;
+  for (NodeId id = 0; id < Group::kMaxMembers; ++id) g.members.push_back(id);
+  g.validate();
+  g.members.push_back(Group::kMaxMembers);  // member 65
+  EXPECT_THROW(g.validate(), CheckFailure);
+}
+
+TEST(QuorumTrackerTest, ARepeatedRankCountsOnce) {
+  QuorumTracker t;
   EXPECT_TRUE(t.add(1));
   EXPECT_FALSE(t.add(1));  // duplicate
-  EXPECT_FALSE(t.reached());
+  EXPECT_EQ(t.count(), 1);
+  EXPECT_FALSE(t.reached(2));
   EXPECT_TRUE(t.add(2));
-  EXPECT_TRUE(t.reached());
+  EXPECT_TRUE(t.reached(2));
   EXPECT_EQ(t.count(), 2);
 }
 
-TEST(QuorumTrackerTest, ZeroNeededIsImmediatelyReached) {
-  QuorumTracker t(0);
-  EXPECT_TRUE(t.reached());
+TEST(QuorumTrackerTest, ZeroNeededIsReachedAtOnce) {
+  QuorumTracker t;
+  EXPECT_TRUE(t.reached(0));
+  EXPECT_FALSE(t.reached(1));
+}
+
+TEST(QuorumTrackerTest, HasSeesEachRankUntilCleared) {
+  QuorumTracker t;
+  for (const int rank : {0, 5, 63}) EXPECT_TRUE(t.add(rank));
+  for (int rank = 0; rank < Group::kMaxMembers; ++rank) {
+    EXPECT_EQ(t.has(rank), rank == 0 || rank == 5 || rank == 63) << rank;
+  }
+  EXPECT_EQ(t.count(), 3);
+  EXPECT_EQ(sizeof(QuorumTracker), 8u);
+  t.clear();
+  EXPECT_EQ(t.count(), 0);
+  EXPECT_FALSE(t.has(0));
+  EXPECT_FALSE(t.has(63));
+  EXPECT_TRUE(t.add(63));  // a cleared rank counts again
+  EXPECT_THROW(t.add(Group::kMaxMembers), CheckFailure);
+  EXPECT_THROW(t.add(-1), CheckFailure);
 }
 
 TEST(QuorumIndexTest, KthLargestOfSelfAndPeers) {
