@@ -229,14 +229,6 @@ void PaxosNode::flush_batch() {
   propose_range(start, cmds);
 }
 
-void PaxosNode::add_ack(Instance& in, const Ballot& b, int rank) {
-  if (in.acks_bal != b) {
-    in.acks.clear();
-    in.acks_bal = b;
-  }
-  in.acks.add(rank);
-}
-
 void PaxosNode::propose_range(LogIndex start,
                               const std::vector<kv::Command>& cmds) {
   // Phase2a. The proposer's implicit self-accept is DEFERRED to the fsync
@@ -247,7 +239,7 @@ void PaxosNode::propose_range(LogIndex start,
     const LogIndex i = start + static_cast<LogIndex>(k);
     Instance& in = inst(i);
     if (in.chosen) continue;  // retransmits may cover already-chosen slots
-    in.bal = bal;
+    in.accept_at(bal);
     in.cmd = cmds[k];
     in.has = true;
     log_tail_ = std::max(log_tail_, i);
@@ -277,7 +269,7 @@ void PaxosNode::propose_range(LogIndex start,
       if (in == nullptr || in->chosen || !in->has || !(in->bal == bal)) {
         continue;
       }
-      add_ack(*in, bal, self);
+      in->acks.add(self);
       if (in->acks.reached(opt_.commit_quorum(group_.majority()))) {
         mark_chosen(i);
       }
@@ -336,7 +328,7 @@ void PaxosNode::on_accept(const AcceptBatch& m) {
     if (i <= instances_.floor()) continue;
     Instance& in = inst(i);
     if (in.chosen) continue;  // never regress a locally-known chosen value
-    in.bal = m.bal;
+    in.accept_at(m.bal);
     in.cmd = m.cmds[k];
     in.has = true;
     log_tail_ = std::max(log_tail_, i);
@@ -364,7 +356,7 @@ void PaxosNode::on_accept_ok(const AcceptOkBatch& m) {
     if (i <= instances_.floor()) continue;  // chosen + compacted already
     Instance& in = inst(i);
     if (in.chosen || !in.has || in.bal != m.bal) continue;
-    add_ack(in, m.bal, sender);
+    in.acks.add(sender);
     if (in.acks.reached(opt_.commit_quorum(group_.majority()))) {
       mark_chosen(i);
     }

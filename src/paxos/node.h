@@ -108,13 +108,21 @@ class PaxosNode : public consensus::NodeIface {
     kv::Command cmd;
     bool has = false;
     bool chosen = false;
-    Ballot acks_bal;
-    consensus::QuorumTracker acks;  // acceptors (incl. self) at acks_bal
+    consensus::QuorumTracker acks;  // acceptors (incl. self) at `bal`
+
+    /// Accepts at `b`. A ballot change restarts the tally, so it counts only
+    /// acks at `bal`: a leader tallies at its own ballot, which its
+    /// instances keep for as long as it leads.
+    void accept_at(const Ballot& b) {
+      if (bal == b) return;
+      bal = b;
+      acks.clear();
+    }
   };
   // ~932k instances are live at the peak of sharded-write-paxos, so 8 more
   // bytes per instance cost ~7 MiB of peak RSS: a new field changes this
   // assert on purpose, not peak_rss_mb by accident.
-  static_assert(sizeof(Instance) == 88);
+  static_assert(sizeof(Instance) == 72);
 
   void on_prepare(const Prepare& m);
   void on_prepare_ok(const PrepareOk& m);
@@ -155,8 +163,6 @@ class PaxosNode : public consensus::NodeIface {
   /// chosen ones; anything else below the floor is fetched via LearnRequest.
   void sync_to_floor(const Ballot& sender_bal, LogIndex floor);
   void request_missing(LogIndex upto);
-  /// Counts the accept of the member at `rank` toward `in`'s tally at `b`.
-  static void add_ack(Instance& in, const Ballot& b, int rank);
   Instance& inst(LogIndex i);
   [[nodiscard]] const Instance* inst_if(LogIndex i) const;
 
