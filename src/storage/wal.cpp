@@ -77,9 +77,7 @@ DurableImage DurableStore::image() const {
   img.snap = snap_;
   img.records.reserve(wal_.size());
   wal_.for_each([&img](consensus::LogIndex i, const WalCell& c) {
-    WalRecord& r = img.records.emplace_back();
-    static_cast<WalCell&>(r) = c;
-    r.index = i;
+    img.records.push_back(WalRecord{c, i});
   });
   return img;
 }
