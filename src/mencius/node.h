@@ -154,9 +154,9 @@ class MenciusNode : public consensus::NodeIface {
     consensus::QuorumTracker acks;  // proposer side (owner or revoker)
     Time proposed_at = 0;
   };
-  // Slots are cells of the same SlotTable as MultiPaxos instances, ~932k of
-  // which are live at the peak of sharded-write-paxos, where 8 more bytes
-  // per cell cost ~7 MiB: a new field changes this assert on purpose, not
+  // A slot is a SlotTable cell like a MultiPaxos instance, ~932k of which
+  // are live at the peak of sharded-write-paxos, where 8 more bytes per cell
+  // cost ~7 MiB: a new field changes this assert on purpose, not
   // peak_rss_mb by accident.
   static_assert(sizeof(Slot) == 96);
 
