@@ -402,14 +402,81 @@ TEST(SlotTableTest, EraseReleasesWhatTheCellHeld) {
   });
   EXPECT_EQ(seen, 2);  // each value is still whole when handed over
   EXPECT_EQ(Payload::live, 4);
-  t.erase_after(12);
+  t.erase_after(12);  // across two pages above 12's
   EXPECT_EQ(Payload::live, 2);
+  EXPECT_EQ(t.size(), 2u);
+  EXPECT_EQ(t.back_index(), 12);
   // A re-materialized cell starts empty, not with its old payload.
   EXPECT_EQ(t.materialize(6).held, nullptr);
   EXPECT_EQ(t.materialize(200).held, nullptr);
   t.erase(9);
   t.erase(12);
   EXPECT_EQ(Payload::live, 0);
+  EXPECT_EQ(t.size(), 2u);
+}
+
+TEST(SlotTableTest, RandomOpsAgreeWithAMapReference) {
+  // Every erase path, with indexes spread over many 64-cell pages and below
+  // zero, checked after each op against a std::map.
+  using consensus::LogIndex;
+  consensus::SlotTable<ModelSlot> t;
+  std::map<LogIndex, int64_t> ref;
+  Rng rng(29);
+  for (int op = 0; op < 60000; ++op) {
+    const LogIndex i = rng.range(-300, 700);
+    switch (rng.below(6)) {
+      case 0:
+      case 1:
+      case 2: {
+        ModelSlot& s = t.materialize(i);
+        const auto it = ref.find(i);
+        ASSERT_EQ(s.v, it == ref.end() ? -1 : it->second) << "op " << op;
+        s.v = op;
+        s.tag = std::to_string(op);
+        ref[i] = op;
+        break;
+      }
+      case 3:
+        t.erase(i);
+        ref.erase(i);
+        break;
+      case 4: {
+        std::vector<LogIndex> seen;
+        t.erase_through(i, [&](LogIndex j, const ModelSlot& s) {
+          EXPECT_EQ(s.v, ref.at(j));
+          seen.push_back(j);
+        });
+        std::vector<LogIndex> want;
+        while (!ref.empty() && ref.begin()->first <= i) {
+          want.push_back(ref.begin()->first);
+          ref.erase(ref.begin());
+        }
+        ASSERT_EQ(seen, want) << "op " << op;
+        break;
+      }
+      default:
+        t.erase_after(i);
+        ref.erase(ref.upper_bound(i), ref.end());
+    }
+    ASSERT_EQ(t.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(t.empty(), ref.empty()) << "op " << op;
+    if (!ref.empty()) {
+      ASSERT_EQ(t.back_index(), ref.rbegin()->first) << "op " << op;
+    }
+    for (const LogIndex j : {i - 1, i, i + 1}) {
+      const ModelSlot* s = t.find(j);
+      ASSERT_EQ(s != nullptr, ref.count(j) == 1) << "op " << op;
+      if (s != nullptr) {
+        ASSERT_EQ(s->v, ref.at(j)) << "op " << op;
+      }
+    }
+  }
+  std::vector<std::pair<LogIndex, int64_t>> seen;
+  t.for_each([&](LogIndex j, const ModelSlot& s) {
+    seen.emplace_back(j, s.v);
+  });
+  EXPECT_EQ(seen, (std::vector<std::pair<LogIndex, int64_t>>(ref.begin(),
+                                                              ref.end())));
 }
 
 TEST(SlotTableTest, HolesAddNothingToSizeOrForEach) {

@@ -228,6 +228,27 @@ TEST(DurableStoreTest, ImageGivesEachRecordItsOwnIndex) {
   expect_image({18, 20, 21, 22, 23, 24, 27});
 }
 
+TEST(DurableStoreTest, TruncationAcrossPagesEmptiesTheWal) {
+  // The WAL's cells live in pages of 64 indexes; 10 and 70 sit in two.
+  storage::DurableStore store;
+  store.stage_record(record_at(10, 1));
+  store.stage_record(record_at(70, 1));
+  store.commit_through(store.staged_seq());
+  EXPECT_EQ(store.wal_records(), 2u);
+  EXPECT_EQ(store.wal_tail(), 70);
+  store.stage_truncate_after(8);
+  store.commit_through(store.staged_seq());
+  EXPECT_EQ(store.wal_records(), 0u);
+  EXPECT_EQ(store.wal_tail(), -1);
+  EXPECT_TRUE(store.image().records.empty());
+  store.stage_record(record_at(130, 2));
+  store.stage_record(record_at(5, 2));
+  store.stage_truncate_after(64);  // keeps 5, drops 130 two pages up
+  store.commit_through(store.staged_seq());
+  EXPECT_EQ(store.wal_records(), 1u);
+  EXPECT_EQ(store.wal_tail(), 5);
+}
+
 // ---------------------------------------------------------------------------
 // Persister: fsync barriers and group commit.
 // ---------------------------------------------------------------------------
