@@ -20,7 +20,8 @@ namespace praft::consensus {
 /// pages costs a null pointer each. A std::deque<T> with a parallel
 /// std::deque<bool> would be shorter, but its 512-byte chunks hold seven
 /// 72-byte cells and a map pointer per chunk: ~75.3 bytes per cell against
-/// ~72.4 here, 3% more peak RSS on sharded-write-paxos (177.8 vs 172.1 MiB).
+/// ~72.4 here, and 177.8 against 172.1 MiB peak RSS on sharded-write-paxos
+/// (x86-64, glibc malloc).
 ///
 /// Pages never move: a reference returned by materialize() stays valid until
 /// that index is erased, however far the table grows below or above it.
