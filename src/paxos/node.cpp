@@ -481,7 +481,9 @@ void PaxosNode::request_missing(LogIndex upto) {
 void PaxosNode::on_reject(const Reject& m) {
   if (m.bal > ballot_) {
     abandon_leadership();
-    ballot_ = Ballot{m.bal.round, kNoNode};  // adopt the round; not a promise
+    // Adopt the round, not a promise; in the round already promised,
+    // {round, kNoNode} sits below the promise, which must stand.
+    ballot_ = std::max(ballot_, Ballot{m.bal.round, kNoNode});
     phase1_succeeded_ = false;
     preparing_ = false;
     persister_.hard_state();

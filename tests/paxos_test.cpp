@@ -142,6 +142,27 @@ TEST(PaxosUnitTest, AcceptorTracksHighestBallot) {
   EXPECT_TRUE(*n.value_at(1) == c2);
 }
 
+TEST(PaxosUnitTest, RejectInThePromisedRoundKeepsThePromise) {
+  // A Reject at (5,4) shares the round of the promise (5,2): adopting
+  // {5, kNoNode} would sit below the promise and let (5,0) be accepted.
+  ScriptedEnv env;
+  paxos::PaxosNode n(group_of(1, {0, 1, 2, 3, 4}), env, unit_options());
+  n.start();
+  n.on_packet(packet(2, 1, paxos::Message{paxos::Prepare{{5, 2}, 2, 1}}));
+  n.on_packet(packet(4, 1, paxos::Message{paxos::Reject{{5, 4}, 4}}));
+  env.clear();
+  kv::Command c{kv::Op::kPut, 1, 1, 8, 9, 1};
+  n.on_packet(
+      packet(0, 1, paxos::Message{paxos::AcceptBatch{{5, 0}, 0, 1, {c}, 0}}));
+  auto sent = env.take_for(0);
+  ASSERT_EQ(sent.size(), 1u);
+  EXPECT_NE(std::get_if<paxos::Reject>(
+                std::any_cast<paxos::Message>(&sent[0].payload)),
+            nullptr);
+  EXPECT_EQ(n.value_at(1), nullptr);
+  EXPECT_GE(n.ballot(), (consensus::Ballot{5, 2}));
+}
+
 TEST(PaxosUnitTest, OutOfOrderChosenExecutesInOrder) {
   ScriptedEnv env;
   paxos::PaxosNode n(group_of(0, {0, 1, 2}), env, unit_options());
