@@ -7,32 +7,14 @@
 
 namespace praft::sim {
 
-EventId EventQueue::schedule_at(Time at, UniqueFunction<void()> fn) {
+void EventQueue::schedule_at(Time at, UniqueFunction<void()> fn) {
   PRAFT_CHECK(fn != nullptr);
   if (at < now_) at = now_;
-  const EventId id = next_id_++;
-  heap_.push_back(Event{at, id, std::move(fn)});
+  heap_.push_back(Event{at, next_seq_++, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  return id;
-}
-
-void EventQueue::cancel(EventId id) {
-  // Only a pending id may enter cancelled_: pending() subtracts its size.
-  const bool in_heap = std::any_of(heap_.begin(), heap_.end(),
-                                   [id](const Event& e) { return e.id == id; });
-  if (in_heap) cancelled_.insert(id);
-}
-
-void EventQueue::drop_cancelled() {
-  while (!heap_.empty() && !cancelled_.empty() &&
-         cancelled_.erase(heap_.front().id) > 0) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  }
 }
 
 bool EventQueue::step() {
-  drop_cancelled();
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Event ev = std::move(heap_.back());
@@ -45,12 +27,7 @@ bool EventQueue::step() {
 }
 
 void EventQueue::run_until(Time t) {
-  // A cancelled event at the top must not let a later one slip past `t`.
-  drop_cancelled();
-  while (!heap_.empty() && heap_.front().at <= t) {
-    step();
-    drop_cancelled();
-  }
+  while (!heap_.empty() && heap_.front().at <= t) step();
   if (now_ < t) now_ = t;
 }
 
@@ -61,7 +38,6 @@ void EventQueue::run_all(uint64_t max_events) {
 
 void EventQueue::clear() {
   heap_ = decltype(heap_){};
-  cancelled_.clear();
 }
 
 }  // namespace praft::sim

@@ -1,16 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/function.h"
 #include "common/types.h"
 
 namespace praft::sim {
-
-using EventId = uint64_t;
-inline constexpr EventId kNoEvent = 0;
 
 /// Deterministic discrete-event queue. Events at equal timestamps fire in
 /// scheduling order (FIFO by sequence number), which keeps whole simulations
@@ -19,12 +15,8 @@ class EventQueue {
  public:
   /// Schedules `fn` to run at absolute time `at` (clamped to now()).
   /// Callables may be move-only (e.g. deliveries owning a pooled wire frame).
-  EventId schedule_at(Time at, UniqueFunction<void()> fn);
-
-  /// Cancels a pending event; no-op if it already fired or was cancelled.
-  /// O(pending): it looks the id up in the heap (nothing on the simulator's
-  /// hot path cancels).
-  void cancel(EventId id);
+  /// There is no cancel: components retire stale work by epoch.
+  void schedule_at(Time at, UniqueFunction<void()> fn);
 
   /// Runs the earliest pending event. Returns false when the queue is empty.
   bool step();
@@ -41,30 +33,24 @@ class EventQueue {
   void clear();
 
   [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] size_t pending() const { return heap_.size() - cancelled_.size(); }
   [[nodiscard]] uint64_t events_fired() const { return fired_; }
 
  private:
   struct Event {
     Time at;
-    EventId id;
+    uint64_t seq;  // scheduling order: the tie-break for equal `at`
     UniqueFunction<void()> fn;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at > b.at;
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
 
-  /// Discards cancelled events from the top of the heap, so the top is the
-  /// next event to fire.
-  void drop_cancelled();
-
   std::vector<Event> heap_;  // std::push_heap / std::pop_heap under Later
-  std::unordered_set<EventId> cancelled_;  // ids still in heap_
   Time now_ = 0;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 1;
   uint64_t fired_ = 0;
 };
 

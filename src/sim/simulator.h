@@ -20,13 +20,12 @@ class Simulator {
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
 
-  EventId after(Duration delay, UniqueFunction<void()> fn) {
-    return queue_.schedule_at(now() + delay, std::move(fn));
+  void after(Duration delay, UniqueFunction<void()> fn) {
+    queue_.schedule_at(now() + delay, std::move(fn));
   }
-  EventId at(Time t, UniqueFunction<void()> fn) {
-    return queue_.schedule_at(t, std::move(fn));
+  void at(Time t, UniqueFunction<void()> fn) {
+    queue_.schedule_at(t, std::move(fn));
   }
-  void cancel(EventId id) { queue_.cancel(id); }
 
   void run_until(Time t) { queue_.run_until(t); }
   void run_for(Duration d) { queue_.run_until(now() + d); }
