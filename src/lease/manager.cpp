@@ -7,8 +7,12 @@ LeaseManager::LeaseManager(consensus::Group group, consensus::Env& env,
     : group_(std::move(group)), env_(env), opt_(opt),
       held_expiry_(static_cast<size_t>(group_.n()), 0),
       granted_expiry_(static_cast<size_t>(group_.n()), 0),
-      last_ack_(static_cast<size_t>(group_.n()), 0) {
+      last_ack_(static_cast<size_t>(group_.n()), 0),
+      renew_(env) {
   group_.validate();
+  renew_.set_handler([this] {
+    if (granting_) grant_round();
+  });
 }
 
 void LeaseManager::start() {
@@ -17,21 +21,12 @@ void LeaseManager::start() {
   // Grace period: treat everyone as responsive for one duration from start.
   for (auto& t : last_ack_) t = env_.now();
   grant_round();
-  arm_timer();
+  renew_.start(opt_.renew_interval);
 }
 
 void LeaseManager::resume_granting() {
   granting_ = true;
   grant_round();
-}
-
-void LeaseManager::arm_timer() {
-  const uint64_t epoch = ++timer_epoch_;
-  env_.schedule(opt_.renew_interval, [this, epoch] {
-    if (epoch != timer_epoch_) return;
-    if (granting_) grant_round();
-    arm_timer();
-  });
 }
 
 void LeaseManager::grant_round() {

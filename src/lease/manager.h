@@ -5,6 +5,7 @@
 
 #include "consensus/env.h"
 #include "consensus/group.h"
+#include "consensus/timer.h"
 #include "consensus/types.h"
 #include "net/field_codec.h"
 #include "net/packet.h"
@@ -90,7 +91,6 @@ class LeaseManager {
 
  private:
   void grant_round();
-  void arm_timer();
 
   consensus::Group group_;
   consensus::Env& env_;
@@ -100,7 +100,7 @@ class LeaseManager {
   std::vector<Time> last_ack_;        // last GrantAck seen, by member rank
   bool granting_ = true;
   bool started_ = false;
-  uint64_t timer_epoch_ = 0;
+  consensus::PeriodicTimer renew_;
 };
 
 }  // namespace praft::lease

@@ -3,8 +3,7 @@
 namespace praft::pql {
 
 namespace {
-/// How often the leader re-evaluates the commit gate (leases expire
-/// asynchronously to append traffic).
+/// How often the leader re-evaluates the commit gate.
 constexpr Duration kGateRetry = msec(50);
 }  // namespace
 
@@ -13,7 +12,7 @@ RaftStarPqlServer::RaftStarPqlServer(harness::NodeHost& host,
                                      harness::CostModel costs,
                                      raftstar::Options opt, PqlOptions popt)
     : TypedLogServer(host, group, costs, opt), popt_(popt),
-      leases_(group, host, popt.lease) {
+      leases_(group, host, popt.lease), gate_retry_(host) {
   // Non-mutating hooks (§4.2): all PQL state lives in this adapter.
   node().set_entry_observer(
       [this](consensus::LogIndex i, const raftstar::Entry& e) {
@@ -30,23 +29,15 @@ RaftStarPqlServer::RaftStarPqlServer(harness::NodeHost& host,
       });
   node().set_commit_gate(
       [this](consensus::LogIndex i) { return commit_allowed(i); });
+  gate_retry_.set_handler([this] {
+    if (node().is_leader()) node().retry_commit();
+  });
 }
 
 void RaftStarPqlServer::start() {
   LogServer::start();
   leases_.start();
-  arm_gate_retry();
-}
-
-void RaftStarPqlServer::arm_gate_retry() {
-  // Leases expire on the clock, not on message arrival: re-run LeaderLearn
-  // periodically so commits blocked on a dead holder unblock at expiry.
-  const uint64_t epoch = ++gate_epoch_;
-  host_.schedule(kGateRetry, [this, epoch] {
-    if (epoch != gate_epoch_) return;
-    if (node().is_leader()) node().retry_commit();
-    arm_gate_retry();
-  });
+  gate_retry_.start(kGateRetry);
 }
 
 bool RaftStarPqlServer::handle_other(const net::Packet& p) {

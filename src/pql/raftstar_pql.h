@@ -5,6 +5,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "consensus/timer.h"
 #include "harness/log_server.h"
 #include "lease/manager.h"
 #include "raftstar/node.h"
@@ -79,7 +80,6 @@ class RaftStarPqlServer
   bool commit_allowed(consensus::LogIndex i) const;
   void serve_read_now(const kv::Command& cmd, NodeId origin);
   void drain_pending_reads();
-  void arm_gate_retry();
 
   PqlOptions popt_;
   lease::LeaseManager leases_;
@@ -89,7 +89,10 @@ class RaftStarPqlServer
   std::map<NodeId, FollowerAck> follower_acks_;
   std::list<PendingRead> pending_reads_;
   int64_t local_reads_ = 0;
-  uint64_t gate_epoch_ = 0;
+  /// Leases expire on the clock, not on message arrival: the leader re-runs
+  /// LeaderLearn periodically so commits blocked on a dead holder unblock
+  /// at expiry.
+  consensus::PeriodicTimer gate_retry_;
 };
 
 }  // namespace praft::pql
