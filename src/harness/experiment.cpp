@@ -83,7 +83,6 @@ Cluster::ServerFactory make_server_factory(const ExperimentConfig& cfg,
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   ClusterConfig cc;
   cc.seed = cfg.seed;
-  cc.costs.enabled = cfg.model_cpu;
   if (cfg.flat_rtt >= 0) {
     cc.latency = sim::LatencyMatrix(5, cfg.flat_rtt);
   }

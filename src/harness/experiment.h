@@ -42,7 +42,6 @@ struct ExperimentConfig {
   Duration warmup = sec(2);
   Duration cooldown = sec(1);
   uint64_t seed = 1;
-  bool model_cpu = true;
   bool model_bandwidth = false;  // Fig. 10b/d turn this on
 };
 

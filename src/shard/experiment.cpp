@@ -14,7 +14,6 @@ ShardExperimentResult run_shard_experiment(const ShardExperimentConfig& cfg) {
   cc.protocols = {cfg.protocol};
   cc.timing = cfg.timing;
   cc.seed = cfg.seed;
-  cc.costs.enabled = cfg.model_cpu;
   if (cfg.flat_rtt >= 0) {
     // One latency site per machine: uniform RTT everywhere, and per-site
     // metrics stay per-machine.

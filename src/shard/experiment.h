@@ -27,7 +27,6 @@ struct ShardExperimentConfig {
   Duration warmup = sec(2);
   Duration cooldown = sec(1);
   uint64_t seed = 1;
-  bool model_cpu = true;
 };
 
 struct ShardExperimentResult {
