@@ -25,22 +25,17 @@ Opt options_from(const TimingOptions& timing) {
 }  // namespace
 
 void register_builtin_protocols(ProtocolRegistry& reg) {
-  reg.add("raft", [](Group g, Env& env, const TimingOptions& t,
-                     storage::DurableStore* store) {
+  reg.add("raft", [](Group g, Env& env, const TimingOptions& t) {
     return std::make_unique<raft::RaftNode>(std::move(g), env,
-                                            options_from<raft::Options>(t),
-                                            store);
+                                            options_from<raft::Options>(t));
   });
-  reg.add("raftstar", [](Group g, Env& env, const TimingOptions& t,
-                         storage::DurableStore* store) {
+  reg.add("raftstar", [](Group g, Env& env, const TimingOptions& t) {
     return std::make_unique<raftstar::RaftStarNode>(
-        std::move(g), env, options_from<raftstar::Options>(t), store);
+        std::move(g), env, options_from<raftstar::Options>(t));
   });
-  reg.add("multipaxos", [](Group g, Env& env, const TimingOptions& t,
-                           storage::DurableStore* store) {
+  reg.add("multipaxos", [](Group g, Env& env, const TimingOptions& t) {
     return std::make_unique<paxos::PaxosNode>(std::move(g), env,
-                                              options_from<paxos::Options>(t),
-                                              store);
+                                              options_from<paxos::Options>(t));
   });
   // Registry-selected Mencius runs behind the plain LogServer, which
   // replies when an op applies. The early ack (commit + commutativity
@@ -50,10 +45,9 @@ void register_builtin_protocols(ProtocolRegistry& reg) {
   // registry-built Mencius trajectory (chaos fingerprints, BENCH_pipeline
   // rows), so it is not the default. Safe and convergent either way;
   // measurement-grade latencies come from MenciusServer.
-  reg.add("mencius", [](Group g, Env& env, const TimingOptions& t,
-                        storage::DurableStore* store) {
+  reg.add("mencius", [](Group g, Env& env, const TimingOptions& t) {
     return std::make_unique<mencius::MenciusNode>(
-        std::move(g), env, options_from<mencius::Options>(t), store);
+        std::move(g), env, options_from<mencius::Options>(t));
   });
 }
 

@@ -7,6 +7,10 @@
 #include "common/types.h"
 #include "consensus/stats.h"
 
+namespace praft::storage {
+class DurableStore;
+}  // namespace praft::storage
+
 namespace praft::consensus {
 
 class Trace;
@@ -49,9 +53,16 @@ class Env {
   [[nodiscard]] Trace* trace() const { return trace_; }
   void set_trace(Trace* trace) { trace_ = trace; }
 
+  /// The stable storage of every node this Env serves, or null (diskless).
+  /// Not owned. It outlives the nodes too: a node rebuilt on this Env
+  /// recovers from what its predecessor synced.
+  [[nodiscard]] storage::DurableStore* store() const { return store_; }
+  void set_store(storage::DurableStore* store) { store_ = store; }
+
  private:
   Stats stats_;
   Trace* trace_ = nullptr;
+  storage::DurableStore* store_ = nullptr;
 };
 
 }  // namespace praft::consensus

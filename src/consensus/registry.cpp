@@ -37,8 +37,8 @@ std::vector<std::string> ProtocolRegistry::names() const {
 }
 
 std::unique_ptr<NodeIface> ProtocolRegistry::make(
-    const std::string& name, Group group, Env& env, const TimingOptions& timing,
-    storage::DurableStore* store) const {
+    const std::string& name, Group group, Env& env,
+    const TimingOptions& timing) const {
   auto it = impl_->factories.find(name);
   if (it == impl_->factories.end()) {
     // List what IS registered: "unknown protocol" alone sends the caller
@@ -51,14 +51,13 @@ std::unique_ptr<NodeIface> ProtocolRegistry::make(
     PRAFT_CHECK_MSG(false, "unknown protocol \"" + name +
                                "\"; registered protocols: " + joined);
   }
-  return it->second(std::move(group), env, timing, store);
+  return it->second(std::move(group), env, timing);
 }
 
 std::unique_ptr<NodeIface> make_node(const std::string& name, Group group,
-                                     Env& env, const TimingOptions& timing,
-                                     storage::DurableStore* store) {
+                                     Env& env, const TimingOptions& timing) {
   return ProtocolRegistry::instance().make(name, std::move(group), env,
-                                           timing, store);
+                                           timing);
 }
 
 std::vector<std::string> protocol_names() {

@@ -12,14 +12,12 @@
 
 namespace praft::consensus {
 
-/// Builds a protocol node for `group` talking through `env`, tuned by the
-/// shared timing knobs and persisting through `store` (nullptr = diskless —
-/// unit-test nodes that never crash-restart). Protocol-specific options
-/// beyond TimingOptions keep their defaults; callers needing them construct
-/// the concrete node type.
+/// Builds a protocol node for `group` talking through `env` (and persisting
+/// through env.store(), if any), tuned by the shared timing knobs.
+/// Protocol-specific options beyond TimingOptions keep their defaults;
+/// callers needing them construct the concrete node type.
 using NodeFactory = std::function<std::unique_ptr<NodeIface>(
-    Group group, Env& env, const TimingOptions& timing,
-    storage::DurableStore* store)>;
+    Group group, Env& env, const TimingOptions& timing)>;
 
 /// String-keyed protocol registry: the runtime seam that lets harness
 /// servers, clusters and bench binaries select a protocol by name. Names are
@@ -39,8 +37,7 @@ class ProtocolRegistry {
   /// Instantiates `name`; PRAFT_CHECK-fails on unknown names.
   [[nodiscard]] std::unique_ptr<NodeIface> make(
       const std::string& name, Group group, Env& env,
-      const TimingOptions& timing = {},
-      storage::DurableStore* store = nullptr) const;
+      const TimingOptions& timing = {}) const;
 
  private:
   ProtocolRegistry();
@@ -51,8 +48,7 @@ class ProtocolRegistry {
 /// Convenience wrappers over ProtocolRegistry::instance().
 std::unique_ptr<NodeIface> make_node(const std::string& name, Group group,
                                      Env& env,
-                                     const TimingOptions& timing = {},
-                                     storage::DurableStore* store = nullptr);
+                                     const TimingOptions& timing = {});
 std::vector<std::string> protocol_names();
 
 namespace detail {

@@ -47,13 +47,13 @@ class Cluster {
 
   /// Same, selecting the consensus protocol by registry name at runtime
   /// ("raft", "raftstar", "multipaxos", "mencius", or anything registered
-  /// later) behind the generic LogServer adapter. Name-built replicas get a
-  /// per-replica storage::DurableStore (owned by the group, so it survives
-  /// node destruction) and support crash_replica/restart_replica.
+  /// later) behind the generic LogServer adapter. Each replica's host gets a
+  /// storage::DurableStore (NodeHost::make_store), which survives node
+  /// destruction and is what crash_replica/restart_replica need.
   void build_replicas(const std::string& protocol,
                       const consensus::TimingOptions& timing = {});
 
-  // -- Crash-restart (name-built replicas only; see ReplicaGroup) ----------
+  // -- Crash-restart (replicas whose host has a store; see ReplicaGroup) ---
   void crash_replica(int i) { group_.crash(i); }
   void restart_replica(int i) { group_.restart(i); }
   [[nodiscard]] bool replica_up(int i) const { return group_.up(i); }

@@ -1,13 +1,16 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "consensus/env.h"
 #include "net/packet.h"
 #include "sim/network.h"
 #include "sim/resources.h"
 #include "sim/simulator.h"
+#include "storage/wal.h"
 
 namespace praft::harness {
 
@@ -27,7 +30,8 @@ class PacketHandler {
 /// sans-io Env a protocol node talks to. Delivery order: network -> CPU
 /// queue (service time from the handler's cost model) -> handle(). A crash
 /// destroys the node, not its host, so the Env's Stats block counts every
-/// incarnation of the replica.
+/// incarnation of the replica, and a replica's stable store, which the host
+/// owns (make_store), is what a rebuilt node recovers from.
 ///
 /// A host normally owns its CPU (one endpoint == one machine). When
 /// `shared_cpu` is supplied, service time is billed against that external
@@ -43,6 +47,14 @@ class NodeHost final : public consensus::Env {
   void attach(PacketHandler* handler) { handler_ = handler; }
   /// Unbinds the handler (packets in flight are dropped, like a crash).
   void detach() { handler_ = nullptr; }
+
+  /// Gives this host a storage::DurableStore of its own and points the Env
+  /// at it (consensus::Env::store). Call once, before building a node here.
+  void make_store() {
+    PRAFT_CHECK_MSG(disk_ == nullptr, "host already has a store");
+    disk_ = std::make_unique<storage::DurableStore>();
+    set_store(disk_.get());
+  }
 
   /// Crash support: invalidates every callback scheduled through this Env so
   /// far — they become no-ops when the simulator fires them. Called by
@@ -78,6 +90,7 @@ class NodeHost final : public consensus::Env {
   sim::SerialResource* cpu_res_;       // &cpu_, or the shared machine CPU
   PacketHandler* handler_ = nullptr;
   uint64_t sched_epoch_ = 0;
+  std::unique_ptr<storage::DurableStore> disk_;
 };
 
 }  // namespace praft::harness

@@ -9,14 +9,18 @@
 #include "consensus/node_iface.h"
 #include "consensus/registry.h"
 #include "consensus/trace.h"
-#include "harness/server.h"
+#include "harness/cost_model.h"
+#include "harness/host.h"
+#include "harness/messages.h"
+#include "kv/store.h"
 
 namespace praft::harness {
 
-/// The replica adapter every protocol runs behind: client requests (reads
-/// AND writes — the paper's baselines persist reads in the log, §4.4 "Paxos
-/// Quorum Lease") are submitted at the leader; follower replicas forward to
-/// the leader etcd-style and relay the reply.
+/// The replica adapter every protocol runs behind: it owns the KV state
+/// machine and the client-facing reply. Client requests (reads AND writes —
+/// the paper's baselines persist reads in the log, §4.4 "Paxos Quorum
+/// Lease") are submitted at the leader; follower replicas forward to the
+/// leader etcd-style and relay the reply.
 ///
 /// The protocol node behind the adapter is runtime-polymorphic
 /// (consensus::NodeIface): construct with a registry name to pick the
@@ -24,28 +28,27 @@ namespace praft::harness {
 /// TypedLogServer below) when the adapter needs protocol-specific hooks.
 /// Optimizations that answer requests another way (PQL/LL local reads,
 /// Mencius early ack) override the one request hook, try_serve().
-class LogServer : public ReplicaServer {
+///
+/// The replica's stable storage is its host's (consensus::Env::store): when
+/// it already holds durable state, the node is rebuilt from it
+/// (crash-restart recovery) before start().
+class LogServer : public PacketHandler {
  public:
   /// Selects the protocol by registry name ("raft", "raftstar",
-  /// "multipaxos", "mencius", or anything registered later). `store`
-  /// (nullable) is the replica's stable storage; when it already holds
-  /// durable state the node is rebuilt from it (crash-restart recovery)
-  /// before start().
+  /// "multipaxos", "mencius", or anything registered later).
   LogServer(NodeHost& host, consensus::Group group, CostModel costs,
             const std::string& protocol,
-            const consensus::TimingOptions& timing = {},
-            storage::DurableStore* store = nullptr)
+            const consensus::TimingOptions& timing = {})
       : LogServer(host, costs,
                   consensus::make_node(protocol, std::move(group), host,
-                                       timing, store),
-                  store) {}
+                                       timing)) {}
 
   /// Wraps an already-constructed node (typed adapters, tests).
   LogServer(NodeHost& host, CostModel costs,
-            std::unique_ptr<consensus::NodeIface> node,
-            storage::DurableStore* store = nullptr)
-      : ReplicaServer(host, costs), node_(std::move(node)) {
+            std::unique_ptr<consensus::NodeIface> node)
+      : host_(host), costs_(costs), node_(std::move(node)) {
     PRAFT_CHECK_MSG(node_ != nullptr, "LogServer needs a protocol node");
+    host_.attach(this);
     node_->set_apply([this](consensus::LogIndex i, const kv::Command& c) {
       on_apply(i, c);
     });
@@ -68,23 +71,31 @@ class LogServer : public ReplicaServer {
     // this server replaces a crashed incarnation — rebuild the node from it
     // (state hooks above are live, so the snapshot restores and the WAL
     // suffix re-applies into the fresh kv store).
-    if (store != nullptr && store->has_state()) {
-      recovery_ = node_->recover(store->image());
+    if (const storage::DurableStore* disk = host_.store();
+        disk != nullptr && disk->has_state()) {
+      recovery_ = node_->recover(disk->image());
     }
   }
 
-  void start() override { node_->start(); }
-  [[nodiscard]] bool is_leader() const override { return node_->is_leader(); }
-  [[nodiscard]] NodeId leader_hint() const override {
-    return node_->leader_hint();
-  }
-  [[nodiscard]] bool leaderless() const override {
-    return node_->leaderless();
-  }
-  void trigger_election() override { node_->force_election(); }
-  [[nodiscard]] consensus::LogIndex commit_index() const override {
+  /// Starts the node. PQL and LL also start their lease managers here.
+  virtual void start() { node_->start(); }
+  [[nodiscard]] bool is_leader() const { return node_->is_leader(); }
+  [[nodiscard]] NodeId leader_hint() const { return node_->leader_hint(); }
+  /// True when the protocol has no single elected leader (see
+  /// consensus::NodeIface::leaderless).
+  [[nodiscard]] bool leaderless() const { return node_->leaderless(); }
+  /// Kicks off an immediate election attempt (used to pin the leader site).
+  void trigger_election() { node_->force_election(); }
+  /// Highest position this replica knows committed (the replica's committed
+  /// prefix, exposed for chaos/invariant tracing).
+  [[nodiscard]] consensus::LogIndex commit_index() const {
     return node_->commit_index();
   }
+
+  [[nodiscard]] NodeId id() const { return host_.id(); }
+  [[nodiscard]] SiteId site() const { return host_.site(); }
+  [[nodiscard]] const kv::KvStore& store() const { return store_; }
+  [[nodiscard]] NodeHost& host() { return host_; }
 
   consensus::NodeIface& node_iface() { return *node_; }
   [[nodiscard]] const consensus::NodeIface& node_iface() const {
@@ -167,6 +178,11 @@ class LogServer : public ReplicaServer {
     }
   }
 
+  void reply_to_client(NodeId client, uint64_t seq, uint64_t value, bool ok) {
+    ClientReply r{seq, value, ok, id()};
+    host_.send(client, Message{r}, wire_size(r));
+  }
+
   void on_harness_message(const Message& hm) {
     if (const auto* req = std::get_if<ClientRequest>(&hm)) {
       submit_or_forward(req->cmd, /*origin=*/kNoNode);
@@ -225,6 +241,9 @@ class LogServer : public ReplicaServer {
     (void)cmd;
   }
 
+  NodeHost& host_;
+  CostModel costs_;
+  kv::KvStore store_;
   std::unique_ptr<consensus::NodeIface> node_;
 
  private:

@@ -12,12 +12,11 @@ void ReplicaGroup::add_member(std::unique_ptr<NodeHost> host, int machine) {
   machines_.push_back(machine);
 }
 
-void ReplicaGroup::start(const ServerFactory& factory) {
+void ReplicaGroup::start(ServerFactory factory) {
   PRAFT_CHECK_MSG(servers_.empty(), "group started twice");
+  factory_ = std::move(factory);
   for (int j = 0; j < size(); ++j) {
-    consensus::Group g = group_template_;
-    g.self = id(j);
-    servers_.push_back(factory(*hosts_[static_cast<size_t>(j)], g));
+    servers_.push_back(build(j));
     servers_.back()->start();
   }
 }
@@ -26,24 +25,23 @@ void ReplicaGroup::start(const std::string& protocol,
                          const consensus::TimingOptions& timing) {
   // An unknown name fails inside ProtocolRegistry::make with a message
   // listing the registered protocols (no duplicate pre-check here).
-  PRAFT_CHECK_MSG(servers_.empty(), "group started twice");
-  protocol_ = protocol;
-  timing_ = timing;
-  for (int j = 0; j < size(); ++j) {
-    stores_.push_back(std::make_unique<storage::DurableStore>());
-  }
-  for (int j = 0; j < size(); ++j) {
-    servers_.push_back(make_named_server(j));
-    servers_.back()->start();
-  }
+  for (const auto& host : hosts_) host->make_store();
+  start([costs = costs_, protocol, timing](NodeHost& host,
+                                           const consensus::Group& g) {
+    return std::make_unique<LogServer>(host, g, costs, protocol, timing);
+  });
 }
 
-std::unique_ptr<LogServer> ReplicaGroup::make_named_server(int j) {
+std::unique_ptr<LogServer> ReplicaGroup::build(int j) {
   consensus::Group g = group_template_;
   g.self = id(j);
-  return std::make_unique<LogServer>(*hosts_[static_cast<size_t>(j)],
-                                     std::move(g), costs_, protocol_, timing_,
-                                     stores_[static_cast<size_t>(j)].get());
+  return factory_(*hosts_[static_cast<size_t>(j)], g);
+}
+
+storage::DurableStore& ReplicaGroup::store(int j) {
+  storage::DurableStore* disk = hosts_[static_cast<size_t>(j)]->store();
+  PRAFT_CHECK_MSG(disk != nullptr, "member's host has no durable store");
+  return *disk;
 }
 
 int ReplicaGroup::member_on(int m) const {
@@ -55,8 +53,7 @@ int ReplicaGroup::member_on(int m) const {
 
 void ReplicaGroup::crash(int j) {
   PRAFT_CHECK(j >= 0 && j < size());
-  PRAFT_CHECK_MSG(!protocol_.empty(),
-                  "crash/restart requires name-built replicas (durable store)");
+  storage::DurableStore& disk = store(j);
   if (!up(j)) return;
   NodeHost& host = *hosts_[static_cast<size_t>(j)];
   // Order matters: first make every pending timer/fsync callback a no-op and
@@ -65,7 +62,7 @@ void ReplicaGroup::crash(int j) {
   host.detach();
   servers_[static_cast<size_t>(j)].reset();
   // A power cut loses every staged write no completed fsync covered.
-  stores_[static_cast<size_t>(j)]->drop_unsynced();
+  disk.drop_unsynced();
 }
 
 void ReplicaGroup::restart(int j) {
@@ -78,7 +75,7 @@ void ReplicaGroup::restart(int j) {
   // recovery did.
   consensus::Trace* trace = host.trace();
   host.set_trace(nullptr);
-  servers_[static_cast<size_t>(j)] = make_named_server(j);
+  servers_[static_cast<size_t>(j)] = build(j);
   host.set_trace(trace);
   LogServer& ls = server(j);
   if (apply_probe_) ls.set_apply_probe(apply_probe_);

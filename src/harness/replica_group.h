@@ -20,7 +20,8 @@
 namespace praft::harness {
 
 /// One consensus group and its whole replica lifecycle: hosts, servers,
-/// durable stores, the group template and the apply probe.
+/// the factory that builds and rebuilds them, the group template and the
+/// apply probe.
 /// harness::Cluster owns one; shard::ShardedCluster owns one per group.
 /// Each member also records the machine it runs on, so machine-level
 /// faults address a flat cluster (machine m hosts replica m) and a sharded
@@ -37,24 +38,27 @@ class ReplicaGroup {
   /// before starting any, so each replica knows all member ids.
   void add_member(std::unique_ptr<NodeHost> host, int machine);
 
-  /// Builds every member's server with `factory` and starts it.
-  void start(const ServerFactory& factory);
-  /// Same, selecting the protocol by registry name behind the generic
-  /// LogServer. Each member gets a storage::DurableStore owned here (so it
-  /// survives node destruction), which is what crash/restart need.
+  /// Builds every member's server with `factory` and starts it. The group
+  /// keeps the factory: restart rebuilds a member through it.
+  void start(ServerFactory factory);
+  /// Gives each member's host a storage::DurableStore (NodeHost::make_store),
+  /// then starts the registry protocol `protocol` behind the generic
+  /// LogServer.
   void start(const std::string& protocol,
              const consensus::TimingOptions& timing);
 
-  // -- Crash-restart (name-started groups only) -----------------------------
+  // -- Crash-restart (members whose host has a store) -----------------------
   /// Destroys member `j`'s server and protocol node NOW: scheduled callbacks
   /// are invalidated, in-flight deliveries drop, and every staged write that
   /// no completed fsync covered is lost — exactly a power cut. The durable
-  /// store survives. A no-op while `j` is already down.
+  /// store survives on the host. A no-op while `j` is already down;
+  /// CHECK-fails when `j`'s host has no store.
   void crash(int j);
-  /// Rebuilds member `j` purely from its durable image (hard state +
-  /// snapshot + WAL replay) and starts it. Crashes it first if still up.
-  /// The recovery itself is untraced: the host's Trace sees the rebuilt
-  /// node from start() on, then Trace::on_restart.
+  /// Rebuilds member `j` through the group's factory and starts it; the new
+  /// server recovers purely from the host's durable image (hard state +
+  /// snapshot + WAL replay). Crashes it first if still up. The recovery
+  /// itself is untraced: the host's Trace sees the rebuilt node from start()
+  /// on, then Trace::on_restart.
   void restart(int j);
 
   [[nodiscard]] int size() const { return static_cast<int>(hosts_.size()); }
@@ -78,9 +82,9 @@ class ReplicaGroup {
   [[nodiscard]] const LogServer& server(int j) const {
     return *servers_[static_cast<size_t>(j)];
   }
-  [[nodiscard]] storage::DurableStore& store(int j) {
-    return *stores_[static_cast<size_t>(j)];
-  }
+  /// Member `j`'s durable store, which its host owns; CHECK-fails when the
+  /// host has none.
+  [[nodiscard]] storage::DurableStore& store(int j);
   [[nodiscard]] const consensus::Group& group_template() const {
     return group_template_;
   }
@@ -110,7 +114,8 @@ class ReplicaGroup {
   [[nodiscard]] consensus::Stats down_stats() const;
 
  private:
-  std::unique_ptr<LogServer> make_named_server(int j);
+  /// Builds member `j`'s server through factory_.
+  std::unique_ptr<LogServer> build(int j);
 
   sim::Simulator& sim_;
   sim::Network& net_;
@@ -119,11 +124,7 @@ class ReplicaGroup {
   std::vector<std::unique_ptr<NodeHost>> hosts_;
   std::vector<int> machines_;
   std::vector<std::unique_ptr<LogServer>> servers_;
-  std::vector<std::unique_ptr<storage::DurableStore>> stores_;
-
-  // Name-started configuration, retained so restart can rebuild.
-  std::string protocol_;
-  consensus::TimingOptions timing_;
+  ServerFactory factory_;
   ApplyProbe apply_probe_;
   int64_t restarts_ = 0;
 };

@@ -15,13 +15,13 @@ constexpr size_t kMaxRetransmitEntries = 512;
 }
 
 MenciusNode::MenciusNode(consensus::Group group, consensus::Env& env,
-                         Options opt, storage::DurableStore* store)
+                         Options opt)
     : NodeIface(env.stats()),
       group_(std::move(group)),
       env_(env),
       opt_(opt),
-      persister_(env, group_.self, store, opt_.fsync_duration,
-                 opt_.sync_batch_delay, [this] { return hard_state(); }),
+      persister_(env, group_.self, opt_.fsync_duration, opt_.sync_batch_delay,
+                 [this] { return hard_state(); }),
       status_(env),
       batcher_(env, opt_, [this] { flush(); }),
       applier_(/*start=*/-1),

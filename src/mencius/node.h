@@ -62,11 +62,11 @@ struct Options : consensus::TimingOptions {
 /// runtime.
 class MenciusNode : public consensus::NodeIface {
  public:
-  /// `store` (nullable) is this node's stable storage: per-slot accepted
-  /// values and revocation promises, the own-slot cursor and revocation
-  /// floors persist through it; acks wait on the fsync barrier.
-  MenciusNode(consensus::Group group, consensus::Env& env, Options opt = {},
-              storage::DurableStore* store = nullptr);
+  /// The Env's store (null: diskless) is this node's stable storage:
+  /// per-slot accepted values and revocation promises, the own-slot cursor
+  /// and revocation floors persist through it; acks wait on the fsync
+  /// barrier.
+  MenciusNode(consensus::Group group, consensus::Env& env, Options opt = {});
 
   void start() override;
   void on_packet(const net::Packet& p) override;

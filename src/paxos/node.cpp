@@ -7,14 +7,13 @@
 
 namespace praft::paxos {
 
-PaxosNode::PaxosNode(consensus::Group group, consensus::Env& env, Options opt,
-                     storage::DurableStore* store)
+PaxosNode::PaxosNode(consensus::Group group, consensus::Env& env, Options opt)
     : NodeIface(env.stats()),
       group_(std::move(group)),
       env_(env),
       opt_(opt),
-      persister_(env, group_.self, store, opt_.fsync_duration,
-                 opt_.sync_batch_delay, [this] { return hard_state(); }),
+      persister_(env, group_.self, opt_.fsync_duration, opt_.sync_batch_delay,
+                 [this] { return hard_state(); }),
       election_(env, opt_.election_timeout_min, opt_.election_timeout_max),
       heartbeat_(env),
       batcher_(env, opt_, [this] { flush_batch(); }),

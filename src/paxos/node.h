@@ -34,11 +34,11 @@ struct Options : consensus::TimingOptions {};
 /// runtime.
 class PaxosNode : public consensus::NodeIface {
  public:
-  /// `store` (nullable) is this node's stable storage: the promised ballot
-  /// and every accepted (ballot, value) pair persist through it; PrepareOk /
-  /// AcceptOk replies wait on the fsync barrier (storage::Persister).
-  PaxosNode(consensus::Group group, consensus::Env& env, Options opt = {},
-            storage::DurableStore* store = nullptr);
+  /// The Env's store (null: diskless) is this node's stable storage: the
+  /// promised ballot and every accepted (ballot, value) pair persist through
+  /// it; PrepareOk / AcceptOk replies wait on the fsync barrier
+  /// (storage::Persister).
+  PaxosNode(consensus::Group group, consensus::Env& env, Options opt = {});
 
   void start() override;
   void on_packet(const net::Packet& p) override;

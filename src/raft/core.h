@@ -56,16 +56,15 @@ class Core : public consensus::NodeIface {
   using InstallSnapshot = typename F::InstallSnapshot;
   using InstallSnapshotReply = typename F::InstallSnapshotReply;
 
-  /// `store` (nullable) is this node's stable storage: currentTerm/votedFor
-  /// and the log persist through it, and every message that depends on them
-  /// waits for its fsync barrier (storage::Persister).
-  Core(consensus::Group group, consensus::Env& env, Options opt = {},
-       storage::DurableStore* store = nullptr)
+  /// The Env's store (null: diskless) is this node's stable storage:
+  /// currentTerm/votedFor and the log persist through it, and every message
+  /// that depends on them waits for its fsync barrier (storage::Persister).
+  Core(consensus::Group group, consensus::Env& env, Options opt = {})
       : NodeIface(env.stats()),
         group_(std::move(group)),
         env_(env),
         opt_(opt),
-        persister_(env, group_.self, store, opt_.fsync_duration,
+        persister_(env, group_.self, opt_.fsync_duration,
                    opt_.sync_batch_delay, [this] { return hard_state(); }),
         mirror_(persister_, log_),
         election_(env, opt_.election_timeout_min, opt_.election_timeout_max),

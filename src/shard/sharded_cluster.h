@@ -52,8 +52,8 @@ struct ShardedClusterConfig {
 
 /// Builds and owns a sharded deployment over ONE shared simulated runtime:
 /// a simulator + network, M machine CPUs, N harness::ReplicaGroups of
-/// name-built replica servers (each its own consensus::Group, DurableStores
-/// and independent leader), the ShardMap/ShardRouter client path, and
+/// replica servers (each its own consensus::Group, hosts with their durable
+/// stores, and independent leader), the ShardMap/ShardRouter client path, and
 /// routed closed-loop clients. The per-group calls below forward to the
 /// group's ReplicaGroup; machine-level crash/restart and fault targeting
 /// hit every group a machine serves at once.

@@ -27,8 +27,9 @@ namespace praft::storage {
 /// discipline (one pending flush, armed on first demand). This is the knob
 /// the recovery bench flips: per-message fsyncs vs batched group commit.
 ///
-/// Two degenerate modes keep the rest of the repo simple:
-///  * no store (nullptr): a diskless node — sends go straight out, barriers
+/// The store is the Env's (consensus::Env::store), fixed when the Persister
+/// is built. Two degenerate modes keep the rest of the repo simple:
+///  * no store (null): a diskless node — sends go straight out, barriers
 ///    run inline. Unit tests that never crash-restart use this.
 ///  * zero-cost storage (fsync_duration == 0 and sync_batch_delay == 0):
 ///    every staged write commits synchronously, so sends never defer and
@@ -42,18 +43,14 @@ class Persister {
  public:
   using HardStateFn = std::function<consensus::HardState()>;
 
-  Persister(consensus::Env& env, NodeId self, DurableStore* store,
-            Duration fsync_duration, Duration sync_batch_delay,
-            HardStateFn hard_state)
+  Persister(consensus::Env& env, NodeId self, Duration fsync_duration,
+            Duration sync_batch_delay, HardStateFn hard_state)
       : env_(env),
         self_(self),
-        store_(store),
+        store_(env.store()),
         fsync_(fsync_duration),
         delay_(sync_batch_delay),
         hard_state_(std::move(hard_state)) {}
-
-  [[nodiscard]] bool enabled() const { return store_ != nullptr; }
-  [[nodiscard]] DurableStore* store() { return store_; }
 
   // -- Staging (no-ops without a store) -------------------------------------
   void hard_state() {

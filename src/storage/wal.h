@@ -61,10 +61,11 @@ struct RecoveryStats {
 };
 
 /// Deterministic, simulation-backed stable storage for one replica: a hard
-/// state file plus a write-ahead log with snapshot-based truncation. The
-/// store OUTLIVES the node object (the harness Cluster owns it), which is
-/// what makes real crash-restart testable: Cluster::restart_replica destroys
-/// the node and rebuilds it purely from image().
+/// state file plus a write-ahead log with snapshot-based truncation. A node
+/// reaches it only through its Env (consensus::Env::store), and the store
+/// OUTLIVES the node object (a cluster replica's harness::NodeHost owns it),
+/// which is what makes real crash-restart testable: ReplicaGroup::restart
+/// destroys the node and rebuilds it purely from image().
 ///
 /// Write model (write-ahead discipline made explicit):
 ///  * stage_*() buffers a mutation. Staged mutations are VOLATILE — a crash

@@ -17,6 +17,7 @@
 
 #include "chaos/runner.h"
 #include "consensus/group.h"
+#include "consensus/registry.h"
 #include "consensus/trace.h"
 #include "harness/cluster.h"
 #include "harness/log_server.h"
@@ -256,7 +257,8 @@ TEST(DurableStoreTest, TruncationAcrossPagesEmptiesTheWal) {
 TEST(PersisterTest, SendsWaitForTheCoveringFsync) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/msec(2),
+  env.set_store(&store);
+  storage::Persister p(env, /*self=*/0, /*fsync=*/msec(2),
                        /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
@@ -272,7 +274,8 @@ TEST(PersisterTest, SendsWaitForTheCoveringFsync) {
 TEST(PersisterTest, BarrierRunsAfterDurabilityAndGroupCommitCoalesces) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/msec(2),
+  env.set_store(&store);
+  storage::Persister p(env, /*self=*/0, /*fsync=*/msec(2),
                        /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   int fired = 0;
@@ -291,7 +294,8 @@ TEST(PersisterTest, BarrierRunsAfterDurabilityAndGroupCommitCoalesces) {
 TEST(PersisterTest, UnsyncedSendSkipsTheBarrier) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/msec(2),
+  env.set_store(&store);
+  storage::Persister p(env, /*self=*/0, /*fsync=*/msec(2),
                        /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
@@ -315,7 +319,8 @@ TEST(PersisterTest, TraceSeesTheSendTimeHardStateWhenTheMessageLeaves) {
   storage::DurableStore store;
   consensus::HardState hs;
   hs.term = 1;
-  storage::Persister p(env, /*self=*/3, &store, /*fsync=*/msec(2),
+  env.set_store(&store);
+  storage::Persister p(env, /*self=*/3, /*fsync=*/msec(2),
                        /*batch=*/msec(1), [&hs] { return hs; });
   p.hard_state();
   p.send(7, std::string("vote"), 16);  // depends on term 1, held for fsync
@@ -342,7 +347,8 @@ TEST(PersisterTest, TraceSeesTheSendTimeHardStateWhenTheMessageLeaves) {
 TEST(PersisterTest, ZeroCostStorageIsSynchronous) {
   test::ScriptedEnv env;
   storage::DurableStore store;
-  storage::Persister p(env, /*self=*/0, &store, /*fsync=*/0,
+  env.set_store(&store);
+  storage::Persister p(env, /*self=*/0, /*fsync=*/0,
                        /*batch=*/0, [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
   EXPECT_FALSE(store.dirty());  // committed inline
@@ -363,7 +369,8 @@ TEST(RaftDurabilityTest, VoteIsOnDiskBeforeTheReplyLeaves) {
   raft::Options opt;
   opt.fsync_duration = msec(2);
   opt.sync_batch_delay = msec(1);
-  raft::RaftNode node(group_of(0, {0, 1, 2}), env, opt, &store);
+  env.set_store(&store);
+  raft::RaftNode node(group_of(0, {0, 1, 2}), env, opt);
   node.start();
 
   raft::RequestVote rv{/*term=*/5, /*candidate=*/1, 0, 0};
@@ -392,7 +399,8 @@ TEST(RaftDurabilityTest, SkipVoteFsyncBugLeaksTheReply) {
   opt.fsync_duration = msec(2);
   opt.sync_batch_delay = msec(1);
   opt.unsafe_skip_vote_fsync = true;
-  raft::RaftNode node(group_of(0, {0, 1, 2}), env, opt, &store);
+  env.set_store(&store);
+  raft::RaftNode node(group_of(0, {0, 1, 2}), env, opt);
   node.start();
 
   raft::RequestVote rv{/*term=*/5, /*candidate=*/1, 0, 0};
@@ -408,7 +416,8 @@ TEST(RaftDurabilityTest, RecoverRebuildsTermVoteAndLog) {
   storage::DurableStore store;
   {
     raft::Options opt;  // zero-cost storage: everything durable synchronously
-    raft::RaftNode node(group_of(0, {0}), env, opt, &store);
+    env.set_store(&store);
+    raft::RaftNode node(group_of(0, {0}), env, opt);
     node.start();
     node.force_election();  // single-node group: leader immediately
     ASSERT_TRUE(node.is_leader());
@@ -421,7 +430,8 @@ TEST(RaftDurabilityTest, RecoverRebuildsTermVoteAndLog) {
   }
   // Crash: the node object is gone; rebuild purely from the durable image.
   test::ScriptedEnv env2;
-  raft::RaftNode revived(group_of(0, {0}), env2, raft::Options{}, &store);
+  env2.set_store(&store);
+  raft::RaftNode revived(group_of(0, {0}), env2, raft::Options{});
   const storage::RecoveryStats stats = revived.recover(store.image());
   EXPECT_TRUE(stats.recovered);
   EXPECT_EQ(revived.current_term(), 1);
@@ -429,6 +439,32 @@ TEST(RaftDurabilityTest, RecoverRebuildsTermVoteAndLog) {
   EXPECT_EQ(revived.entry_at(2).cmd.key, 11u);
   EXPECT_LE(stats.replayed,
             static_cast<size_t>(stats.wal_tail - stats.snapshot_floor));
+}
+
+TEST(EnvStoreTest, EveryRegistryProtocolPersistsThroughTheEnvStore) {
+  for (const std::string& name : consensus::protocol_names()) {
+    SCOPED_TRACE(name);
+    test::ScriptedEnv env;
+    storage::DurableStore store;
+    env.set_store(&store);
+    auto node = consensus::make_node(name, group_of(0, {0}), env);
+    node->start();
+    node->force_election();  // a one-member group leads at once
+    env.advance(msec(500));
+    kv::Command cmd;
+    cmd.op = kv::Op::kPut;
+    cmd.key = 5;
+    cmd.value = 6;
+    ASSERT_GE(node->submit(cmd), 0);
+    env.advance(msec(50));
+    EXPECT_TRUE(store.has_state());
+    EXPECT_GE(store.wal_records(), 1u);
+    // What the store holds rebuilds the node on a fresh Env.
+    test::ScriptedEnv env2;
+    env2.set_store(&store);
+    auto revived = consensus::make_node(name, group_of(0, {0}), env2);
+    EXPECT_TRUE(revived->recover(store.image()).recovered);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "consensus/stats.h"
 #include "consensus/timing.h"
 #include "consensus/trace.h"
@@ -218,6 +219,27 @@ TEST_P(ReplicaGroupLifecycleTest, CrashesKeepTheCountsAndARestartAddsToThem) {
   EXPECT_TRUE(g.down_stats() == consensus::Stats{});
 }
 
+TEST_P(ReplicaGroupLifecycleTest, RestartedTwiceRecoversFromTheSameHostStore) {
+  harness::ReplicaGroup& g = *group_;
+  const int victim = follower();
+  storage::DurableStore* disk = &g.store(victim);
+  consensus::LogIndex last_tail = -1;
+  for (int round = 0; round < 2; ++round) {
+    run_for(msec(500));
+    g.crash(victim);
+    g.restart(victim);
+    // The rebuilt node talks through the same host, so it recovers from
+    // the store its predecessors wrote, which the crash left in place.
+    EXPECT_EQ(&g.store(victim), disk);
+    EXPECT_EQ(g.server(victim).host().store(), disk);
+    const storage::RecoveryStats& rec = g.server(victim).recovery();
+    ASSERT_TRUE(rec.recovered);
+    EXPECT_GT(rec.wal_tail, last_tail);
+    last_tail = rec.wal_tail;
+  }
+  EXPECT_EQ(g.restarts(), 2);
+}
+
 std::string front_name(const ::testing::TestParamInfo<bool>& info) {
   return info.param ? "ShardedGroup" : "Cluster";
 }
@@ -318,6 +340,27 @@ TEST_P(MenciusLifecycleTest, BenchFormulaCountsEachIncarnationOnce) {
 
 INSTANTIATE_TEST_SUITE_P(Fronts, MenciusLifecycleTest, ::testing::Bool(),
                          front_name);
+
+TEST(ReplicaGroupTest, CrashAndRestartNeedAHostStore) {
+  // A factory-started group gives its hosts no store: its members are
+  // diskless and can neither crash nor restart.
+  harness::ClusterConfig cfg;
+  cfg.num_replicas = 3;
+  cfg.latency = sim::LatencyMatrix(3, msec(1));
+  harness::Cluster cluster(std::move(cfg));
+  cluster.build_replicas(
+      [](harness::NodeHost& host, const consensus::Group& group) {
+        return std::make_unique<harness::LogServer>(host, group,
+                                                    harness::CostModel{},
+                                                    "raft", durable_timing());
+      });
+  ASSERT_GE(cluster.establish_leader(0), 0);
+  EXPECT_EQ(cluster.server(1).host().store(), nullptr);
+  EXPECT_THROW(cluster.crash_replica(1), CheckFailure);
+  EXPECT_THROW(cluster.restart_replica(1), CheckFailure);
+  EXPECT_TRUE(cluster.replica_up(1));
+  EXPECT_EQ(cluster.restarts(), 0);
+}
 
 }  // namespace
 }  // namespace praft
