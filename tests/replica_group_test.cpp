@@ -350,9 +350,8 @@ TEST(ReplicaGroupTest, CrashAndRestartNeedAHostStore) {
   harness::Cluster cluster(std::move(cfg));
   cluster.build_replicas(
       [](harness::NodeHost& host, const consensus::Group& group) {
-        return std::make_unique<harness::LogServer>(host, group,
-                                                    harness::CostModel{},
-                                                    "raft", durable_timing());
+        return std::make_unique<harness::LogServer>(
+            host, group, harness::CostModel{}, "raft");
       });
   ASSERT_GE(cluster.establish_leader(0), 0);
   EXPECT_EQ(cluster.server(1).host().store(), nullptr);
