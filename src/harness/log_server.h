@@ -94,6 +94,7 @@ class LogServer : public PacketHandler {
 
   [[nodiscard]] NodeId id() const { return host_.id(); }
   [[nodiscard]] SiteId site() const { return host_.site(); }
+  /// The replicated KV state machine (the durable store is host().store()).
   [[nodiscard]] const kv::KvStore& store() const { return store_; }
   [[nodiscard]] NodeHost& host() { return host_; }
 
