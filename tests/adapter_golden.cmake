@@ -5,11 +5,15 @@
 #   - fig9a_read_latency --json: Raft, Raft*, Raft*-LL and Raft*-PQL;
 #   - fig10c_mencius_lat_8b --json: Raft, Raft*, and Raft*-Mencius (early
 #     ack) at 0% and 100% conflicts;
+#   - fig10d_mencius_lat_4kb --json: the same systems plus Raft-Seoul with
+#     per-site NIC egress modeled (ClusterConfig::replica_egress, which only
+#     Fig. 10b and 10d set; 10d is the quick one);
 #   - the stdout of four examples (registry Raft*, a factory-built Raft*
 #     failover, PQL local reads, Mencius skips).
 #
 #   cmake -DFIG9A=build/bench/fig9a_read_latency \
 #         -DFIG10C=build/bench/fig10c_mencius_lat_8b \
+#         -DFIG10D=build/bench/fig10d_mencius_lat_4kb \
 #         -DEXAMPLE_DIR=build/examples -DSOURCE_DIR=. \
 #         -P tests/adapter_golden.cmake
 #
@@ -19,7 +23,7 @@
 set(golden "${SOURCE_DIR}/tests/golden/adapters.txt")
 set(actual "")
 
-foreach(bench IN ITEMS FIG9A FIG10C)
+foreach(bench IN ITEMS FIG9A FIG10C FIG10D)
   get_filename_component(name "${${bench}}" NAME_WE)
   set(json "${CMAKE_CURRENT_BINARY_DIR}/adapter_golden_${name}.json")
   execute_process(COMMAND "${${bench}}" "--json=${json}"
