@@ -14,7 +14,8 @@ ShardedCluster::ShardedCluster(ShardedClusterConfig cfg)
   PRAFT_CHECK_MSG(cfg_.replicas_per_group > 0 &&
                       cfg_.replicas_per_group <= cfg_.num_machines,
                   "each group member needs its own machine");
-  PRAFT_CHECK(!cfg_.protocols.empty());
+  PRAFT_CHECK_MSG(cfg_.protocols.size() == 1,
+                  "every group runs the same one protocol");
 }
 
 int ShardedCluster::member_machine(int g, int j) const {
@@ -30,10 +31,6 @@ int ShardedCluster::member_machine(int g, int j) const {
   const int stride = std::max(1, m / cfg_.replicas_per_group);
   const int base = cfg_.spread_leaders ? g : 0;
   return (base + j * stride) % m;
-}
-
-const std::string& ShardedCluster::protocol_of(int g) const {
-  return cfg_.protocols[static_cast<size_t>(g) % cfg_.protocols.size()];
 }
 
 void ShardedCluster::build() {
@@ -57,7 +54,7 @@ void ShardedCluster::build() {
     }
   }
   for (int g = 0; g < cfg_.num_groups; ++g) {
-    group(g).start(protocol_of(g), cfg_.timing);
+    group(g).start(cfg_.protocols[0], cfg_.timing);
   }
   // Client path: each group's contact is its preferred-leader replica
   // (member 0) under the placement policy.

@@ -41,8 +41,8 @@ struct ShardedClusterConfig {
   /// ablation baseline): every group uses the same member machines, so all
   /// preferred leaders pile onto machine 0.
   bool spread_leaders = true;
-  /// Per-group consensus protocol, by registry name. One entry applies to
-  /// all groups; otherwise group g runs protocols[g % size].
+  /// The consensus protocol every group runs, by registry name. It must
+  /// name exactly one.
   std::vector<std::string> protocols = {"raft"};
   consensus::TimingOptions timing;
   sim::LatencyMatrix latency = sim::LatencyMatrix::aws5();
@@ -78,7 +78,6 @@ class ShardedCluster {
   }
   [[nodiscard]] const ShardMap& map() const { return map_; }
   [[nodiscard]] const ShardRouter& router() const { return *router_; }
-  [[nodiscard]] const std::string& protocol_of(int g) const;
 
   // -- Per-group accessors -------------------------------------------------
   [[nodiscard]] harness::ReplicaGroup& group(int g) {

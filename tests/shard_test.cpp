@@ -184,46 +184,5 @@ TEST(ShardedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
   EXPECT_EQ(cluster.restarts(), 1);
 }
 
-TEST(ShardedClusterTest, MixedProtocolGroupsConvergeTogether) {
-  // One deployment, four groups, four different protocols — the registry
-  // seam the sharded harness is built on. Every group must elect (or, for
-  // Mencius, coordinate) independently and converge on its own agreed log.
-  auto cfg = small_config(4, 5, 5);
-  cfg.protocols = {"raft", "multipaxos", "raftstar", "mencius"};
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
-  EXPECT_EQ(cluster.protocol_of(0), "raft");
-  EXPECT_EQ(cluster.protocol_of(3), "mencius");
-
-  std::vector<std::unique_ptr<chaos::InvariantChecker>> chks;
-  for (int g = 0; g < 4; ++g) {
-    chks.push_back(std::make_unique<chaos::InvariantChecker>());
-    chks.back()->attach(cluster.group(g));
-  }
-  cluster.install_reply_probe([&chks](int g, const kv::Command& cmd,
-                                      uint64_t value, bool ok, Time, Time) {
-    chks[static_cast<size_t>(g)]->on_reply(cmd, value, ok);
-  });
-  ASSERT_EQ(cluster.establish_leaders(), 4);
-
-  kv::WorkloadConfig wl;
-  wl.read_fraction = 0.5;
-  cluster.add_clients(3, wl, cluster.sim().now());
-  cluster.run_for(sec(3));
-  cluster.stop_clients();
-  cluster.run_for(sec(3));
-
-  for (int g = 0; g < 4; ++g) {
-    chks[static_cast<size_t>(g)]->finalize(cluster.group(g));
-    EXPECT_TRUE(chks[static_cast<size_t>(g)]->ok())
-        << cluster.protocol_of(g) << ": "
-        << (chks[static_cast<size_t>(g)]->violations().empty()
-                ? ""
-                : chks[static_cast<size_t>(g)]->violations().front());
-    EXPECT_GT(chks[static_cast<size_t>(g)]->client_ops(), 0u)
-        << cluster.protocol_of(g);
-  }
-}
-
 }  // namespace
 }  // namespace praft
