@@ -10,7 +10,6 @@
 #include "harness/cluster.h"
 #include "harness/replica_group.h"
 #include "shard/shard_invariants.h"
-#include "shard/sharded_cluster.h"
 
 namespace praft::chaos {
 
@@ -176,49 +175,12 @@ consensus::TimingOptions timing_of(const RunOptions& opt) {
   return timing;
 }
 
-// What differs between the two cluster types, for the one run body below:
-// their groups, the warm-up, and how client replies reach a group's checker.
-
-std::vector<harness::ReplicaGroup*> groups_of(harness::Cluster& cluster) {
-  return {&cluster.group()};
-}
-std::vector<harness::ReplicaGroup*> groups_of(shard::ShardedCluster& cluster) {
-  return cluster.groups();
-}
-
-/// A stable leader (when the protocol has one) before the fault windows
-/// open, mirroring the paper's testbed runs: a seed-chosen replica in a
-/// flat cluster, every group's preferred leader in parallel when sharded.
-void warm_up(harness::Cluster& cluster, uint64_t seed) {
-  cluster.establish_leader(
-      static_cast<int>(seed % static_cast<uint64_t>(cluster.num_replicas())),
-      sec(10));
-}
-void warm_up(shard::ShardedCluster& cluster, uint64_t) {
-  cluster.establish_leaders(sec(10));
-}
-
-void check_replies(harness::Cluster& cluster, Deployment& d) {
-  cluster.install_reply_probe(
-      [&d](const kv::Command& cmd, uint64_t value, bool ok, Time, Time) {
-        d.chks[0]->on_reply(cmd, value, ok);
-      });
-}
-/// Replies are checked against the owning group's agreed log.
-void check_replies(shard::ShardedCluster& cluster, Deployment& d) {
-  cluster.install_reply_probe([&d](int g, const kv::Command& cmd,
-                                   uint64_t value, bool ok, Time, Time) {
-    d.chks[static_cast<size_t>(g)]->on_reply(cmd, value, ok);
-  });
-}
-
-/// The one run body: arms the schedule against `cluster`, runs the chaos
-/// phase and a fault-free tail, and checks every group's invariants plus
-/// the cross-group routing invariant (trivially met by one group).
-template <typename C>
-RunResult run_on(C& cluster, const RunOptions& opt, const Schedule& sched,
-                 Time faults_end) {
-  Deployment d{cluster.sim(), groups_of(cluster), opt.num_replicas, {}};
+/// The run body: arms the schedule against `cluster`, runs the chaos phase
+/// and a fault-free tail, and checks every group's invariants plus the
+/// cross-group routing invariant (trivially met by one group).
+RunResult run_on(harness::Cluster& cluster, const RunOptions& opt,
+                 const Schedule& sched, Time faults_end) {
+  Deployment d{cluster.sim(), cluster.groups(), opt.num_replicas, {}};
   shard::CrossGroupChecker xchk(
       shard::ShardMap(static_cast<int>(d.groups.size())));
   for (size_t g = 0; g < d.groups.size(); ++g) {
@@ -232,7 +194,11 @@ RunResult run_on(C& cluster, const RunOptions& opt, const Schedule& sched,
           xchk.on_apply(g, r, i, c);
         });
   }
-  check_replies(cluster, d);
+  // Replies are checked against the owning group's agreed log.
+  cluster.install_reply_probe([&d](int g, const kv::Command& cmd,
+                                   uint64_t value, bool ok, Time, Time) {
+    d.chks[static_cast<size_t>(g)]->on_reply(cmd, value, ok);
+  });
 
   const Time end = faults_end + sec(1) + opt.quiesce;
   if (opt.compaction_log_cap > 0) {
@@ -275,10 +241,18 @@ RunResult run_on(C& cluster, const RunOptions& opt, const Schedule& sched,
   faults.set_reorder_rate(sched.reorder_rate);
   for (const FaultEvent& e : sched.events) arm_event(e, faults, d);
 
-  if (!leaderless) {
-    warm_up(cluster, sched.seed);
-  } else {
+  // A stable leader (when the protocol has one) before the fault windows
+  // open, mirroring the paper's testbed runs: a seed-chosen replica of the
+  // one group, or every group's preferred leader in parallel.
+  if (leaderless) {
     cluster.run_for(msec(500));
+  } else if (cluster.num_groups() == 1) {
+    cluster.establish_leader(
+        static_cast<int>(sched.seed %
+                         static_cast<uint64_t>(cluster.num_replicas())),
+        sec(10));
+  } else {
+    cluster.establish_leaders(sec(10));
   }
   cluster.add_clients(sched.clients_per_region, sched.workload,
                       cluster.sim().now());
@@ -371,27 +345,13 @@ RunResult run_one(const RunOptions& opt) {
     faults_end = std::max(faults_end, e.to);
   }
 
-  RunResult res;
-  if (opt.groups > 1) {
-    shard::ShardedClusterConfig cfg;
-    cfg.num_groups = opt.groups;
-    cfg.num_machines = opt.num_replicas;
-    cfg.replicas_per_group = opt.num_replicas;  // every machine, every group
-    cfg.spread_leaders = true;
-    cfg.protocols = {opt.protocol};
-    cfg.timing = timing_of(opt);
-    cfg.seed = sched.seed;
-    shard::ShardedCluster cluster(std::move(cfg));
-    cluster.build();
-    res = run_on(cluster, opt, sched, faults_end);
-  } else {
-    harness::ClusterConfig cfg;
-    cfg.num_replicas = opt.num_replicas;
-    cfg.seed = sched.seed;
-    harness::Cluster cluster(cfg);
-    cluster.build_replicas(opt.protocol, timing_of(opt));
-    res = run_on(cluster, opt, sched, faults_end);
-  }
+  harness::ClusterConfig cfg;
+  cfg.num_replicas = opt.num_replicas;
+  cfg.num_groups = opt.groups;  // each machine hosts a member of every group
+  cfg.seed = sched.seed;
+  harness::Cluster cluster(cfg);
+  cluster.build_replicas(opt.protocol, timing_of(opt));
+  RunResult res = run_on(cluster, opt, sched, faults_end);
   res.protocol = opt.protocol;
   res.seed = sched.seed;
   res.schedule = sched.describe();

@@ -19,8 +19,8 @@ struct ClientOptions {
 /// Closed-loop client (§5 Workload): issues one request, waits for the reply,
 /// records latency, immediately issues the next. A retry timer guards against
 /// requests lost to leader changes or injected faults. `route` picks each
-/// command's destination: a fixed replica in a flat cluster, the owning
-/// group's contact in a sharded one.
+/// command's destination (Cluster::add_clients: the member on the client's
+/// own machine in the §5 testbed, else the owning group's member 0).
 class ClosedLoopClient final : public PacketHandler {
  public:
   using Options = ClientOptions;

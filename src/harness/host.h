@@ -33,11 +33,11 @@ class PacketHandler {
 /// incarnation of the replica, and a replica's stable store, which the host
 /// owns (make_store), is what a rebuilt node recovers from.
 ///
-/// A host normally owns its CPU (one endpoint == one machine). When
-/// `shared_cpu` is supplied, service time is billed against that external
-/// resource instead — several endpoints then contend for one serial CPU,
-/// which is how the shard layer models multiple consensus-group replicas
-/// co-located on one physical machine.
+/// A host owns its CPU unless `shared_cpu` is supplied; service time is then
+/// billed against that external resource, and every endpoint given the same
+/// one contends for it. harness::Cluster passes each replica its machine's
+/// CPU, so the replicas of several groups placed on one machine share it
+/// (one tenant bills exactly what an owned CPU would); clients own theirs.
 class NodeHost final : public consensus::Env {
  public:
   NodeHost(sim::Simulator& sim, sim::Network& net, SiteId site,

@@ -21,11 +21,9 @@ namespace praft::harness {
 
 /// One consensus group and its whole replica lifecycle: hosts, servers,
 /// the factory that builds and rebuilds them, the group template and the
-/// apply probe.
-/// harness::Cluster owns one; shard::ShardedCluster owns one per group.
-/// Each member also records the machine it runs on, so machine-level
-/// faults address a flat cluster (machine m hosts replica m) and a sharded
-/// one the same way.
+/// apply probe. harness::Cluster owns one per group. Each member also
+/// records the machine it runs on, so machine-level faults address a flat
+/// cluster (machine m hosts replica m) and a multi-group one the same way.
 class ReplicaGroup {
  public:
   ReplicaGroup(sim::Simulator& sim, sim::Network& net, CostModel costs)

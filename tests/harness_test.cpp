@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "harness/cluster.h"
 #include "harness/cost_model.h"
 #include "harness/experiment.h"
@@ -47,34 +49,75 @@ TEST(CostModelTest, SizeCostScalesLinearly) {
   EXPECT_EQ(cm.size_cost(8192), 2 * cm.per_4kb);
 }
 
-TEST(NodeHostTest, CpuQueueDelaysProcessing) {
+/// Records when each packet is handled; every packet costs 10 ms of CPU.
+struct TimedHandler : harness::PacketHandler {
+  explicit TimedHandler(sim::Simulator& s) : sim(s) {}
+  void handle(const net::Packet&) override { at.push_back(sim.now()); }
+  [[nodiscard]] Duration cost_of(const net::Packet&) const override {
+    return msec(10);  // expensive processing
+  }
+  sim::Simulator& sim;
+  std::vector<Time> at;
+};
+
+struct CpuRun {
+  std::vector<Time> handled;
+  Duration busy = 0;
+};
+
+/// Two packets sent to one receiver at once. The receiver bills its own CPU,
+/// or `shared_cpu` when given.
+CpuRun two_packets(sim::SerialResource* shared_cpu) {
   sim::Simulator sim(3);
   sim::Network net(sim, test::lan_matrix());
   harness::NodeHost sender(sim, net, 0);
-  harness::NodeHost receiver(sim, net, 0);
-
-  struct CountingHandler : harness::PacketHandler {
-    int handled = 0;
-    Time last = 0;
-    sim::Simulator* sim = nullptr;
-    void handle(const net::Packet&) override {
-      ++handled;
-      last = sim->now();
-    }
-    [[nodiscard]] Duration cost_of(const net::Packet&) const override {
-      return msec(10);  // expensive processing
-    }
-  } handler;
-  handler.sim = &sim;
+  harness::NodeHost receiver(sim, net, 0, 0.0, shared_cpu);
+  TimedHandler handler(sim);
   receiver.attach(&handler);
-
-  // Two messages arrive ~together; the second waits behind the first.
   net.send(sender.id(), receiver.id(), 1, 10);
   net.send(sender.id(), receiver.id(), 2, 10);
   sim.run_for(msec(100));
-  EXPECT_EQ(handler.handled, 2);
-  EXPECT_GE(handler.last, msec(20));  // ~arrival + 2 x 10 ms service
-  EXPECT_GE(receiver.cpu_busy(), msec(20));
+  return {handler.at, receiver.cpu_busy()};
+}
+
+TEST(NodeHostTest, CpuQueueDelaysProcessing) {
+  // Two messages arrive ~together; the second waits behind the first.
+  const CpuRun own = two_packets(nullptr);
+  ASSERT_EQ(own.handled.size(), 2u);
+  EXPECT_GE(own.handled[1], msec(20));  // ~arrival + 2 x 10 ms service
+  EXPECT_EQ(own.busy, msec(20));
+  // A machine CPU no other host uses bills exactly what an owned one does.
+  sim::SerialResource machine;
+  const CpuRun shared = two_packets(&machine);
+  EXPECT_EQ(shared.handled, own.handled);
+  EXPECT_EQ(shared.busy, own.busy);
+  EXPECT_EQ(machine.busy_time(), own.busy);
+}
+
+TEST(NodeHostTest, CoLocatedHostsQueueOnTheMachineCpu) {
+  sim::Simulator sim(3);
+  sim::Network net(sim, test::lan_matrix());
+  sim::SerialResource machine;
+  harness::NodeHost sender(sim, net, 0);
+  harness::NodeHost first(sim, net, 0, 0.0, &machine);
+  harness::NodeHost second(sim, net, 0, 0.0, &machine);
+  TimedHandler h1(sim), h2(sim);
+  first.attach(&h1);
+  second.attach(&h2);
+  net.send(sender.id(), first.id(), 1, 10);
+  net.send(sender.id(), first.id(), 2, 10);
+  // Both of first's packets are queued (one 5 ms hop) and neither is done
+  // when second's packet lands, so it waits behind both services.
+  sim.run_for(msec(8));
+  net.send(sender.id(), second.id(), 3, 10);
+  sim.run_for(msec(100));
+  ASSERT_EQ(h1.at.size(), 2u);
+  ASSERT_EQ(h2.at.size(), 1u);
+  EXPECT_EQ(h2.at[0], h1.at[1] + msec(10));
+  // Either host reads the machine's busy time, not its own share.
+  EXPECT_EQ(machine.busy_time(), msec(30));
+  EXPECT_EQ(first.cpu_busy(), msec(30));
+  EXPECT_EQ(second.cpu_busy(), msec(30));
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@
 #include "harness/log_server.h"
 #include "harness/replica_group.h"
 #include "kv/workload.h"
-#include "shard/sharded_cluster.h"
 #include "storage/wal.h"
 
 namespace praft {
@@ -69,11 +68,11 @@ class RecordingTrace final : public consensus::Trace {
   storage::RecoveryStats last_recovery;
 };
 
-/// The ReplicaGroup lifecycle seen through both fronts that own one: a flat
-/// Cluster's only group (param false) and group 1 of a two-group
-/// ShardedCluster (param true). Either way a group of three replicas (raft
-/// unless a subclass names another protocol) elects a leader and serves
-/// closed-loop clients before the test starts.
+/// The ReplicaGroup lifecycle seen from two places in a Cluster: the only
+/// group of a flat one (param false) and group 1 of a two-group one (param
+/// true), each over three machines. Either way a group of three replicas
+/// (raft unless a subclass names another protocol) elects a leader and
+/// serves closed-loop clients before the test starts.
 class ReplicaGroupLifecycleTest : public ::testing::TestWithParam<bool> {
  protected:
   explicit ReplicaGroupLifecycleTest(std::string protocol = "raft",
@@ -81,52 +80,32 @@ class ReplicaGroupLifecycleTest : public ::testing::TestWithParam<bool> {
       : protocol_(std::move(protocol)), timing_(durable_timing(log_cap)) {}
 
   void SetUp() override {
+    harness::ClusterConfig cfg;
+    cfg.num_replicas = 3;
+    cfg.num_groups = GetParam() ? 2 : 1;
+    cfg.latency = sim::LatencyMatrix(3, msec(1));
+    cfg.seed = 11;
+    cluster_ = std::make_unique<harness::Cluster>(std::move(cfg));
+    cluster_->build_replicas(protocol_, timing_);
+    if (GetParam()) {
+      ASSERT_EQ(cluster_->establish_leaders(), 2);
+    } else {
+      ASSERT_GE(cluster_->establish_leader(0), 0);
+    }
     kv::WorkloadConfig wl;
     wl.read_fraction = 0.5;
-    if (GetParam()) {
-      shard::ShardedClusterConfig cfg;
-      cfg.num_groups = 2;
-      cfg.num_machines = 3;
-      cfg.replicas_per_group = 3;
-      cfg.protocols = {protocol_};
-      cfg.timing = timing_;
-      cfg.latency = sim::LatencyMatrix(3, msec(1));
-      cfg.seed = 11;
-      sharded_ = std::make_unique<shard::ShardedCluster>(std::move(cfg));
-      sharded_->build();
-      ASSERT_EQ(sharded_->establish_leaders(), 2);
-      sharded_->add_clients(2, wl, sharded_->sim().now());
-      group_ = &sharded_->group(1);
-    } else {
-      harness::ClusterConfig cfg;
-      cfg.num_replicas = 3;
-      cfg.latency = sim::LatencyMatrix(3, msec(1));
-      cfg.seed = 11;
-      flat_ = std::make_unique<harness::Cluster>(std::move(cfg));
-      flat_->build_replicas(protocol_, timing_);
-      ASSERT_GE(flat_->establish_leader(0), 0);
-      flat_->add_clients(2, wl, flat_->sim().now());
-      group_ = &flat_->group();
-    }
+    cluster_->add_clients(2, wl, cluster_->sim().now());
+    group_ = &cluster_->group(cluster_->num_groups() - 1);
   }
 
-  void run_for(Duration d) {
-    if (sharded_) {
-      sharded_->run_for(d);
-    } else {
-      flat_->run_for(d);
-    }
-  }
-  sim::FaultPlan& faults() {
-    return sharded_ ? sharded_->net().faults() : flat_->net().faults();
-  }
+  void run_for(Duration d) { cluster_->run_for(d); }
+  sim::FaultPlan& faults() { return cluster_->net().faults(); }
   /// A member that is not the current leader.
   int follower() const { return (group_->leader() + 1) % group_->size(); }
 
   std::string protocol_;
   consensus::TimingOptions timing_;
-  std::unique_ptr<harness::Cluster> flat_;
-  std::unique_ptr<shard::ShardedCluster> sharded_;
+  std::unique_ptr<harness::Cluster> cluster_;
   harness::ReplicaGroup* group_ = nullptr;
 };
 
@@ -291,26 +270,14 @@ class MenciusLifecycleTest : public ReplicaGroupLifecycleTest {
  protected:
   MenciusLifecycleTest() : ReplicaGroupLifecycleTest("mencius") {}
 
-  /// Every group of the deployment, in group order.
-  std::vector<const harness::ReplicaGroup*> groups() const {
-    if (!sharded_) return {&flat_->group()};
-    std::vector<const harness::ReplicaGroup*> out;
-    for (int g = 0; g < sharded_->num_groups(); ++g) {
-      out.push_back(&sharded_->group(g));
-    }
-    return out;
-  }
-
   /// praft_bench's formula for its two consensus counters must add up to
   /// the groups' stats(): the cluster's retired_*() plus every live
   /// replica's own NodeIface counts.
   void expect_bench_formula_holds() {
-    int64_t rollbacks = sharded_ ? sharded_->retired_pipeline_rollbacks()
-                                 : flat_->retired_pipeline_rollbacks();
-    int64_t revocations = sharded_ ? sharded_->retired_revocations()
-                                   : flat_->retired_revocations();
+    int64_t rollbacks = cluster_->retired_pipeline_rollbacks();
+    int64_t revocations = cluster_->retired_revocations();
     consensus::Stats want;
-    for (const harness::ReplicaGroup* g : groups()) {
+    for (const harness::ReplicaGroup* g : cluster_->groups()) {
       want += g->stats();
       for (int j = 0; j < g->size(); ++j) {
         if (!g->up(j)) continue;

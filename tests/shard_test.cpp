@@ -5,12 +5,12 @@
 
 #include "chaos/invariants.h"
 #include "consensus/timing.h"
+#include "harness/cluster.h"
 #include "kv/workload.h"
 #include "shard/experiment.h"
 #include "shard/router.h"
 #include "shard/shard_invariants.h"
 #include "shard/shard_map.h"
-#include "shard/sharded_cluster.h"
 
 namespace praft {
 namespace {
@@ -24,13 +24,12 @@ consensus::TimingOptions fast_timing() {
   return t;
 }
 
-shard::ShardedClusterConfig small_config(int groups, int machines,
-                                         int replicas) {
-  shard::ShardedClusterConfig cfg;
+/// `groups` raft groups of `replicas` members over `machines` machines.
+harness::ClusterConfig small_config(int groups, int machines, int replicas) {
+  harness::ClusterConfig cfg;
   cfg.num_groups = groups;
   cfg.num_machines = machines;
-  cfg.replicas_per_group = replicas;
-  cfg.timing = fast_timing();
+  cfg.num_replicas = replicas;
   cfg.latency = sim::LatencyMatrix(machines, msec(1));
   cfg.costs.enabled = false;
   cfg.seed = 7;
@@ -78,10 +77,10 @@ TEST(ShardRouterTest, RoutesEveryKeyToOwningGroupTarget) {
   }
 }
 
-TEST(ShardedClusterTest, SpreadPlacementLandsLeadersOnDistinctMachines) {
+TEST(MultiGroupClusterTest, SpreadPlacementLandsLeadersOnDistinctMachines) {
   auto cfg = small_config(4, 5, 5);
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  harness::Cluster cluster(std::move(cfg));
+  cluster.build_replicas("raft", fast_timing());
   ASSERT_EQ(cluster.establish_leaders(), 4);
   std::set<int> leader_machines;
   for (int g = 0; g < 4; ++g) {
@@ -89,30 +88,30 @@ TEST(ShardedClusterTest, SpreadPlacementLandsLeadersOnDistinctMachines) {
     // group's first election, and consecutive groups' leaders land on
     // consecutive machines.
     EXPECT_EQ(cluster.leader_of(g), 0) << "group " << g;
-    EXPECT_EQ(cluster.preferred_leader_machine(g), g % 5);
-    leader_machines.insert(cluster.preferred_leader_machine(g));
+    EXPECT_EQ(cluster.member_machine(g, 0), g % 5);
+    leader_machines.insert(cluster.member_machine(g, 0));
   }
   EXPECT_EQ(leader_machines.size(), 4u);  // all distinct while N <= M
 }
 
-TEST(ShardedClusterTest, CoLocatedPlacementPilesLeadersOnMachineZero) {
+TEST(MultiGroupClusterTest, CoLocatedPlacementPilesLeadersOnMachineZero) {
   auto cfg = small_config(4, 5, 5);
   cfg.spread_leaders = false;
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  harness::Cluster cluster(std::move(cfg));
+  cluster.build_replicas("raft", fast_timing());
   for (int g = 0; g < 4; ++g) {
-    EXPECT_EQ(cluster.preferred_leader_machine(g), 0);
+    EXPECT_EQ(cluster.member_machine(g, 0), 0);
   }
 }
 
-TEST(ShardedClusterTest, EveryOpLandsInItsOwningGroup) {
+TEST(MultiGroupClusterTest, EveryOpLandsInItsOwningGroup) {
   // End-to-end routing property: run a real sharded workload and let the
   // cross-group checker watch every apply on every replica of every group.
   auto cfg = small_config(3, 5, 5);
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  harness::Cluster cluster(std::move(cfg));
+  cluster.build_replicas("raft", fast_timing());
 
-  shard::CrossGroupChecker xchk(cluster.map());
+  shard::CrossGroupChecker xchk(shard::ShardMap(3));
   std::vector<int64_t> group_applies(3, 0);
   for (int g = 0; g < 3; ++g) {
     cluster.install_apply_probe(
@@ -141,15 +140,15 @@ TEST(ShardedClusterTest, EveryOpLandsInItsOwningGroup) {
   }
 }
 
-TEST(ShardedClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
+TEST(MultiGroupClusterTest, GroupFaultsAreInvisibleToOtherGroups) {
   // Machine 0 hosts ONLY group 0 here (4 machines, 3-way groups, stride 1:
   // group 0 -> {0,1,2}, group 1 -> {1,2,3}), so a machine-0 crash is a
   // group-0-only fault. Group 1's checker must see a clean, restart-free
   // run while group 0 absorbs a real crash-restart.
-  auto cfg = small_config(2, 4, 3);
-  cfg.timing.fsync_duration = msec(1);
-  shard::ShardedCluster cluster(std::move(cfg));
-  cluster.build();
+  consensus::TimingOptions timing = fast_timing();
+  timing.fsync_duration = msec(1);
+  harness::Cluster cluster(small_config(2, 4, 3));
+  cluster.build_replicas("raft", timing);
   ASSERT_EQ(cluster.member_machine(0, 0), 0);
   for (int j = 0; j < 3; ++j) {
     ASSERT_NE(cluster.member_machine(1, j), 0);
