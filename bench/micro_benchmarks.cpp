@@ -53,7 +53,7 @@ class NullEnv final : public consensus::Env {
  public:
   [[nodiscard]] Time now() const override { return now_; }
   void send(NodeId, std::any, size_t) override { ++sent_; }
-  void schedule(Duration, std::function<void()>) override {}
+  void schedule(Duration, UniqueFunction<void()>) override {}
   uint64_t random() override { return rng_.next(); }
   Time now_ = 0;
   uint64_t sent_ = 0;

@@ -2,8 +2,8 @@
 
 #include <any>
 #include <cstddef>
-#include <functional>
 
+#include "common/function.h"
 #include "common/types.h"
 #include "consensus/stats.h"
 
@@ -28,8 +28,9 @@ class Env {
   /// Sends a protocol message of modeled wire size `bytes`.
   virtual void send(NodeId to, std::any payload, size_t bytes) = 0;
 
-  /// One-shot timer. Protocols guard stale timers with epoch counters.
-  virtual void schedule(Duration delay, std::function<void()> fn) = 0;
+  /// One-shot timer. Protocols guard stale timers with epoch counters. A
+  /// capture of up to 24 bytes rides in `fn` itself, with no heap box.
+  virtual void schedule(Duration delay, UniqueFunction<void()> fn) = 0;
 
   /// Deterministic randomness (election jitter etc.).
   virtual uint64_t random() = 0;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <memory>
 
 #include "common/check.h"
@@ -71,10 +70,12 @@ class NodeHost final : public consensus::Env {
   void send(NodeId to, std::any payload, size_t bytes) override {
     net_.send(id_, to, std::move(payload), bytes);
   }
-  void schedule(Duration delay, std::function<void()> fn) override {
-    sim_.after(delay, [this, epoch = sched_epoch_, fn = std::move(fn)] {
+  void schedule(Duration delay, UniqueFunction<void()> fn) override {
+    auto timer = [this, epoch = sched_epoch_, fn = std::move(fn)] {
       if (epoch == sched_epoch_) fn();
-    });
+    };
+    static_assert(sim::EventQueue::fits_in_cell<decltype(timer)>);
+    sim_.after(delay, std::move(timer));
   }
   uint64_t random() override { return rng_.next(); }
 

@@ -1,28 +1,46 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 
 namespace praft::sim {
 
-void EventQueue::schedule_at(Time at, UniqueFunction<void()> fn) {
-  PRAFT_CHECK(fn != nullptr);
+EventQueue::Cell& EventQueue::take_cell() {
+  if (free_.empty()) return cells_.emplace_back();
+  Cell* cell = free_.back();
+  free_.pop_back();
+  return *cell;
+}
+
+void EventQueue::push(Time at, Cell& cell) {
+  const bool empty = cell == nullptr;
+  if (empty) free_.push_back(&cell);
+  PRAFT_CHECK_MSG(!empty, "scheduled an empty callable");
   if (at < now_) at = now_;
-  heap_.push_back(Event{at, next_seq_++, std::move(fn)});
+  heap_.push_back(Key{at, next_seq_++, &cell});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  Event ev = std::move(heap_.back());
+  const Key ev = heap_.back();
   heap_.pop_back();
   PRAFT_CHECK(ev.at >= now_);
   now_ = ev.at;
   ++fired_;
-  ev.fn();
+  // Destroys the closure and recycles its cell on the way out, whether the
+  // closure returns or throws.
+  struct Release {
+    EventQueue& q;
+    Cell& cell;
+    ~Release() {
+      cell = nullptr;
+      q.free_.push_back(&cell);
+    }
+  } release{*this, *ev.cell};
+  (*ev.cell)();
   return true;
 }
 
@@ -37,7 +55,9 @@ void EventQueue::run_all(uint64_t max_events) {
 }
 
 void EventQueue::clear() {
-  heap_ = decltype(heap_){};
+  heap_.clear();
+  free_.clear();
+  cells_.clear();
 }
 
 }  // namespace praft::sim

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <utility>
+
 #include "common/rng.h"
 #include "common/types.h"
 #include "sim/event_queue.h"
@@ -20,11 +22,13 @@ class Simulator {
   EventQueue& queue() { return queue_; }
   Rng& rng() { return rng_; }
 
-  void after(Duration delay, UniqueFunction<void()> fn) {
-    queue_.schedule_at(now() + delay, std::move(fn));
+  template <typename F>
+  void after(Duration delay, F&& fn) {
+    queue_.schedule_at(now() + delay, std::forward<F>(fn));
   }
-  void at(Time t, UniqueFunction<void()> fn) {
-    queue_.schedule_at(t, std::move(fn));
+  template <typename F>
+  void at(Time t, F&& fn) {
+    queue_.schedule_at(t, std::forward<F>(fn));
   }
 
   void run_until(Time t) { queue_.run_until(t); }

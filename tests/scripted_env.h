@@ -1,10 +1,9 @@
 #pragma once
 
 #include <any>
-#include <deque>
-#include <functional>
 #include <vector>
 
+#include "common/function.h"
 #include "common/rng.h"
 #include "consensus/env.h"
 #include "net/packet.h"
@@ -30,7 +29,7 @@ class ScriptedEnv final : public consensus::Env {
     outbox.push_back(Sent{to, std::move(payload), bytes});
   }
 
-  void schedule(Duration delay, std::function<void()> fn) override {
+  void schedule(Duration delay, UniqueFunction<void()> fn) override {
     timers_.push_back({now_ + delay, next_timer_seq_++, std::move(fn)});
   }
 
@@ -84,7 +83,7 @@ class ScriptedEnv final : public consensus::Env {
   struct Timer {
     Time at;
     uint64_t seq;  // insertion order: the explicit tie-break for equal `at`
-    std::function<void()> fn;
+    UniqueFunction<void()> fn;
   };
   Time now_ = 0;
   Rng rng_;

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
+#include "common/function.h"
 #include "net/packet.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
@@ -68,6 +72,136 @@ TEST(EventQueueTest, PastSchedulingClampsToNow) {
   q.run_all();
   EXPECT_TRUE(ran);
   EXPECT_EQ(q.now(), 100);
+}
+
+TEST(EventQueueTest, EqualTimesStayFifoWhileCellsAreRecycled) {
+  EventQueue q;
+  std::vector<int> fired;
+  // A first round fills and frees cells, so the second reuses them in the
+  // free list's order, not in scheduling order.
+  for (int i = 0; i < 8; ++i) {
+    q.schedule_at(10, [&fired, i] { fired.push_back(i); });
+  }
+  q.run_all();
+  fired.clear();
+  for (int i = 0; i < 12; ++i) {
+    q.schedule_at(i % 2 == 0 ? 100 : 50, [&fired, &q, i] {
+      fired.push_back(i);
+      // Scheduled while running, at an equal time: after every earlier one.
+      if (i == 1) q.schedule_at(50, [&fired] { fired.push_back(99); });
+    });
+  }
+  q.run_all();
+  EXPECT_EQ(fired,
+            (std::vector<int>{1, 3, 5, 7, 9, 11, 99, 0, 2, 4, 6, 8, 10}));
+}
+
+/// Counts live copies of a capture and the owners that died, so a test can
+/// tell a closure destroyed once from one leaked or destroyed twice.
+struct Tracked {
+  struct Counts {
+    int live = 0;
+    int dropped = 0;  // owners destroyed (moved-from shells do not count)
+  };
+  explicit Tracked(Counts& c) : counts(&c) { ++counts->live; }
+  Tracked(Tracked&& o) noexcept
+      : counts(o.counts), owner(std::exchange(o.owner, false)) {
+    ++counts->live;
+  }
+  Tracked(const Tracked&) = delete;
+  ~Tracked() {
+    --counts->live;
+    if (owner) ++counts->dropped;
+  }
+  Counts* counts;
+  bool owner = true;
+};
+
+TEST(EventQueueTest, ClosureLargerThanACellRunsOnceAndDiesOnce) {
+  EventQueue q;
+  Tracked::Counts counts;
+  int runs = 0;
+  auto big = [t = Tracked(counts), pad = std::array<uint64_t, 16>{}, &runs] {
+    runs += 1 + static_cast<int>(pad[0]);
+  };
+  static_assert(!EventQueue::fits_in_cell<decltype(big)>);
+  q.schedule_at(5, std::move(big));
+  EXPECT_EQ(counts.dropped, 0);
+  q.run_all();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(counts.live, 1);  // only `big`, moved from
+  EXPECT_EQ(counts.dropped, 1);
+}
+
+TEST(EventQueueTest, ThrowingEventFreesItsCellAndTheNextStillFires) {
+  EventQueue q;
+  Tracked::Counts counts;
+  bool next = false;
+  q.schedule_at(10,
+                [t = Tracked(counts)] { PRAFT_CHECK(t.counts == nullptr); });
+  q.schedule_at(20, [&next] { next = true; });
+  EXPECT_THROW(q.step(), CheckFailure);
+  EXPECT_EQ(q.now(), 10);
+  EXPECT_EQ(counts.live, 0);  // the throwing closure left its cell
+  EXPECT_EQ(counts.dropped, 1);
+  EXPECT_TRUE(q.step());
+  EXPECT_TRUE(next);
+  EXPECT_FALSE(q.step());
+}
+
+TEST(EventQueueTest, DestroyedQueueDestroysEachPendingClosureOnce) {
+  Tracked::Counts counts;
+  {
+    EventQueue q;
+    for (int i = 0; i < 40; ++i) {
+      if (i % 4 == 0) {  // every fourth one is boxed
+        q.schedule_at(
+            i, [t = Tracked(counts), pad = std::array<uint64_t, 16>{}] {});
+      } else {
+        q.schedule_at(i, [t = Tracked(counts)] {});
+      }
+    }
+    q.run_until(9);  // fires 0..9, and their cells go back to the free list
+    EXPECT_EQ(counts.dropped, 10);
+    EXPECT_EQ(counts.live, 30);
+  }
+  EXPECT_EQ(counts.live, 0);
+  EXPECT_EQ(counts.dropped, 40);
+}
+
+TEST(UniqueFunctionTest, InlineAndBoxedCallablesMoveAndDieOnce) {
+  Tracked::Counts counts;
+  int sum = 0;
+  auto small = [t = Tracked(counts), &sum](int x) { sum += x; };
+  auto large = [t = Tracked(counts), pad = std::array<uint64_t, 8>{},
+                &sum](int x) { sum += 10 * x + static_cast<int>(pad[0]); };
+  using Fn = UniqueFunction<void(int)>;
+  static_assert(Fn::fits_inline<decltype(small)>);
+  static_assert(!Fn::fits_inline<decltype(large)>);
+  static_assert(sizeof(Fn) == 32);
+  {
+    Fn a = std::move(small);
+    Fn b = std::move(large);
+    EXPECT_EQ(counts.live, 4);  // two lambdas moved from, two held
+    Fn c = std::move(a);        // relocates the inline capture
+    Fn d = std::move(b);        // moves the box pointer only
+    EXPECT_EQ(counts.live, 4);
+    EXPECT_TRUE(a == nullptr);
+    EXPECT_TRUE(b == nullptr);
+    c(1);
+    d(2);
+    EXPECT_EQ(sum, 21);
+    c = std::move(d);  // destroys c's inline capture, takes d's box
+    EXPECT_EQ(counts.dropped, 1);
+    EXPECT_TRUE(d == nullptr);
+    c(3);
+    EXPECT_EQ(sum, 51);
+    d = [&sum](int x) { sum -= x; };  // assigns in place
+    d(1);
+    EXPECT_EQ(sum, 50);
+  }
+  EXPECT_EQ(counts.dropped, 2);
+  EXPECT_EQ(counts.live, 2);  // the moved-from lambdas, still in scope
 }
 
 TEST(SimulatorTest, AfterSchedulesRelative) {
