@@ -13,11 +13,10 @@ namespace praft::net {
 
 class BufferPool;
 
-/// RAII handle to one pooled byte buffer. Move-only: a Frame travels with the
-/// Packet that owns it and returns its slab to the pool's freelist on
-/// destruction, so steady-state encode/send/deliver cycles reuse the same
-/// memory instead of allocating. A default-constructed Frame is null
-/// (valid() == false) — duplicate deliveries and legacy paths carry one.
+/// RAII handle to one pooled byte buffer. Move-only: it returns its slab to
+/// the pool's freelist on destruction, so steady-state encode cycles reuse
+/// the same memory instead of allocating. A default-constructed Frame is
+/// null (valid() == false).
 class Frame {
  public:
   Frame() = default;
@@ -77,9 +76,10 @@ struct PoolStats {
 
 /// Preallocated frame pool with freelist reuse. acquire() hands out a slab of
 /// at least the requested capacity; once warm (every slab grown to the
-/// workload's largest frame, freelist deep enough for peak in-flight count)
-/// the encode path performs zero heap allocations — asserted by the
-/// micro-benchmarks with a global allocation counter.
+/// workload's largest frame, freelist as deep as the most frames held at
+/// once) the encode path performs zero heap allocations — asserted by the
+/// micro-benchmarks with a global allocation counter. sim::Network holds
+/// one frame at a time, so its pool keeps a single slab.
 class BufferPool {
  public:
   explicit BufferPool(size_t frames = 64, size_t frame_capacity = 4096)

@@ -3,25 +3,22 @@
 #include <any>
 #include <cstddef>
 #include <functional>
-#include <utility>
 
 #include "common/types.h"
-#include "net/buffer_pool.h"
 
 namespace praft::net {
 
 /// A message in flight. The payload is type-erased so one network stack can
 /// carry every protocol's message set; `bytes` is the exact encoded wire
-/// size used for bandwidth/CPU accounting. `wire` is the pooled flat frame
-/// the codec produced (see net/wire.h) — null on paths that bypass the
-/// network codec (hand-built test packets, duplicate deliveries); its slab
-/// returns to the pool when the packet dies, which makes Packet move-only.
+/// size used for bandwidth/CPU accounting. The encoded frame itself does not
+/// travel: sim::Network encodes each message at send to check its size (and,
+/// under PRAFT_WIRE_VERIFY, its round trip) and returns the frame to its
+/// pool before the delivery is scheduled.
 struct Packet {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
   size_t bytes = 0;
   std::any payload;
-  Frame wire;
 };
 
 /// Delivery callback a node registers with the network.

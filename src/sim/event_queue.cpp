@@ -54,10 +54,4 @@ void EventQueue::run_all(uint64_t max_events) {
   while (n < max_events && step()) ++n;
 }
 
-void EventQueue::clear() {
-  heap_.clear();
-  free_.clear();
-  cells_.clear();
-}
-
 }  // namespace praft::sim

@@ -50,11 +50,6 @@ class EventQueue {
   /// Runs until the queue drains or `max_events` have fired.
   void run_all(uint64_t max_events = UINT64_MAX);
 
-  /// Drops every pending event without running it; their closures (and any
-  /// pooled frames they own) are destroyed. Used at world teardown so
-  /// in-flight deliveries release their frames before the pool dies.
-  void clear();
-
   [[nodiscard]] Time now() const { return now_; }
   [[nodiscard]] uint64_t events_fired() const { return fired_; }
 

@@ -7,9 +7,7 @@
 namespace praft::sim {
 
 Network::Network(Simulator& sim, LatencyMatrix latency)
-    : sim_(sim), latency_(std::move(latency)) {}
-
-Network::~Network() { sim_.queue().clear(); }
+    : sim_(sim), latency_(std::move(latency)), pool_(1) {}
 
 NodeId Network::add_node(SiteId site, net::DeliverFn deliver,
                          double egress_bytes_per_us) {
@@ -39,13 +37,14 @@ void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
   const Time now = sim_.now();
 
   // Encode through the flat codec when the payload type has one (every
-  // protocol message does). The encoded size is authoritative for all
-  // bandwidth/CPU accounting; encoding consumes no RNG, so trajectories stay
-  // seed-deterministic. PRAFT_WIRE_VERIFY additionally round-trips the frame
-  // back through decode() and compares with the original struct.
-  net::Frame frame;
+  // protocol message does): the claimed size, which all bandwidth/CPU
+  // accounting charges, must be the encoded one. PRAFT_WIRE_VERIFY
+  // additionally round-trips the frame back through decode() and compares
+  // with the original struct. Nothing downstream reads the frame, so it goes
+  // back to the pool here. Encoding consumes no RNG, so trajectories stay
+  // seed-deterministic.
   if (const net::Codec* codec = net::codec_registry().find(payload)) {
-    frame = codec->encode(payload, pool_);
+    const net::Frame frame = codec->encode(payload, pool_);
     PRAFT_CHECK_MSG(frame.size() == bytes,
                     "claimed wire_size != encoded frame size");
     if (net::wire_verify_enabled()) {
@@ -53,7 +52,6 @@ void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
       PRAFT_CHECK_MSG(codec->equals(payload, back),
                       "wire round-trip diverged from the original message");
     }
-    bytes = frame.size();
   }
 
   ++messages_sent_;
@@ -82,33 +80,32 @@ void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
   }
 
   // A duplicated message is delivered twice: the copy models a spurious
-  // retransmission — independent latency draw, no FIFO coupling. The copy
-  // carries no frame (the original owns the pooled slab).
+  // retransmission — independent latency draw, no FIFO coupling — and
+  // carries a copy of the payload.
   if (faults_.duplicate_rate() > 0.0 &&
       sim_.rng().chance(faults_.duplicate_rate())) {
     const Duration extra = latency_.one_way(src.site, site_of(to), sim_.rng());
-    schedule_delivery(from, to, std::any(payload), bytes, net::Frame{},
-                      departure + extra);
+    schedule_delivery(from, to, std::any(payload), bytes, departure + extra);
   }
 
-  schedule_delivery(from, to, std::move(payload), bytes, std::move(frame),
-                    arrival);
+  schedule_delivery(from, to, std::move(payload), bytes, arrival);
 }
 
 void Network::schedule_delivery(NodeId from, NodeId to, std::any payload,
-                                size_t bytes, net::Frame frame, Time arrival) {
-  // Payload and frame are moved into the scheduled closure; delivery
-  // re-checks that the destination is alive *at arrival time* (it may crash
-  // in flight). A dropped delivery destroys the closure and the frame's slab
-  // returns to the pool.
-  sim_.at(arrival, [this, from, to, bytes, p = std::move(payload),
-                    f = std::move(frame)]() mutable {
+                                size_t bytes, Time arrival) {
+  // The payload is moved into the scheduled closure, which fits its event
+  // cell; delivery re-checks that the destination is alive *at arrival
+  // time* (it may crash in flight).
+  auto deliver = [this, from, to, bytes,
+                  p = std::move(payload)]() mutable {
     if (!usable(to, sim_.now())) return;
     if (faults_.is_blocked(from, to, sim_.now())) return;
     ++messages_delivered_;
     nodes_[static_cast<size_t>(to)].deliver(
-        net::Packet{from, to, bytes, std::move(p), std::move(f)});
-  });
+        net::Packet{from, to, bytes, std::move(p)});
+  };
+  static_assert(EventQueue::fits_in_cell<decltype(deliver)>);
+  sim_.at(arrival, std::move(deliver));
 }
 
 }  // namespace praft::sim

@@ -23,12 +23,6 @@ class Network {
  public:
   Network(Simulator& sim, LatencyMatrix latency);
 
-  /// Drops the simulator's pending events: in-flight delivery closures own
-  /// pooled frames, and owners (Cluster, chaos worlds) declare the
-  /// Simulator before the Network, so without this the queue would outlive
-  /// the pool while still holding its slabs.
-  ~Network();
-
   /// Registers a node; returns its id (dense, starting at 0).
   NodeId add_node(SiteId site, net::DeliverFn deliver,
                   double egress_bytes_per_us = 0.0);
@@ -36,10 +30,12 @@ class Network {
   /// Sends `payload` from `from` to `to`. When the payload type has a codec
   /// registered (every protocol message does), it is encoded into a pooled
   /// flat frame and `bytes` must equal the encoded size — bandwidth is
-  /// charged from real encoded bytes. Payload types without a codec (raw
-  /// test payloads) fall back to the claimed `bytes`. Self-sends are
-  /// delivered after the local RTT/2 (loopback still hops the event queue,
-  /// never reenters the sender synchronously).
+  /// charged from real encoded bytes. The frame goes back to the pool before
+  /// the delivery is scheduled (only the payload travels), so the pool holds
+  /// one frame at a time however many messages are in flight. Payload types
+  /// without a codec (raw test payloads) fall back to the claimed `bytes`.
+  /// Self-sends are delivered after the local RTT/2 (loopback still hops the
+  /// event queue, never reenters the sender synchronously).
   void send(NodeId from, NodeId to, std::any payload, size_t bytes);
 
   FaultPlan& faults() { return faults_; }
@@ -69,7 +65,7 @@ class Network {
 
   [[nodiscard]] bool usable(NodeId n, Time t) const;
   void schedule_delivery(NodeId from, NodeId to, std::any payload,
-                         size_t bytes, net::Frame frame, Time arrival);
+                         size_t bytes, Time arrival);
 
   Simulator& sim_;
   LatencyMatrix latency_;

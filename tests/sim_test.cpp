@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "common/function.h"
 #include "net/packet.h"
+#include "raft/wire.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/latency.h"
@@ -462,6 +463,41 @@ TEST_F(NetworkFixture, FifoHoldsBothWaysAndForLateDestinations) {
             -2);
   EXPECT_NE(*net::payload_as<int>(received_[static_cast<size_t>(b)].back()),
             -1);
+}
+
+TEST_F(NetworkFixture, FramesReturnToThePoolAtSend) {
+  // Oregon to Seoul is a 63 ms hop: every message below is still in flight
+  // when the checks run, and none holds a pooled frame.
+  const NodeId a = add(LatencyMatrix::kOregon);
+  const NodeId b = add(LatencyMatrix::kSeoul);
+  std::vector<size_t> sizes;
+  for (int i = 0; i < 50; ++i) {
+    raft::AppendEntries ae;
+    ae.term = 1;
+    ae.leader = a;
+    ae.prev_index = i;
+    for (int e = 0; e < i % 5; ++e) {
+      ae.entries.push_back(
+          raft::Entry{1, kv::Command{kv::Op::kPut, 1, 2, 8, 3, 1}});
+    }
+    const raft::Message m{ae};
+    sizes.push_back(raft::wire_size(m));
+    net_.send(a, b, m, sizes.back());
+  }
+  sim_.run_for(msec(50));
+  EXPECT_TRUE(received_[1].empty());
+  EXPECT_EQ(net_.pool_stats().acquires, 50u);
+  EXPECT_EQ(net_.pool_stats().outstanding, 0u);
+  EXPECT_EQ(net_.pool_stats().high_water, 1u);
+  sim_.run_for(msec(50));
+  ASSERT_EQ(received_[1].size(), sizes.size());
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(received_[1][i].bytes, sizes[i]);
+    const auto* m = net::payload_as<raft::Message>(received_[1][i]);
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(std::get<raft::AppendEntries>(*m).prev_index,
+              static_cast<int64_t>(i));
+  }
 }
 
 TEST_F(NetworkFixture, CountersTrack) {

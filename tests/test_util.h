@@ -14,7 +14,8 @@
 namespace praft::test {
 
 /// A hand-built packet for feeding a node directly: `bytes` is the modeled
-/// wire size, and there is no pooled frame (the network codec never ran).
+/// wire size, which nothing checks against an encoding (sim::Network's
+/// codec check never ran).
 inline net::Packet packet(NodeId from, NodeId to, size_t bytes,
                           std::any payload) {
   net::Packet p;
