@@ -20,12 +20,15 @@ void NodeHost::deliver(net::Packet&& p) {
     return;
   }
   const Time done = cpu_res_->enqueue(sim_.now(), cost);
-  // The packet waits in the CPU queue; processing completes at `done`. The
-  // closure owns the packet outright (the event queue takes move-only
-  // callables), so no extra heap allocation rides the hot path.
-  sim_.at(done, [this, pkt = std::move(p)] {
-    if (handler_ != nullptr) handler_->handle(pkt);
-  });
+  // The packet waits in the CPU queue; processing completes at `done`, for
+  // the incarnation that received it only (a crash in between drops it, as
+  // it drops the incarnation's timers). The closure owns the packet outright
+  // and fits its event cell, so no heap allocation rides the hot path.
+  auto handle = [this, epoch = sched_epoch_, pkt = std::move(p)] {
+    if (epoch == sched_epoch_ && handler_ != nullptr) handler_->handle(pkt);
+  };
+  static_assert(sim::EventQueue::fits_in_cell<decltype(handle)>);
+  sim_.at(done, std::move(handle));
 }
 
 }  // namespace praft::harness

@@ -56,9 +56,11 @@ class NodeHost final : public consensus::Env {
   }
 
   /// Crash support: invalidates every callback scheduled through this Env so
-  /// far — they become no-ops when the simulator fires them. Called by
-  /// ReplicaGroup::crash before destroying the node object, so timer and
-  /// fsync-completion closures can never touch freed protocol state.
+  /// far, and every packet still waiting in the CPU queue — they become
+  /// no-ops when the simulator fires them. Called by ReplicaGroup::crash
+  /// before destroying the node object, so timer and fsync-completion
+  /// closures can never touch freed protocol state, and a node rebuilt on
+  /// this host never handles what its predecessor received.
   void invalidate_scheduled() { ++sched_epoch_; }
 
   [[nodiscard]] NodeId id() const { return id_; }

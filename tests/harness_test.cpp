@@ -120,6 +120,33 @@ TEST(NodeHostTest, CoLocatedHostsQueueOnTheMachineCpu) {
   EXPECT_EQ(second.cpu_busy(), msec(30));
 }
 
+TEST(NodeHostTest, CrashDropsPacketsWaitingOnTheCpu) {
+  // Two packets wait behind 10 ms services when the member crashes and a new
+  // incarnation attaches in the same instant, as ReplicaGroup::restart does
+  // for an up member. They were the crashed incarnation's: neither runs.
+  sim::Simulator sim(3);
+  sim::Network net(sim, test::lan_matrix());
+  harness::NodeHost sender(sim, net, 0);
+  harness::NodeHost receiver(sim, net, 0);
+  TimedHandler crashed(sim), rebuilt(sim);
+  receiver.attach(&crashed);
+  net.send(sender.id(), receiver.id(), 1, 10);
+  net.send(sender.id(), receiver.id(), 2, 10);
+  sim.run_for(msec(8));  // both queued (one ~5 ms hop), neither done
+  ASSERT_EQ(receiver.cpu_busy(), msec(20));
+  ASSERT_TRUE(crashed.at.empty());
+  receiver.invalidate_scheduled();
+  receiver.detach();
+  receiver.attach(&rebuilt);
+  sim.run_for(msec(100));
+  EXPECT_TRUE(crashed.at.empty());
+  EXPECT_TRUE(rebuilt.at.empty());
+  // What arrives after the restart is the new incarnation's.
+  net.send(sender.id(), receiver.id(), 3, 10);
+  sim.run_for(msec(100));
+  EXPECT_EQ(rebuilt.at.size(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // LogServer billing: the one adapter asks the protocol node how many log
 // entries a packet carries, and drops what no node of its protocol reads.
