@@ -152,10 +152,14 @@ inline size_t wire_size(const std::variant<Ms...>& m) {
 }
 
 /// Encodes `m` into one pooled frame of exactly wire_size(m) bytes; the
-/// opcode is the variant alternative index.
+/// opcode is the variant alternative index. Flattened, so the visit and
+/// every field's put() inline into one body and the writer's cursor can
+/// stay in a register (check_failed is cold and out of line, so the CHECKs
+/// add only a branch each).
 template <typename... Ms>
-inline Frame encode(Family family, const std::variant<Ms...>& m,
-                    BufferPool& pool) {
+[[gnu::flatten]] inline Frame encode(Family family,
+                                     const std::variant<Ms...>& m,
+                                     BufferPool& pool) {
   const size_t total = wire_size(m);
   Frame f = pool.acquire(total);
   WireWriter w(f);
