@@ -10,15 +10,19 @@
 
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "harness/host.h"
 #include "net/buffer_pool.h"
 #include "net/wire.h"
 #include "raft/wire.h"
 #include "raftstar/node.h"
 #include "sim/event_queue.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
 #include "specs/kvlog.h"
 
 // Global allocation counter: the zero-alloc benches assert the steady-state
-// encode path performs no heap allocations at all, not just "few".
+// encode and scheduling paths perform no heap allocations at all, not just
+// "few".
 namespace {
 std::atomic<uint64_t> g_allocs{0};
 }  // namespace
@@ -201,6 +205,49 @@ void BM_WireEncodeZeroAlloc(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_WireEncodeZeroAlloc);
+
+/// The zero-alloc claim for scheduling, asserted: once the queue has grown
+/// its cells, a delivery-sized move-only closure scheduled on the simulator
+/// and a 24-byte-capture timer scheduled through a NodeHost's Env each sit
+/// in their event cell, so 1000 schedule+step cycles of both must not touch
+/// the global heap.
+void BM_EventQueueZeroAlloc(benchmark::State& state) {
+  struct Token {  // move-only, like a delivery's payload
+    explicit Token(uint64_t x) : w{x, x, x, x} {}
+    Token(Token&&) noexcept = default;
+    Token(const Token&) = delete;
+    uint64_t w[4];
+  };
+  sim::Simulator sim(1);
+  sim::Network net(sim, sim::LatencyMatrix(1, msec(1)));
+  harness::NodeHost host(sim, net, 0);
+  uint64_t sink = 0;
+  auto cycle = [&](uint64_t i) {
+    auto delivery = [t = Token(i), &sink] { sink += t.w[3]; };
+    static_assert(sizeof(delivery) == 40);  // sim::Network's delivery
+    auto timer = [&sink, a = i, b = i + 1] { sink += a ^ b; };
+    static_assert(sizeof(timer) == 24);
+    sim.after(1, std::move(delivery));
+    host.schedule(1, std::move(timer));
+    sim.run_all();
+  };
+  for (uint64_t i = 0; i < 4; ++i) cycle(i);
+  for (auto _ : state) {
+    const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    for (uint64_t i = 0; i < 1000; ++i) cycle(i);
+    const uint64_t delta =
+        g_allocs.load(std::memory_order_relaxed) - before;
+    if (delta != 0) {
+      std::fprintf(stderr,
+                   "FAIL: %llu heap allocations on warm schedule+step path\n",
+                   static_cast<unsigned long long>(delta));
+      std::abort();
+    }
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * 2000);
+}
+BENCHMARK(BM_EventQueueZeroAlloc);
 
 }  // namespace
 
