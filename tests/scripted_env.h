@@ -91,27 +91,4 @@ class ScriptedEnv final : public consensus::Env {
   std::vector<Timer> timers_;
 };
 
-/// Delivers every pending message between a set of nodes until quiescence.
-/// `deliver(from, to, payload)` is supplied by the test.
-template <typename DeliverFn>
-void pump(std::vector<ScriptedEnv*> envs, std::vector<NodeId> ids,
-          DeliverFn deliver, int max_rounds = 100) {
-  for (int round = 0; round < max_rounds; ++round) {
-    bool any = false;
-    for (size_t i = 0; i < envs.size(); ++i) {
-      auto pending = std::move(envs[i]->outbox);
-      envs[i]->outbox.clear();
-      for (auto& msg : pending) {
-        for (size_t j = 0; j < ids.size(); ++j) {
-          if (ids[j] == msg.to) {
-            deliver(ids[i], ids[j], msg.payload, msg.bytes);
-            any = true;
-          }
-        }
-      }
-    }
-    if (!any) return;
-  }
-}
-
 }  // namespace praft::test
