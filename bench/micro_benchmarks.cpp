@@ -56,7 +56,7 @@ using namespace praft;
 class NullEnv final : public consensus::Env {
  public:
   [[nodiscard]] Time now() const override { return now_; }
-  void send(NodeId, std::any, size_t) override { ++sent_; }
+  void send(NodeId, std::any) override { ++sent_; }
   void schedule(Duration, UniqueFunction<void()>) override {}
   uint64_t random() override { return rng_.next(); }
   Time now_ = 0;
@@ -181,8 +181,8 @@ BENCHMARK(BM_PoolAcquireRelease);
 /// The zero-alloc claim, asserted: after one warm-up encode (which may take
 /// slabs from the preallocated freelist), 1000 encode+release cycles on the
 /// steady-state append path must not touch the global heap. Decode allocates
-/// by design (it materialises a Message); the hot send path never decodes —
-/// only PRAFT_WIRE_VERIFY does.
+/// by design (it materialises a Message); a default send neither encodes
+/// nor decodes — only PRAFT_WIRE_VERIFY does.
 void BM_WireEncodeZeroAlloc(benchmark::State& state) {
   net::BufferPool pool;
   const raft::Message m = make_append(8);

@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
   }
 
   // --- End-to-end: replicated write throughput per protocol, byte-accurate
-  // cost model, every frame encoded through the pooled codec path. ---
+  // cost model: every send is charged its codec's size (frames are built
+  // only under PRAFT_WIRE_VERIFY). ---
   for (const char* protocol : {"raft", "raftstar", "multipaxos", "mencius"}) {
     harness::ExperimentConfig cfg;
     cfg.protocol = protocol;

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <any>
-#include <cstddef>
 
 #include "common/function.h"
 #include "common/types.h"
@@ -25,8 +24,9 @@ class Env {
 
   [[nodiscard]] virtual Time now() const = 0;
 
-  /// Sends a protocol message of modeled wire size `bytes`.
-  virtual void send(NodeId to, std::any payload, size_t bytes) = 0;
+  /// Sends a protocol message. Its wire size is its codec's
+  /// (net::Codec::size), which the transport looks up; no sender supplies it.
+  virtual void send(NodeId to, std::any payload) = 0;
 
   /// One-shot timer. Protocols guard stale timers with epoch counters. A
   /// capture of up to 24 bytes rides in `fn` itself, with no heap box.

@@ -62,9 +62,10 @@ struct HardState {
 using ApplyFn = std::function<void(LogIndex, const kv::Command&)>;
 
 /// Message sizes derive from each message's `fields` list (net/field_codec.h),
-/// so `encode(m).size() == wire_size(m)` by construction and cost accounting
-/// charges real encoded bytes. The batchers and the WAL size queued commands
-/// before any message exists; this is the one size they share.
+/// so `encode(m).size() == wire_size(m)` by construction, and the transport
+/// charges every send its codec's size (net::Codec::size): senders never
+/// pass one. The batchers and the WAL size queued commands before any
+/// message exists; this is the one size they share.
 namespace wire {
 /// One log entry on the wire: slot-or-term i64 + the command.
 inline size_t entry_bytes(const kv::Command& c) { return 8 + c.wire_bytes(); }

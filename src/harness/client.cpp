@@ -29,7 +29,7 @@ void ClosedLoopClient::issue_next() {
 
 void ClosedLoopClient::transmit() {
   ClientRequest req{current_};
-  host_.send(route_(current_), Message{req}, wire_size(req));
+  host_.send(route_(current_), Message{req});
   arm_retry(current_.seq);
 }
 

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "consensus/env.h"
 #include "net/packet.h"
+#include "net/wire.h"
 #include "sim/network.h"
 #include "sim/resources.h"
 #include "sim/simulator.h"
@@ -69,8 +70,16 @@ class NodeHost final : public consensus::Env {
 
   // consensus::Env
   [[nodiscard]] Time now() const override { return sim_.now(); }
-  void send(NodeId to, std::any payload, size_t bytes) override {
+  /// Charges the network the payload's codec size.
+  void send(NodeId to, std::any payload) override {
+    const net::Codec* codec = net::codec_registry().find(payload);
+    PRAFT_CHECK_MSG(codec != nullptr, "no codec for the sent payload type");
+    const size_t bytes = codec->size(payload);
     net_.send(id_, to, std::move(payload), bytes);
+  }
+  /// praft_bench/client.h's face: the size it passes is ignored.
+  void send(NodeId to, std::any payload, size_t /*bytes*/) {
+    send(to, std::move(payload));
   }
   void schedule(Duration delay, UniqueFunction<void()> fn) override {
     auto timer = [this, epoch = sched_epoch_, fn = std::move(fn)] {

@@ -173,7 +173,7 @@ class LogServer : public PacketHandler {
   void reply(const kv::Command& cmd, NodeId origin, uint64_t value) {
     if (origin != kNoNode && origin != id()) {
       ForwardReply fr{cmd, value, true};
-      host_.send(origin, Message{fr}, wire_size(fr));
+      host_.send(origin, Message{fr});
     } else {
       reply_to_client(cmd.client, cmd.seq, value, true);
     }
@@ -181,7 +181,7 @@ class LogServer : public PacketHandler {
 
   void reply_to_client(NodeId client, uint64_t seq, uint64_t value, bool ok) {
     ClientReply r{seq, value, ok, id()};
-    host_.send(client, Message{r}, wire_size(r));
+    host_.send(client, Message{r});
   }
 
   void on_harness_message(const Message& hm) {
@@ -208,7 +208,7 @@ class LogServer : public PacketHandler {
     if (origin == kNoNode) {
       if (leader != kNoNode && leader != id()) {
         Forward f{cmd, id()};
-        host_.send(leader, Message{f}, wire_size(f));
+        host_.send(leader, Message{f});
       } else {
         // No known leader yet (startup or failover window), or a full
         // replication pipe here: re-attempt shortly instead of forcing the

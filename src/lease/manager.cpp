@@ -50,7 +50,7 @@ void LeaseManager::grant_round() {
     if (!responsive && granted_expiry_[rank] <= now) continue;
     if (responsive) granted_expiry_[rank] = expiry;
     Grant g{group_.self, peer, granted_expiry_[rank]};
-    env_.send(peer, Message{g}, wire_size(g));
+    env_.send(peer, Message{g});
   }
 }
 
@@ -67,7 +67,7 @@ void LeaseManager::on_grant(const Grant& g) {
   const auto rank = static_cast<size_t>(group_.rank_of(g.grantor));
   if (g.expiry > held_expiry_[rank]) held_expiry_[rank] = g.expiry;
   GrantAck ack{group_.self, g.expiry};
-  env_.send(g.grantor, Message{ack}, wire_size(ack));
+  env_.send(g.grantor, Message{ack});
 }
 
 void LeaseManager::on_grant_ack(const GrantAck& a, NodeId from) {

@@ -169,7 +169,7 @@ void MenciusNode::pump_peer(NodeId peer) {
   if (pipe_.can_send(peer)) {
     for (const auto& [lo, hi] : out.skips) {
       const SkipRange sr{group_.self, lo, hi};
-      persister_.send(peer, Message{sr}, wire_size(sr));
+      persister_.send(peer, Message{sr});
     }
     out.skips.clear();
   }
@@ -195,17 +195,16 @@ void MenciusNode::pump_peer(NodeId peer) {
     ao.decided_floor = own_decided_floor();
     ao.rev_floor = own_rev_floor_;
     const size_t bytes = wire_size(ao);
-    persister_.send(peer, Message{ao}, bytes);
+    persister_.send(peer, Message{ao});
     pipe_.on_send(peer, ao.items.front().index, ao.items.back().index, bytes,
                   env_.now());
   }
 }
 
 void MenciusNode::broadcast(Message m) {
-  const size_t bytes = wire_size(m);
   for (NodeId peer : group_.members) {
     if (peer == group_.self) continue;
-    persister_.send(peer, m, bytes);
+    persister_.send(peer, m);
   }
 }
 
@@ -362,7 +361,7 @@ void MenciusNode::maybe_compact(bool force) {
 void MenciusNode::send_snapshot(NodeId to) {
   if (!snap_.valid()) return;
   SnapshotXfer sx{group_.self, snap_};
-  persister_.send(to, Message{sx}, wire_size(sx));
+  persister_.send(to, Message{sx});
 }
 
 bool MenciusNode::revocation_done() const {
@@ -545,13 +544,13 @@ void MenciusNode::on_accept_own(const AcceptOwn& m) {
       // analog (RevPrepareOk, the literal vote, is too rare to convict the
       // bug within the seed budget) — let it leave before the accepted
       // values and the jumped own-slot cursor hit disk.
-      persister_.send_unsynced(m.owner, Message{ok}, wire_size(ok));
+      persister_.send_unsynced(m.owner, Message{ok});
     } else {
-      persister_.send(m.owner, Message{ok}, wire_size(ok));
+      persister_.send(m.owner, Message{ok});
     }
   }
   if (!rej.indexes.empty()) {
-    persister_.send(m.owner, Message{rej}, wire_size(rej));
+    persister_.send(m.owner, Message{rej});
   }
   advance_floors();
 }
@@ -656,7 +655,7 @@ void MenciusNode::on_learn_req(const LearnReq& m) {
     }
   }
   if (aged_out) send_snapshot(m.from);
-  if (!lv.slots.empty()) persister_.send(m.from, Message{lv}, wire_size(lv));
+  if (!lv.slots.empty()) persister_.send(m.from, Message{lv});
 }
 
 void MenciusNode::on_learn_vals(const LearnVals& m) {
@@ -736,9 +735,9 @@ void MenciusNode::on_rev_prepare(const RevPrepare& m) {
   persister_.hard_state();
   if (opt_.unsafe_skip_vote_fsync) {
     // TEST-ONLY injected bug: the promise leaves before it hits disk.
-    persister_.send_unsynced(m.from, Message{ok}, wire_size(ok));
+    persister_.send_unsynced(m.from, Message{ok});
   } else {
-    persister_.send(m.from, Message{ok}, wire_size(ok));
+    persister_.send(m.from, Message{ok});
   }
 }
 
@@ -850,7 +849,7 @@ void MenciusNode::on_rev_accept(const RevAccept& m) {
   max_promised_round_ = std::max(max_promised_round_, m.bal.round);
   persister_.hard_state();
   if (aged_out) send_snapshot(m.from);
-  if (!ok.indexes.empty()) persister_.send(m.from, Message{ok}, wire_size(ok));
+  if (!ok.indexes.empty()) persister_.send(m.from, Message{ok});
   advance_floors();
 }
 
@@ -991,7 +990,7 @@ void MenciusNode::maintenance() {
     retrans.decided_floor = own_decided_floor();
     retrans.rev_floor = own_rev_floor_;
     const size_t bytes = wire_size(retrans);
-    persister_.send(peer, Message{retrans}, bytes);
+    persister_.send(peer, Message{retrans});
     pipe_.on_send(peer, retrans.items.front().index,
                   retrans.items.back().index, bytes, now);
   }
@@ -1002,7 +1001,7 @@ void MenciusNode::maintenance() {
     const LogIndex hi = std::min(max_seen_ + 1, afloor() + 256);
     if (blocker != group_.self) {
       const Message learn{LearnReq{group_.self, afloor(), hi}};
-      persister_.send(blocker, learn, wire_size(learn));
+      persister_.send(blocker, learn);
       if (now - owners_[blocker].last_heard > opt_.revoke_timeout) {
         start_revocation(blocker, afloor(), max_seen_ + 1);
       }

@@ -10,10 +10,11 @@ namespace praft::net {
 
 /// A message in flight. The payload is type-erased so one network stack can
 /// carry every protocol's message set; `bytes` is the exact encoded wire
-/// size used for bandwidth/CPU accounting. The encoded frame itself does not
-/// travel: sim::Network encodes each message at send to check its size (and,
-/// under PRAFT_WIRE_VERIFY, its round trip) and returns the frame to its
-/// pool before the delivery is scheduled.
+/// size used for bandwidth/CPU accounting, taken from the payload's codec
+/// (net::Codec::size) at send. No encoded frame travels or is built, except
+/// under PRAFT_WIRE_VERIFY, where sim::Network encodes each message at send
+/// to check its size and round trip and returns the frame to its pool
+/// before the delivery is scheduled.
 struct Packet {
   NodeId from = kNoNode;
   NodeId to = kNoNode;

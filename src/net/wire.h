@@ -193,18 +193,22 @@ inline uint8_t frame_opcode(FrameView f) {
   return f.data[kOffOpcode];
 }
 
-/// Type-erased codec for one message family (one std::variant type).
+/// Type-erased codec for one message family (one std::variant type). `size`
+/// is the exact frame size `encode` produces; both derive from the message's
+/// `fields` list (net/field_codec.h), so sizing a send needs no frame.
 struct Codec {
   Family family = Family::kNone;
+  std::function<size_t(const std::any&)> size;
   std::function<Frame(const std::any&, BufferPool&)> encode;
   std::function<std::any(FrameView)> decode;
   std::function<bool(const std::any&, const std::any&)> equals;
 };
 
 /// Maps payload types (std::type_index of the variant) and family bytes to
-/// codecs. The network looks up by payload type on send and asserts
-/// byte-exactness; PRAFT_WIRE_VERIFY additionally decodes the frame back and
-/// compares against the original struct.
+/// codecs. harness::NodeHost looks up by payload type on every send and
+/// charges the codec's size; under PRAFT_WIRE_VERIFY sim::Network also
+/// encodes the frame, checks its size and decodes it back against the
+/// original struct.
 class CodecRegistry {
  public:
   void add(std::type_index type, Codec codec);
@@ -224,17 +228,23 @@ class CodecRegistry {
 };
 
 /// Registers a variant message type M with free functions
-///   Frame encode(const M&, BufferPool&)   and   M decode(FrameView).
+///   size_t size(const M&),   Frame encode(const M&, BufferPool&)
+///   and   M decode(FrameView).
 template <typename M>
 void register_codec(CodecRegistry& reg, Family family,
+                    size_t (*size)(const M&),
                     Frame (*enc)(const M&, BufferPool&),
                     M (*dec)(FrameView)) {
-  Codec c;
-  c.family = family;
-  c.encode = [enc](const std::any& p, BufferPool& pool) {
+  static constexpr auto as_m = [](const std::any& p) -> const M& {
     const M* m = std::any_cast<M>(&p);
     PRAFT_CHECK(m != nullptr);
-    return enc(*m, pool);
+    return *m;
+  };
+  Codec c;
+  c.family = family;
+  c.size = [size](const std::any& p) { return size(as_m(p)); };
+  c.encode = [enc](const std::any& p, BufferPool& pool) {
+    return enc(as_m(p), pool);
   };
   c.decode = [dec](FrameView f) { return std::any(dec(f)); };
   c.equals = [](const std::any& a, const std::any& b) {
@@ -253,10 +263,12 @@ CodecRegistry& codec_registry();
 /// static praft library cannot drop the registrations.
 void install_builtin_codecs(CodecRegistry& reg);
 
-/// PRAFT_WIRE_VERIFY: when on, every Network send round-trips
-/// encode→decode and compares against the original struct. Initialized from
-/// the PRAFT_WIRE_VERIFY environment variable (1/ON/true/yes) or the
-/// compile-time default (-DPRAFT_WIRE_VERIFY cmake option).
+/// PRAFT_WIRE_VERIFY: when on, every Network send with a codec encodes a
+/// frame, checks its size against the bytes charged and round-trips it
+/// encode→decode against the original struct; off, no frame is built.
+/// Initialized from the PRAFT_WIRE_VERIFY environment variable
+/// (1/ON/true/yes) or the compile-time default (-DPRAFT_WIRE_VERIFY cmake
+/// option).
 bool wire_verify_enabled();
 void set_wire_verify(bool on);
 

@@ -91,7 +91,7 @@ void PaxosNode::start_prepare() {
   Prepare p{ballot_, group_.self, commit_floor() + 1};
   for (NodeId peer : group_.members) {
     if (peer == group_.self) continue;
-    persister_.send(peer, Message{p}, wire_size(p));
+    persister_.send(peer, Message{p});
   }
   if (prepare_acks_.reached(group_.majority())) finish_prepare();
 }
@@ -123,13 +123,13 @@ void PaxosNode::on_prepare(const Prepare& m) {
     }
     if (opt_.unsafe_skip_vote_fsync) {
       // TEST-ONLY injected bug: the promise leaves before it hits disk.
-      persister_.send_unsynced(m.sender, Message{ok}, wire_size(ok));
+      persister_.send_unsynced(m.sender, Message{ok});
     } else {
-      persister_.send(m.sender, Message{ok}, wire_size(ok));
+      persister_.send(m.sender, Message{ok});
     }
   } else {
     Reject r{ballot_, group_.self};
-    persister_.send(m.sender, Message{r}, wire_size(r));
+    persister_.send(m.sender, Message{r});
   }
 }
 
@@ -196,7 +196,7 @@ void PaxosNode::heartbeat_tick() {
       }
       pump_peer(peer);
     }
-    persister_.send(peer, Message{hb}, wire_size(hb));
+    persister_.send(peer, Message{hb});
   }
 }
 
@@ -299,7 +299,7 @@ void PaxosNode::pump_peer(NodeId peer) {
     if (cmds.empty()) return;  // caught up to the tail (or a hole)
     AcceptBatch ab{ballot_, group_.self, next, cmds, commit_floor()};
     const size_t bytes = wire_size(ab);
-    persister_.send(peer, Message{ab}, bytes);
+    persister_.send(peer, Message{ab});
     pipe_.on_send(peer, next, i - 1, bytes, env_.now());
     next = i;
   }
@@ -308,7 +308,7 @@ void PaxosNode::pump_peer(NodeId peer) {
 void PaxosNode::on_accept(const AcceptBatch& m) {
   if (m.bal < ballot_) {
     Reject r{ballot_, group_.self};
-    persister_.send(m.sender, Message{r}, wire_size(r));
+    persister_.send(m.sender, Message{r});
     return;
   }
   if (m.bal > ballot_) {
@@ -340,7 +340,7 @@ void PaxosNode::on_accept(const AcceptBatch& m) {
     // after the accepted values above are durable.
     AcceptOkBatch ok{m.bal, group_.self, m.start,
                      static_cast<LogIndex>(m.cmds.size())};
-    persister_.send(m.sender, Message{ok}, wire_size(ok));
+    persister_.send(m.sender, Message{ok});
   }
 }
 
@@ -474,7 +474,7 @@ void PaxosNode::request_missing(LogIndex upto) {
     if (target == group_.self) return;  // single-node group
   }
   LearnRequest lr{group_.self, from, upto};
-  persister_.send(target, Message{lr}, wire_size(lr));
+  persister_.send(target, Message{lr});
 }
 
 void PaxosNode::on_reject(const Reject& m) {
@@ -510,7 +510,7 @@ void PaxosNode::on_learn_request(const LearnRequest& m) {
   // the MultiPaxos face of InstallSnapshot).
   if (m.from <= instances_.floor() && snap_.valid()) {
     SnapshotTransfer st{group_.self, snap_};
-    persister_.send(m.sender, Message{st}, wire_size(st));
+    persister_.send(m.sender, Message{st});
     return;
   }
   LearnValues lv;
@@ -521,7 +521,7 @@ void PaxosNode::on_learn_request(const LearnRequest& m) {
     if (in == nullptr || !in->chosen) break;
     lv.cmds.push_back(in->cmd);
   }
-  if (!lv.cmds.empty()) persister_.send(m.sender, Message{lv}, wire_size(lv));
+  if (!lv.cmds.empty()) persister_.send(m.sender, Message{lv});
 }
 
 void PaxosNode::on_learn_values(const LearnValues& m) {

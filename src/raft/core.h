@@ -255,12 +255,10 @@ class Core : public consensus::NodeIface {
 
   [[nodiscard]] Term term_at(LogIndex i) const { return log_.at(i).term; }
 
-  /// Sends `m` behind the fsync barrier; returns its wire size.
+  /// Sends `m` behind the fsync barrier.
   template <typename M>
-  size_t send(NodeId to, M m) {
-    const size_t bytes = wire_size(m);
-    persister_.send(to, Message{std::move(m)}, bytes);
-    return bytes;
+  void send(NodeId to, M m) {
+    persister_.send(to, Message{std::move(m)});
   }
 
   /// Arms a durability barrier for everything appended so far: when it
@@ -352,7 +350,8 @@ class Core : public consensus::NodeIface {
       for (LogIndex i = prev + 1; i <= hi; ++i) {
         ae.entries.push_back(log_.at(i));
       }
-      const size_t bytes = send(peer, std::move(ae));
+      const size_t bytes = wire_size(ae);
+      send(peer, std::move(ae));
       // Empty keep-alives stay untracked and ungated: heartbeats must always
       // flow, and their cumulative ok-replies (match == prev) retire every
       // outstanding batch they cover.
@@ -463,7 +462,7 @@ class Core : public consensus::NodeIface {
     VoteReply reply = vote_reply(m, granted);
     if (granted && opt_.unsafe_skip_vote_fsync) {
       // TEST-ONLY injected bug: the reply leaves before the vote hits disk.
-      persister_.send_unsynced(m.candidate, Message{reply}, wire_size(reply));
+      persister_.send_unsynced(m.candidate, Message{reply});
     } else {
       send(m.candidate, std::move(reply));
     }
@@ -669,8 +668,9 @@ class Core : public consensus::NodeIface {
   void send_snapshot(NodeId peer) {
     PRAFT_CHECK_MSG(snap_.valid() && snap_.last_index == log_.base_index(),
                     "snapshot does not cover the compacted prefix");
-    const size_t bytes =
-        send(peer, InstallSnapshot{term_, group_.self, snap_});
+    InstallSnapshot install{term_, group_.self, snap_};
+    const size_t bytes = wire_size(install);
+    send(peer, std::move(install));
     // The snapshot occupies the peer's window like any batch (its reply
     // acks snap_.last_index); a loss rolls nextIndex back below the base,
     // which re-enters the snapshot path.

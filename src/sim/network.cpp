@@ -36,18 +36,17 @@ bool Network::usable(NodeId n, Time t) const {
 void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
   const Time now = sim_.now();
 
-  // Encode through the flat codec when the payload type has one (every
-  // protocol message does): the claimed size, which all bandwidth/CPU
-  // accounting charges, must be the encoded one. PRAFT_WIRE_VERIFY
-  // additionally round-trips the frame back through decode() and compares
-  // with the original struct. Nothing downstream reads the frame, so it goes
-  // back to the pool here. Encoding consumes no RNG, so trajectories stay
-  // seed-deterministic.
-  if (const net::Codec* codec = net::codec_registry().find(payload)) {
-    const net::Frame frame = codec->encode(payload, pool_);
-    PRAFT_CHECK_MSG(frame.size() == bytes,
-                    "claimed wire_size != encoded frame size");
-    if (net::wire_verify_enabled()) {
+  // PRAFT_WIRE_VERIFY: encode through the flat codec when the payload type
+  // has one (every protocol message does), check that the size all
+  // bandwidth/CPU accounting charges is the encoded one, and round-trip the
+  // frame back through decode() against the original struct. Nothing
+  // downstream reads the frame, so it goes back to the pool here. Encoding
+  // consumes no RNG, so verified runs follow the default trajectories.
+  if (net::wire_verify_enabled()) {
+    if (const net::Codec* codec = net::codec_registry().find(payload)) {
+      const net::Frame frame = codec->encode(payload, pool_);
+      PRAFT_CHECK_MSG(frame.size() == bytes,
+                      "claimed wire_size != encoded frame size");
       const std::any back = codec->decode(net::view(frame));
       PRAFT_CHECK_MSG(codec->equals(payload, back),
                       "wire round-trip diverged from the original message");

@@ -27,15 +27,16 @@ class Network {
   NodeId add_node(SiteId site, net::DeliverFn deliver,
                   double egress_bytes_per_us = 0.0);
 
-  /// Sends `payload` from `from` to `to`. When the payload type has a codec
-  /// registered (every protocol message does), it is encoded into a pooled
-  /// flat frame and `bytes` must equal the encoded size — bandwidth is
-  /// charged from real encoded bytes. The frame goes back to the pool before
-  /// the delivery is scheduled (only the payload travels), so the pool holds
-  /// one frame at a time however many messages are in flight. Payload types
-  /// without a codec (raw test payloads) fall back to the claimed `bytes`.
-  /// Self-sends are delivered after the local RTT/2 (loopback still hops the
-  /// event queue, never reenters the sender synchronously).
+  /// Sends `payload` from `from` to `to`, charging `bytes` to bandwidth and
+  /// to the receiver's Packet. A protocol message's `bytes` is its codec's
+  /// size (harness::NodeHost::send looks it up); raw test payloads, which
+  /// have no codec, bring their own. Only the payload travels: by default no
+  /// frame is built. Under PRAFT_WIRE_VERIFY a payload with a codec is
+  /// encoded into a pooled frame, `bytes` must equal the frame's size, and
+  /// the frame round-trips through decode() before it goes back to the pool,
+  /// so the pool holds one frame at a time however many messages are in
+  /// flight. Self-sends are delivered after the local RTT/2 (loopback still
+  /// hops the event queue, never reenters the sender synchronously).
   void send(NodeId from, NodeId to, std::any payload, size_t bytes);
 
   FaultPlan& faults() { return faults_; }
@@ -48,6 +49,7 @@ class Network {
   [[nodiscard]] uint64_t messages_delivered() const { return messages_delivered_; }
   [[nodiscard]] uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] Duration egress_busy(NodeId n) const;
+  /// The verify-mode frame pool; all zero unless PRAFT_WIRE_VERIFY is on.
   [[nodiscard]] const net::PoolStats& pool_stats() const {
     return pool_.stats();
   }

@@ -77,14 +77,14 @@ class Persister {
   /// Sends `payload` once every write staged so far is durable. The hard
   /// state the message depends on is captured NOW; the trace sees it when
   /// the message actually leaves.
-  void send(NodeId to, std::any payload, size_t bytes) {
+  void send(NodeId to, std::any payload) {
     const consensus::HardState hs = hard_state_();
     if (clean()) {
-      leave(to, std::move(payload), bytes, hs);
+      leave(to, std::move(payload), hs);
       return;
     }
-    waiters_.push_back(Waiter{store_->staged_seq(), to, std::move(payload),
-                              bytes, hs, nullptr});
+    waiters_.push_back(
+        Waiter{store_->staged_seq(), to, std::move(payload), hs, nullptr});
     arm();
   }
 
@@ -94,7 +94,7 @@ class Persister {
       fn();
       return;
     }
-    waiters_.push_back(Waiter{store_->staged_seq(), kNoNode, {}, 0,
+    waiters_.push_back(Waiter{store_->staged_seq(), kNoNode, {},
                               consensus::HardState{}, std::move(fn)});
     arm();
   }
@@ -104,8 +104,8 @@ class Persister {
   /// the classic missing-fsync-before-vote-reply bug. The trace still
   /// records the state the message depended on, which is how the chaos
   /// checker convicts a later crash of regressing externally-visible state.
-  void send_unsynced(NodeId to, std::any payload, size_t bytes) {
-    leave(to, std::move(payload), bytes, hard_state_());
+  void send_unsynced(NodeId to, std::any payload) {
+    leave(to, std::move(payload), hard_state_());
   }
 
  private:
@@ -113,15 +113,13 @@ class Persister {
     uint64_t seq = 0;
     NodeId to = kNoNode;
     std::any payload;
-    size_t bytes = 0;
     consensus::HardState hs;
     std::function<void()> fn;  // barrier waiters; null for sends
   };
 
-  void leave(NodeId to, std::any&& payload, size_t bytes,
-             const consensus::HardState& hs) {
+  void leave(NodeId to, std::any&& payload, const consensus::HardState& hs) {
     if (consensus::Trace* t = env_.trace()) t->on_sent_state(self_, hs);
-    env_.send(to, std::move(payload), bytes);
+    env_.send(to, std::move(payload));
   }
 
   [[nodiscard]] bool clean() const {
@@ -162,7 +160,7 @@ class Persister {
       if (w.fn) {
         w.fn();
       } else {
-        leave(w.to, std::move(w.payload), w.bytes, w.hs);
+        leave(w.to, std::move(w.payload), w.hs);
       }
     }
   }

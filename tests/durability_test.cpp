@@ -262,7 +262,7 @@ TEST(PersisterTest, SendsWaitForTheCoveringFsync) {
                        /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
-  p.send(7, std::string("hello"), 16);
+  p.send(7, std::string("hello"));
   EXPECT_TRUE(env.outbox.empty());  // gated: the record is not durable yet
   EXPECT_TRUE(store.dirty());
   env.advance(msec(10));
@@ -299,7 +299,7 @@ TEST(PersisterTest, UnsyncedSendSkipsTheBarrier) {
                        /*batch=*/msec(1),
                        [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
-  p.send_unsynced(7, std::string("leak"), 16);
+  p.send_unsynced(7, std::string("leak"));
   EXPECT_EQ(env.outbox.size(), 1u);  // left before the record hit disk
   EXPECT_TRUE(store.dirty());        // ... and nothing armed a sync
 }
@@ -323,7 +323,7 @@ TEST(PersisterTest, TraceSeesTheSendTimeHardStateWhenTheMessageLeaves) {
   storage::Persister p(env, /*self=*/3, /*fsync=*/msec(2),
                        /*batch=*/msec(1), [&hs] { return hs; });
   p.hard_state();
-  p.send(7, std::string("vote"), 16);  // depends on term 1, held for fsync
+  p.send(7, std::string("vote"));  // depends on term 1, held for fsync
   hs.term = 2;
   p.hard_state();  // newer state staged while the message waits
   EXPECT_TRUE(trace.sent.empty());
@@ -336,7 +336,7 @@ TEST(PersisterTest, TraceSeesTheSendTimeHardStateWhenTheMessageLeaves) {
   // The unsynced path reports at once, with the state current at the call.
   hs.term = 3;
   p.hard_state();
-  p.send_unsynced(7, std::string("leak"), 16);
+  p.send_unsynced(7, std::string("leak"));
   EXPECT_EQ(env.outbox.size(), 2u);
   ASSERT_EQ(trace.sent.size(), 2u);
   EXPECT_EQ(trace.sent[1].first, 3);
@@ -352,7 +352,7 @@ TEST(PersisterTest, ZeroCostStorageIsSynchronous) {
                        /*batch=*/0, [] { return consensus::HardState{}; });
   p.record(record_at(1, 1));
   EXPECT_FALSE(store.dirty());  // committed inline
-  p.send(7, std::string("now"), 16);
+  p.send(7, std::string("now"));
   EXPECT_EQ(env.outbox.size(), 1u);  // never deferred
   bool ran = false;
   p.barrier([&ran] { ran = true; });

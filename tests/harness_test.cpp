@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <any>
 #include <vector>
 
+#include "common/check.h"
 #include "harness/cluster.h"
 #include "harness/cost_model.h"
 #include "harness/experiment.h"
@@ -145,6 +147,34 @@ TEST(NodeHostTest, CrashDropsPacketsWaitingOnTheCpu) {
   net.send(sender.id(), receiver.id(), 3, 10);
   sim.run_for(msec(100));
   EXPECT_EQ(rebuilt.at.size(), 1u);
+}
+
+TEST(NodeHostTest, SendChargesTheCodecSize) {
+  // A message's wire size is its codec's: the Env's send looks it up, and a
+  // payload type with no codec cannot leave through it.
+  sim::Simulator sim(3);
+  sim::Network net(sim, test::lan_matrix());
+  harness::NodeHost sender(sim, net, 0);
+  harness::NodeHost receiver(sim, net, 0);
+  struct Recorder : harness::PacketHandler {
+    void handle(const net::Packet& p) override { bytes.push_back(p.bytes); }
+    std::vector<size_t> bytes;
+  } recorder;
+  receiver.attach(&recorder);
+  raft::AppendEntries ae;
+  ae.term = 2;
+  ae.leader = sender.id();
+  ae.prev_index = 4;
+  ae.entries.push_back(
+      raft::Entry{2, kv::Command{kv::Op::kPut, 1, 2, 64, 3, 1}});
+  const raft::Message m{ae};
+  sender.send(receiver.id(), m);
+  sim.run_for(msec(100));
+  ASSERT_EQ(recorder.bytes.size(), 1u);
+  EXPECT_EQ(recorder.bytes[0], raft::wire_size(m));
+  EXPECT_EQ(net.bytes_sent(), raft::wire_size(m));
+  EXPECT_THROW(sender.send(receiver.id(), std::any(42)), CheckFailure);
+  EXPECT_EQ(net.messages_sent(), 1u);
 }
 
 // ---------------------------------------------------------------------------

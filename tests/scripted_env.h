@@ -18,15 +18,14 @@ class ScriptedEnv final : public consensus::Env {
   struct Sent {
     NodeId to;
     std::any payload;
-    size_t bytes;
   };
 
   explicit ScriptedEnv(uint64_t seed = 1) : rng_(seed) {}
 
   [[nodiscard]] Time now() const override { return now_; }
 
-  void send(NodeId to, std::any payload, size_t bytes) override {
-    outbox.push_back(Sent{to, std::move(payload), bytes});
+  void send(NodeId to, std::any payload) override {
+    outbox.push_back(Sent{to, std::move(payload)});
   }
 
   void schedule(Duration delay, UniqueFunction<void()> fn) override {

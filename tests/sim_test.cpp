@@ -466,24 +466,35 @@ TEST_F(NetworkFixture, FifoHoldsBothWaysAndForLateDestinations) {
 }
 
 TEST_F(NetworkFixture, FramesReturnToThePoolAtSend) {
-  // Oregon to Seoul is a 63 ms hop: every message below is still in flight
-  // when the checks run, and none holds a pooled frame.
+  // A default send builds no frame. Under PRAFT_WIRE_VERIFY each send
+  // encodes one and hands it back before the delivery is scheduled. Oregon
+  // to Seoul is a 63 ms hop: every message below is still in flight when
+  // the pool is read, and none holds a frame.
+  const bool prev = net::wire_verify_enabled();
   const NodeId a = add(LatencyMatrix::kOregon);
   const NodeId b = add(LatencyMatrix::kSeoul);
   std::vector<size_t> sizes;
-  for (int i = 0; i < 50; ++i) {
-    raft::AppendEntries ae;
-    ae.term = 1;
-    ae.leader = a;
-    ae.prev_index = i;
-    for (int e = 0; e < i % 5; ++e) {
-      ae.entries.push_back(
-          raft::Entry{1, kv::Command{kv::Op::kPut, 1, 2, 8, 3, 1}});
+  const auto send_50 = [&] {
+    for (int i = 0; i < 50; ++i) {
+      raft::AppendEntries ae;
+      ae.term = 1;
+      ae.leader = a;
+      ae.prev_index = i;
+      for (int e = 0; e < i % 5; ++e) {
+        ae.entries.push_back(
+            raft::Entry{1, kv::Command{kv::Op::kPut, 1, 2, 8, 3, 1}});
+      }
+      const raft::Message m{ae};
+      sizes.push_back(raft::wire_size(m));
+      net_.send(a, b, m, sizes.back());
     }
-    const raft::Message m{ae};
-    sizes.push_back(raft::wire_size(m));
-    net_.send(a, b, m, sizes.back());
-  }
+  };
+  net::set_wire_verify(false);
+  send_50();
+  EXPECT_EQ(net_.pool_stats().acquires, 0u);
+  net::set_wire_verify(true);
+  send_50();
+  net::set_wire_verify(prev);
   sim_.run_for(msec(50));
   EXPECT_TRUE(received_[1].empty());
   EXPECT_EQ(net_.pool_stats().acquires, 50u);
@@ -496,7 +507,7 @@ TEST_F(NetworkFixture, FramesReturnToThePoolAtSend) {
     const auto* m = net::payload_as<raft::Message>(received_[1][i]);
     ASSERT_NE(m, nullptr);
     EXPECT_EQ(std::get<raft::AppendEntries>(*m).prev_index,
-              static_cast<int64_t>(i));
+              static_cast<int64_t>(i % 50));
   }
 }
 

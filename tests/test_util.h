@@ -152,7 +152,7 @@ class OneShotClient : public harness::PacketHandler {
     cmd.seq = ++seq_;
     waiting_ = true;
     harness::ClientRequest req{cmd};
-    host_.send(server, harness::Message{req}, harness::wire_size(req));
+    host_.send(server, harness::Message{req});
   }
 
   void handle(const net::Packet& p) override {

@@ -70,10 +70,11 @@ consensus::Ballot rand_ballot(Rng& r) {
 NodeId rand_node(Rng& r) { return static_cast<NodeId>(r.range(-1, 64)); }
 
 // ---------------------------------------------------------------------------
-// The tentpole property, checked three ways for every message m:
+// The tentpole property, checked four ways for every message m:
 //   1. encode(m).size() == wire_size(m)  (the cost model bills exact bytes)
 //   2. decode(encode(m)) == m            (the frame is lossless)
-//   3. the registry round-trip through std::any agrees with (2)
+//   3. the registry's size, which every send is charged, is wire_size(m)
+//   4. the registry round-trip through std::any agrees with (2)
 // ---------------------------------------------------------------------------
 
 template <typename Msg, typename Enc, typename Dec>
@@ -86,6 +87,7 @@ void expect_roundtrip(const Msg& m, Enc enc, Dec dec, net::BufferPool& pool) {
 
   const net::Codec* codec = net::codec_registry().find(std::any(m));
   ASSERT_NE(codec, nullptr);
+  EXPECT_EQ(codec->size(std::any(m)), claimed) << "registry size != wire_size";
   const net::Frame rf = codec->encode(std::any(m), pool);
   ASSERT_EQ(rf.size(), claimed);
   EXPECT_TRUE(codec->equals(std::any(m), codec->decode(net::view(rf))));
