@@ -358,6 +358,11 @@ void MenciusNode::maybe_compact(bool force) {
                     << snap_.last_index;
 }
 
+bool MenciusNode::checkpoint_covers(LogIndex i) {
+  if (i > snap_.last_index) maybe_compact(/*force=*/true);
+  return i <= snap_.last_index;
+}
+
 void MenciusNode::send_snapshot(NodeId to) {
   if (!snap_.valid()) return;
   SnapshotXfer sx{group_.self, snap_};
@@ -643,7 +648,7 @@ void MenciusNode::on_learn_req(const LearnReq& m) {
     if (i < afloor()) {
       if (const kv::Command* cmd = decided_at(i)) {
         lv.slots.push_back(SlotInfo{i, cmd->is_noop(), *cmd});
-      } else if (i <= snap_.last_index) {
+      } else if (checkpoint_covers(i)) {
         // Executed but aged out of the history: the checkpoint covers it.
         aged_out = true;
       }
@@ -717,11 +722,10 @@ void MenciusNode::on_rev_prepare(const RevPrepare& m) {
       if (const kv::Command* cmd = decided_at(i)) {
         ok.accepted.push_back(RevAccepted{i, Ballot{kDecidedBal, kNoNode},
                                           true, cmd->is_noop(), *cmd});
-      } else if (i <= snap_.last_index) {
-        send_snapshot(m.from);
-        return;
+        continue;
       }
-      continue;
+      if (checkpoint_covers(i)) send_snapshot(m.from);
+      return;
     }
     Slot& s = slot(i);
     if (m.bal <= s.promised) return;  // stale revoker: ignore whole prepare
@@ -808,7 +812,7 @@ void MenciusNode::on_rev_accept(const RevAccept& m) {
       const kv::Command* decided = decided_at(item.index);
       if (decided != nullptr && *decided == item.cmd) {
         ok.indexes.push_back(item.index);
-      } else if (decided == nullptr && item.index <= snap_.last_index) {
+      } else if (decided == nullptr && checkpoint_covers(item.index)) {
         aged_out = true;
       }
       continue;

@@ -186,6 +186,9 @@ class MenciusNode : public consensus::NodeIface {
   /// Decision-history entries above the checkpoint floor — what the next
   /// checkpoint would absorb (the bounded-memory invariant caps this).
   [[nodiscard]] size_t history_above_floor() const;
+  /// Whether a checkpoint covers executed slot `i`, which has aged out of
+  /// the decision history; checkpoints now first if it lies above the last.
+  bool checkpoint_covers(LogIndex i);
   /// Ships our checkpoint to `to` (stalled learner / stale revoker).
   void send_snapshot(NodeId to);
   /// True when every slot of the active revocation is settled locally.

@@ -265,6 +265,78 @@ TEST(MenciusUnitTest, SkipRangeDecidesForeignSlots) {
   ASSERT_EQ(applied.size(), 3u);  // slots 0,1,2
 }
 
+// Mencius keeps only the newest executed decisions in its history. With
+// compaction off no checkpoint exists yet, so an executed slot older than the
+// history can be taught only by a checkpoint taken on demand.
+
+constexpr consensus::LogIndex kPastHistory = 70'000;
+
+/// Teaches node 10 kPastHistory decided slots in one LearnVals, which it
+/// executes: the oldest have aged out of its decision history.
+void execute_past_history(mencius::MenciusNode& n, test::ScriptedEnv& env) {
+  mencius::LearnVals lv;
+  lv.from = 11;
+  for (consensus::LogIndex i = 0; i < kPastHistory; ++i) {
+    const auto k = static_cast<uint64_t>(i);
+    lv.slots.push_back(mencius::SlotInfo{
+        i, false, kv::Command{kv::Op::kPut, k % 64, k, 8, 11, k + 1}});
+  }
+  n.on_packet(test::packet(11, 10, 0, mencius::Message{lv}));
+  ASSERT_EQ(n.applied_index(), kPastHistory - 1);
+  env.clear();
+}
+
+std::vector<mencius::Message> sent_to(test::ScriptedEnv& env, NodeId to) {
+  std::vector<mencius::Message> out;
+  for (const auto& s : env.take_for(to)) {
+    if (const auto* m = std::any_cast<mencius::Message>(&s.payload)) {
+      out.push_back(*m);
+    }
+  }
+  return out;
+}
+
+TEST(MenciusUnitTest, AgedOutDecisionIsTaughtWithACheckpoint) {
+  test::ScriptedEnv env;
+  kv::KvStore store;
+  mencius::MenciusNode n(group_of(10, {10, 11, 12}), env, unit_options());
+  test::attach_store(n, store);
+  n.start();
+  execute_past_history(n, env);
+  n.on_packet(test::packet(12, 10, 0,
+                           mencius::Message{mencius::LearnReq{12, 0, 256}}));
+  const auto sent = sent_to(env, 12);
+  ASSERT_EQ(sent.size(), 1u);
+  const auto* sx = std::get_if<mencius::SnapshotXfer>(&sent[0]);
+  ASSERT_NE(sx, nullptr);
+  EXPECT_EQ(sx->snap.last_index, kPastHistory - 1);
+}
+
+TEST(MenciusUnitTest, RevokerOfAnAgedOutDecisionGetsNoPromise) {
+  // An ok that omits an executed slot would let the revoker choose a no-op
+  // over an applied value (P2c). The prepare is refused: with state hooks
+  // the revoker gets the checkpoint instead, without them nothing.
+  for (const bool hooks : {true, false}) {
+    test::ScriptedEnv env;
+    kv::KvStore store;
+    mencius::MenciusNode n(group_of(10, {10, 11, 12}), env, unit_options());
+    if (hooks) test::attach_store(n, store);
+    n.start();
+    execute_past_history(n, env);
+    n.on_packet(test::packet(
+        12, 10, 0,
+        mencius::Message{mencius::RevPrepare{12, consensus::Ballot{1, 12},
+                                             11, 0, 300}}));
+    const auto sent = sent_to(env, 12);
+    ASSERT_EQ(sent.size(), hooks ? 1u : 0u) << "hooks=" << hooks;
+    if (hooks) {
+      const auto* sx = std::get_if<mencius::SnapshotXfer>(&sent[0]);
+      ASSERT_NE(sx, nullptr);
+      EXPECT_EQ(sx->snap.last_index, kPastHistory - 1);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cluster-level tests.
 // ---------------------------------------------------------------------------
