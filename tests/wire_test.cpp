@@ -2,6 +2,7 @@
 
 #include <any>
 #include <cstdlib>
+#include <variant>
 #include <vector>
 
 #include "chaos/runner.h"
@@ -93,10 +94,20 @@ void expect_roundtrip(const Msg& m, Enc enc, Dec dec, net::BufferPool& pool) {
   EXPECT_TRUE(codec->equals(std::any(m), codec->decode(net::view(rf))));
 }
 
-// One round of each family's generator: every variant alternative once.
-// Messages are built with braced initialisers only, whose elements are
-// evaluated left to right, so the RNG draws (and hence the frames the golden
-// digest below pins) do not depend on the compiler's argument order.
+/// A generator round holds each alternative of its variant exactly once.
+template <typename V>
+void expect_every_alternative_once(const std::vector<V>& round) {
+  ASSERT_EQ(round.size(), std::variant_size_v<V>);
+  for (size_t i = 0; i < round.size(); ++i) EXPECT_EQ(round[i].index(), i);
+}
+
+// One round of each family's generator: every variant alternative once, in
+// opcode order. expect_every_alternative_once enforces it, so a message
+// added without a generator entry, which would escape both the round trips
+// and WireGolden, fails WireRoundTrip. Messages are built with braced
+// initialisers only, whose elements are evaluated left to right, so the RNG
+// draws (and hence the frames the golden digest below pins) do not depend
+// on the compiler's argument order.
 
 std::vector<raft::Message> raft_msgs(Rng& r) {
   using namespace praft::raft;
@@ -247,7 +258,9 @@ TEST(WireRoundTrip, Raft) {
   Rng r(101);
   net::BufferPool pool;
   for (int it = 0; it < kRounds; ++it) {
-    for (const auto& m : raft_msgs(r)) {
+    const auto round = raft_msgs(r);
+    expect_every_alternative_once(round);
+    for (const auto& m : round) {
       expect_roundtrip(m, &raft::encode, &raft::decode, pool);
     }
   }
@@ -257,7 +270,9 @@ TEST(WireRoundTrip, RaftStar) {
   Rng r(202);
   net::BufferPool pool;
   for (int it = 0; it < kRounds; ++it) {
-    for (const auto& m : raftstar_msgs(r)) {
+    const auto round = raftstar_msgs(r);
+    expect_every_alternative_once(round);
+    for (const auto& m : round) {
       expect_roundtrip(m, &raftstar::encode, &raftstar::decode, pool);
     }
   }
@@ -267,7 +282,9 @@ TEST(WireRoundTrip, Paxos) {
   Rng r(303);
   net::BufferPool pool;
   for (int it = 0; it < kRounds; ++it) {
-    for (const auto& m : paxos_msgs(r)) {
+    const auto round = paxos_msgs(r);
+    expect_every_alternative_once(round);
+    for (const auto& m : round) {
       expect_roundtrip(m, &paxos::encode, &paxos::decode, pool);
     }
   }
@@ -277,7 +294,9 @@ TEST(WireRoundTrip, Mencius) {
   Rng r(404);
   net::BufferPool pool;
   for (int it = 0; it < kRounds; ++it) {
-    for (const auto& m : mencius_msgs(r)) {
+    const auto round = mencius_msgs(r);
+    expect_every_alternative_once(round);
+    for (const auto& m : round) {
       expect_roundtrip(m, &mencius::encode, &mencius::decode, pool);
     }
   }
@@ -287,10 +306,14 @@ TEST(WireRoundTrip, HarnessAndLease) {
   Rng r(505);
   net::BufferPool pool;
   for (int it = 0; it < kRounds; ++it) {
-    for (const auto& m : harness_msgs(r)) {
+    const auto harness_round = harness_msgs(r);
+    expect_every_alternative_once(harness_round);
+    for (const auto& m : harness_round) {
       expect_roundtrip(m, &harness::encode, &harness::decode, pool);
     }
-    for (const auto& m : lease_msgs(r)) {
+    const auto lease_round = lease_msgs(r);
+    expect_every_alternative_once(lease_round);
+    for (const auto& m : lease_round) {
       expect_roundtrip(m, &lease::encode, &lease::decode, pool);
     }
   }
@@ -559,22 +582,39 @@ TEST(Batcher, DeposedRaftLeaderFlushIsInert) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: a chaos run with PRAFT_WIRE_VERIFY on round-trips every frame
-// the simulated network carries and cross-checks it against the original
-// struct. Any drift between wire_size(), encode(), and decode() aborts.
+// End-to-end: a chaos run with PRAFT_WIRE_VERIFY on encodes every frame the
+// simulated network carries, checks its size against the bytes charged and
+// cross-checks its decode against the original struct. Any drift between
+// wire_size(), encode(), and decode() aborts. A default run builds no
+// frame, so these passes are the suite's only encode of chaos traffic. The
+// second adds crash-restarts and compaction at a seed where every protocol
+// installs a snapshot, so snapshot-carrying frames, which a run without
+// compaction never sends, are encoded too.
 // ---------------------------------------------------------------------------
 
 TEST(WireVerify, ChaosSmokeAllProtocols) {
   const bool prev = net::wire_verify_enabled();
   net::set_wire_verify(true);
-  for (const char* protocol : {"raft", "raftstar", "multipaxos", "mencius"}) {
-    chaos::RunOptions opt;
-    opt.protocol = protocol;
-    opt.seed = 3;
-    const chaos::RunResult res = chaos::run_one(opt);
-    EXPECT_TRUE(res.ok) << protocol << ": "
-                        << (res.violations.empty() ? "?" : res.violations[0]);
-    EXPECT_GT(res.client_ops, 0u);
+  for (const bool restarts : {false, true}) {
+    for (const char* protocol : {"raft", "raftstar", "multipaxos", "mencius"}) {
+      chaos::RunOptions opt;
+      opt.protocol = protocol;
+      opt.seed = 3;
+      if (restarts) {
+        opt.seed = 10;
+        opt.crash_restarts = true;
+        opt.compaction_log_cap = 64;
+      }
+      const chaos::RunResult res = chaos::run_one(opt);
+      EXPECT_TRUE(res.ok) << protocol << (restarts ? " (restarts)" : "")
+                          << ": "
+                          << (res.violations.empty() ? "?"
+                                                     : res.violations[0]);
+      EXPECT_GT(res.client_ops, 0u);
+      if (restarts) {
+        EXPECT_GT(res.snapshot_installs, 0u) << protocol;
+      }
+    }
   }
   net::set_wire_verify(prev);
 }
