@@ -3,6 +3,7 @@
 // spec successor enumeration, and the wire codec / buffer pool.
 #include <benchmark/benchmark.h>
 
+#include <any>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -167,6 +168,19 @@ void BM_WireDecodeAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WireDecodeAppend)->Arg(0)->Arg(1)->Arg(8);
+
+/// What harness::NodeHost::send pays per message before the network sees
+/// it: the payload's codec, found by type, then the message's size.
+void BM_CodecFind(benchmark::State& state) {
+  const std::any payload = make_append(static_cast<int>(state.range(0)));
+  const net::CodecRegistry& reg = net::codec_registry();
+  for (auto _ : state) {
+    const net::Codec* codec = reg.find(payload);
+    benchmark::DoNotOptimize(codec->size(payload));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CodecFind)->Arg(1);
 
 void BM_PoolAcquireRelease(benchmark::State& state) {
   net::BufferPool pool;

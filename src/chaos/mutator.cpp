@@ -71,7 +71,8 @@ std::vector<std::string> tokens_of(std::string line) {
 /// when its field differs from RunOptions{}.
 struct RunFlag {
   const char* name;
-  std::variant<bool RunOptions::*, int RunOptions::*, size_t RunOptions::*>
+  std::variant<bool RunOptions::*, int RunOptions::*, size_t RunOptions::*,
+               Duration RunOptions::*>
       field;
   int min = 0;
 };
@@ -85,6 +86,8 @@ constexpr RunFlag kRunFlags[] = {
     {"--wan", &RunOptions::wan},
     {"--groups", &RunOptions::groups, 1},
     {"--replicas", &RunOptions::num_replicas, 2},
+    {"--fsync", &RunOptions::fsync},  // microseconds
+    {"--sync-batch", &RunOptions::sync_batch},
 };
 
 /// Re-establishes the generator postcondition after a mutation moved or

@@ -349,9 +349,18 @@ RunResult run_one(const RunOptions& opt) {
   cfg.num_replicas = opt.num_replicas;
   cfg.num_groups = opt.groups;  // each machine hosts a member of every group
   cfg.seed = sched.seed;
-  harness::Cluster cluster(cfg);
-  cluster.build_replicas(opt.protocol, timing_of(opt));
-  RunResult res = run_on(cluster, opt, sched, faults_end);
+  RunResult res;
+  try {
+    harness::Cluster cluster(cfg);
+    cluster.build_replicas(opt.protocol, timing_of(opt));
+    res = run_on(cluster, opt, sched, faults_end);
+  } catch (const CheckFailure& e) {
+    // A CHECK that fires inside the run is this run's failure, not the
+    // batch's: the caller reports it with the repro below and moves on.
+    res = RunResult{};
+    res.ok = false;
+    res.violations.push_back(e.what());
+  }
   res.protocol = opt.protocol;
   res.seed = sched.seed;
   res.schedule = sched.describe();

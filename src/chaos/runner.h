@@ -47,7 +47,9 @@ struct RunOptions {
   bool inject_persistence_bug = false;
   /// Modeled fsync cost / group-commit window used when crash_restarts or
   /// inject_persistence_bug is set (0/0 otherwise keeps trajectories
-  /// bit-identical to the pre-durability harness).
+  /// bit-identical to the pre-durability harness). --fsync=0
+  /// --sync-batch=0 restarts replicas over zero-cost stores, the mode every
+  /// registry default and lan-write-raft run in.
   Duration fsync = msec(2);
   Duration sync_batch = msec(1);
   /// WAN mode: paper-scale election/heartbeat timing (1.2-2.4 s / 150 ms)
@@ -106,7 +108,9 @@ struct RunResult {
 
 /// Builds a cluster for `opt.protocol`, generates the seed's fault schedule
 /// and workload, runs it, and checks all trace invariants. Deterministic:
-/// the same (protocol, seed, options) always yields the same result.
+/// the same (protocol, seed, options) always yields the same result. A
+/// CheckFailure thrown while building or running the cluster fails the run
+/// (its message is the violation) instead of escaping.
 [[nodiscard]] RunResult run_one(const RunOptions& opt);
 
 }  // namespace praft::chaos

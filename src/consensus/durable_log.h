@@ -22,9 +22,12 @@ namespace praft::consensus {
 ///    the ONLY prefix a leader may count itself for in commit quorums. A
 ///    truncation-generation guard keeps a barrier armed before a
 ///    conflict-suffix erasure from overstating coverage afterwards;
+///  * with a store, the WAL is the only copy of a durable entry: when a
+///    barrier clears, the log releases the prefix its fsync covered and
+///    reads it back from the store (ContiguousLog::release_through);
 ///  * replay() rebuilds the log from a DurableImage on crash recovery
-///    (snapshot reset + contiguous WAL suffix), muting its own hooks so the
-///    already-durable records are not re-staged.
+///    (snapshot reset + contiguous WAL suffix, which the log reads in place
+///    in the store), muting its own hooks so nothing is re-staged.
 ///
 /// `E` must be an aggregate of {Term term; kv::Command cmd} (both Raft
 /// entry types are).
@@ -33,6 +36,7 @@ class DurableLogMirror {
  public:
   DurableLogMirror(storage::Persister& persister, ContiguousLog<E>& log)
       : persister_(persister), log_(log) {
+    log_.set_store(persister_.store());
     log_.set_persistence(
         [this](LogIndex i, const E& e) {
           if (muted_) return;
@@ -66,6 +70,7 @@ class DurableLogMirror {
         [this, target, gen = gen_, on_durable = std::move(on_durable)] {
           if (gen != gen_) return;  // truncated since; a fresh barrier covers
           durable_index_ = std::max(durable_index_, target);
+          log_.release_through(durable_index_);
           if (on_durable) on_durable();
         });
   }
@@ -74,10 +79,11 @@ class DurableLogMirror {
   /// diskless or zero-cost storage, where barriers clear inline).
   [[nodiscard]] LogIndex durable_index() const { return durable_index_; }
 
-  /// Crash recovery: rebuilds the in-memory log from the durable image —
-  /// the snapshot stands in for everything at or below its floor, the WAL
-  /// suffix replays contiguously above it. The caller restores its hard
-  /// state and installs img.snap into its Applier itself.
+  /// Crash recovery: rebuilds the log from the durable image, which must be
+  /// the store's own — the snapshot stands in for everything at or below
+  /// its floor, and the WAL suffix above it, contiguous, stays in the store
+  /// where the log reads it. The caller restores its hard state and
+  /// installs img.snap into its Applier itself.
   storage::RecoveryStats replay(const storage::DurableImage& img) {
     PRAFT_CHECK_MSG(log_.last_index() == 0,
                     "WAL replay must run on a fresh log");
@@ -85,19 +91,21 @@ class DurableLogMirror {
     storage::RecoveryStats stats;
     stats.recovered = true;
     if (img.snap.valid()) {
-      log_.reset_to(img.snap.last_index, E{img.snap.last_term, {}});
+      log_.reset_to(img.snap.last_index, img.snap.last_term);
       stats.snapshot_floor = img.snap.last_index;
     }
+    LogIndex tail = log_.last_index();
     for (const storage::WalRecord& r : img.records) {
-      PRAFT_CHECK_MSG(r.index == log_.last_index() + 1,
+      PRAFT_CHECK_MSG(r.index == tail + 1,
                       "WAL replay must be contiguous above the snapshot");
-      log_.append(E{r.term, r.cmd});
-      ++stats.replayed;
+      tail = r.index;
     }
-    stats.wal_tail = std::max(stats.snapshot_floor, log_.last_index());
+    log_.adopt_durable(tail);
+    stats.replayed = img.records.size();
+    stats.wal_tail = std::max(stats.snapshot_floor, tail);
     // Everything just replayed IS the durable log.
-    durable_index_ = log_.last_index();
-    hwm_ = log_.last_index();
+    durable_index_ = tail;
+    hwm_ = tail;
     muted_ = false;
     return stats;
   }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -7,21 +8,31 @@
 #include "common/check.h"
 #include "consensus/slot_table.h"
 #include "consensus/types.h"
+#include "storage/wal.h"
 
 namespace praft::consensus {
 
-/// Contiguous replicated-log storage (Raft / Raft*): a dense array behind a
-/// compactable prefix. `entries_[0]` is the *base sentinel* — the entry at
-/// `base_index()`, which is index 0 (term 0) on a fresh log and the last
-/// snapshot-covered entry after a compaction — so AppendEntries prev-checks
-/// need no special cases at either boundary. All access is bounds-checked
-/// via PRAFT_CHECK — out-of-range indexes (including reads into the
-/// compacted prefix) are protocol bugs, never silent UB.
+/// Contiguous replicated-log storage (Raft / Raft*): a compactable prefix,
+/// then the retained positions (base_index(), last_index()]. The position at
+/// `base_index()` is the *base sentinel* — index 0 (term 0) on a fresh log
+/// and the last snapshot-covered entry after a compaction — whose term the
+/// log keeps, so AppendEntries prev-checks need no special cases at either
+/// boundary. All access is bounds-checked via PRAFT_CHECK — out-of-range
+/// indexes (including reads into the compacted prefix) are protocol bugs,
+/// never silent UB.
+///
+/// A store-backed log (set_store) keeps each durable entry once, as its
+/// store's WAL cell: release_through() drops the in-memory copies a
+/// completed fsync covers, and at() reads those positions from the store.
+/// Only the unsynced suffix stays in memory, as a dense vector. A log
+/// without a store releases nothing, so the vector holds every retained
+/// entry.
+///
+/// `E` is an aggregate of {Term term; kv::Command cmd} (both Raft entry
+/// types are): what a WAL cell holds of it.
 template <typename E>
 class ContiguousLog {
  public:
-  ContiguousLog() { entries_.emplace_back(); }  // index 0 sentinel
-
   /// Persistence hooks (src/storage): every mutation of the retained log is
   /// mirrored into the node's write-ahead log through these. `append` fires
   /// per appended entry, `truncate` per suffix erasure (both conflict
@@ -35,6 +46,9 @@ class ContiguousLog {
     on_truncate_ = std::move(truncate);
   }
 
+  /// The store whose WAL holds this log's released entries (null: none).
+  void set_store(const storage::DurableStore* store) { store_ = store; }
+
   /// Index of the sentinel: everything at or below it lives only in the
   /// snapshot. 0 until the first compaction.
   [[nodiscard]] LogIndex base_index() const { return base_; }
@@ -42,21 +56,24 @@ class ContiguousLog {
   [[nodiscard]] LogIndex first_index() const { return base_ + 1; }
 
   [[nodiscard]] LogIndex last_index() const {
-    return base_ + static_cast<LogIndex>(entries_.size()) - 1;
+    return mem_base_ + static_cast<LogIndex>(entries_.size());
   }
 
-  /// Entries physically retained (excluding the sentinel) — what the
-  /// bounded-memory invariant measures.
-  [[nodiscard]] size_t resident_entries() const { return entries_.size() - 1; }
-
-  [[nodiscard]] const E& at(LogIndex i) const {
-    PRAFT_CHECK(i >= base_ && i <= last_index());
-    return entries_[static_cast<size_t>(i - base_)];
+  /// Entries retained above the compacted prefix (excluding the sentinel),
+  /// in memory or in the store — what the bounded-memory invariant measures.
+  [[nodiscard]] size_t resident_entries() const {
+    return static_cast<size_t>(last_index() - base_);
   }
+  /// Entries held in memory: the unsynced suffix of a store-backed log.
+  [[nodiscard]] size_t memory_entries() const { return entries_.size(); }
 
-  [[nodiscard]] E& at(LogIndex i) {
+  [[nodiscard]] E at(LogIndex i) const {
     PRAFT_CHECK(i >= base_ && i <= last_index());
-    return entries_[static_cast<size_t>(i - base_)];
+    if (i > mem_base_) return entries_[static_cast<size_t>(i - mem_base_ - 1)];
+    if (i == base_) return E{base_term_, {}};
+    const storage::WalCell* c = store_->cell(i);
+    PRAFT_CHECK_MSG(c != nullptr, "released log entry missing from the WAL");
+    return E{c->term, c->cmd};
   }
 
   void append(E e) {
@@ -71,38 +88,72 @@ class ContiguousLog {
   void truncate_after(LogIndex last_kept) {
     PRAFT_CHECK(last_kept >= base_ && last_kept <= last_index());
     if (last_kept == last_index()) return;
-    entries_.resize(static_cast<size_t>(last_kept - base_) + 1);
+    // A cut below the released prefix reopens the in-memory suffix at the
+    // cut: the WAL cells above it stay stale until the truncation syncs.
+    mem_base_ = std::min(mem_base_, last_kept);
+    entries_.resize(static_cast<size_t>(last_kept - mem_base_));
     if (on_truncate_) on_truncate_(last_kept);
   }
 
   /// Discards entries up to and including `new_base` (which must be
   /// retained); the entry at `new_base` becomes the sentinel, so its term
   /// keeps answering prev-checks at the snapshot boundary. The caller is
-  /// responsible for holding a snapshot covering [.., new_base] first.
+  /// responsible for holding a snapshot covering [.., new_base] first, and
+  /// stages it only afterwards: its WAL truncation may drop the cell the new
+  /// sentinel's term is read from.
   void compact_to(LogIndex new_base) {
     PRAFT_CHECK(new_base >= base_ && new_base <= last_index());
     if (new_base == base_) return;
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<ptrdiff_t>(new_base - base_));
+    base_term_ = at(new_base).term;
+    drop_memory_through(new_base);
     base_ = new_base;
   }
 
-  /// Drops the whole log and restarts it at `base` with `sentinel` as the
-  /// boundary entry (snapshot install where the local log conflicts with or
+  /// Drops the whole log and restarts it at `base`, whose term is
+  /// `base_term` (snapshot install where the local log conflicts with or
   /// falls short of the snapshot).
-  void reset_to(LogIndex base, E sentinel) {
+  void reset_to(LogIndex base, Term base_term) {
     PRAFT_CHECK(base >= 0);
     entries_.clear();
-    entries_.push_back(std::move(sentinel));
-    base_ = base;
+    base_ = mem_base_ = base;
+    base_term_ = base_term;
     // Durably: anything beyond the new base conflicts with the snapshot
     // being installed (the caller persists the snapshot itself).
     if (on_truncate_) on_truncate_(base);
   }
 
+  /// Drops the in-memory copies of every position at or below `durable`,
+  /// which a completed fsync put in the store's WAL; at() reads them there
+  /// from now on. A no-op without a store.
+  void release_through(LogIndex durable) {
+    if (store_ == nullptr) return;
+    PRAFT_CHECK(durable <= last_index());
+    drop_memory_through(durable);
+  }
+
+  /// Crash recovery: extends an all-durable log through `last` over the
+  /// store's WAL cells, which must hold every position in between.
+  void adopt_durable(LogIndex last) {
+    PRAFT_CHECK(store_ != nullptr && entries_.empty() && last >= mem_base_);
+    mem_base_ = last;
+  }
+
  private:
+  /// Drops the in-memory entries at or below `i`.
+  void drop_memory_through(LogIndex i) {
+    if (i <= mem_base_) return;
+    entries_.erase(entries_.begin(),
+                   entries_.begin() + static_cast<ptrdiff_t>(i - mem_base_));
+    mem_base_ = i;
+  }
+
   LogIndex base_ = 0;
+  Term base_term_ = 0;
+  // Positions (base_, mem_base_] live in the store's WAL, (mem_base_,
+  // last_index()] in entries_. mem_base_ == base_ without a store.
+  LogIndex mem_base_ = 0;
   std::vector<E> entries_;
+  const storage::DurableStore* store_ = nullptr;
   AppendHook on_append_;
   TruncateHook on_truncate_;
 };

@@ -67,7 +67,10 @@ class NodeIface {
   /// allowed to reclaim. The bounded-memory invariant caps this.
   [[nodiscard]] virtual size_t compactable_entries() const { return 0; }
 
-  /// Log/slot entries physically resident in memory (diagnostics + bench).
+  /// Log/slot entries retained above the compaction floor, in memory or in
+  /// the store (a store-backed Raft log keeps its durable entries only as
+  /// WAL cells) — what the bounded-memory invariant caps (diagnostics +
+  /// bench).
   [[nodiscard]] virtual size_t resident_log_entries() const { return 0; }
 
   /// The node's current in-memory hard state mapped onto the shared shape

@@ -5,12 +5,13 @@
 
 namespace praft::net {
 
-void CodecRegistry::add(std::type_index type, Codec codec) {
-  const uint8_t fam = static_cast<uint8_t>(codec.family);
-  auto [it, inserted] = by_type_.emplace(type, std::move(codec));
-  PRAFT_CHECK_MSG(inserted, "duplicate codec for payload type");
-  auto [fit, finserted] = by_family_.emplace(fam, &it->second);
-  PRAFT_CHECK_MSG(finserted, "duplicate codec for family byte");
+void CodecRegistry::add(const std::type_info& type, Codec codec) {
+  for (const Entry& e : codecs_) {
+    PRAFT_CHECK_MSG(*e.type != type, "duplicate codec for payload type");
+    PRAFT_CHECK_MSG(e.codec.family != codec.family,
+                    "duplicate codec for family byte");
+  }
+  codecs_.push_back(Entry{&type, std::move(codec)});
 }
 
 CodecRegistry& codec_registry() {

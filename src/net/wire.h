@@ -3,9 +3,9 @@
 #include <any>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <typeindex>
-#include <unordered_map>
+#include <typeinfo>
 
 #include "common/check.h"
 #include "net/buffer_pool.h"
@@ -204,27 +204,40 @@ struct Codec {
   std::function<bool(const std::any&, const std::any&)> equals;
 };
 
-/// Maps payload types (std::type_index of the variant) and family bytes to
+/// Maps payload types (the variant's std::type_info) and family bytes to
 /// codecs. harness::NodeHost looks up by payload type on every send and
 /// charges the codec's size; under PRAFT_WIRE_VERIFY sim::Network also
 /// encodes the frame, checks its size and decodes it back against the
-/// original struct.
+/// original struct. Six families: a scan compares type_info addresses,
+/// with `==` (a name compare) only when no address matches, so a send
+/// hashes no type name.
 class CodecRegistry {
  public:
-  void add(std::type_index type, Codec codec);
+  void add(const std::type_info& type, Codec codec);
 
   [[nodiscard]] const Codec* find(const std::any& payload) const {
-    auto it = by_type_.find(std::type_index(payload.type()));
-    return it == by_type_.end() ? nullptr : &it->second;
+    const std::type_info& type = payload.type();
+    for (const Entry& e : codecs_) {
+      if (e.type == &type) return &e.codec;
+    }
+    for (const Entry& e : codecs_) {
+      if (*e.type == type) return &e.codec;
+    }
+    return nullptr;
   }
   [[nodiscard]] const Codec* find(Family family) const {
-    auto it = by_family_.find(static_cast<uint8_t>(family));
-    return it == by_family_.end() ? nullptr : it->second;
+    for (const Entry& e : codecs_) {
+      if (e.codec.family == family) return &e.codec;
+    }
+    return nullptr;
   }
 
  private:
-  std::unordered_map<std::type_index, Codec> by_type_;
-  std::unordered_map<uint8_t, const Codec*> by_family_;
+  struct Entry {
+    const std::type_info* type;
+    Codec codec;
+  };
+  std::deque<Entry> codecs_;  // stable: a found Codec* outlives later adds
 };
 
 /// Registers a variant message type M with free functions
@@ -252,7 +265,7 @@ void register_codec(CodecRegistry& reg, Family family,
     const M* mb = std::any_cast<M>(&b);
     return ma != nullptr && mb != nullptr && *ma == *mb;
   };
-  reg.add(std::type_index(typeid(M)), std::move(c));
+  reg.add(typeid(M), std::move(c));
 }
 
 /// Process-wide registry with every built-in protocol family installed

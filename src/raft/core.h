@@ -198,8 +198,9 @@ class Core : public consensus::NodeIface {
     return applier_.commit_index();
   }
   [[nodiscard]] LogIndex last_index() const { return log_.last_index(); }
-  /// Bounds-checked access (PRAFT_CHECK on out-of-range indexes).
-  [[nodiscard]] const Entry& entry_at(LogIndex i) const { return log_.at(i); }
+  /// Bounds-checked access (PRAFT_CHECK on out-of-range indexes), by value:
+  /// a durable entry is read from the store's WAL.
+  [[nodiscard]] Entry entry_at(LogIndex i) const { return log_.at(i); }
   [[nodiscard]] NodeId id() const override { return group_.self; }
   [[nodiscard]] const consensus::Group& group() const { return group_; }
 
@@ -372,8 +373,13 @@ class Core : public consensus::NodeIface {
       }
       if (acked > 0) batcher_.note_acked(acked);
     }
-    applier_.commit_to(target,
-                       [this](LogIndex i) { return &log_.at(i).cmd; });
+    // The applier reads each command through a pointer, and at() returns
+    // the entry by value: `e` holds it while it is applied.
+    Entry e;
+    applier_.commit_to(target, [this, &e](LogIndex i) {
+      e = log_.at(i);
+      return &e.cmd;
+    });
     maybe_compact(/*force=*/false);
   }
 
@@ -383,13 +389,16 @@ class Core : public consensus::NodeIface {
   void install_snapshot(const consensus::Snapshot& snap, bool keep_suffix) {
     if (!applier_.install_snapshot(snap)) return;
     ++env_.stats().snapshots_installed;
-    // Persist the snapshot FIRST so the WAL truncation a reset stages is
-    // committed against it (staging order = durable apply order).
-    persister_.snapshot(snap);
     if (keep_suffix) {
+      // Compact before staging: the snapshot's WAL truncation may drop the
+      // cell the new sentinel's term is read from.
       log_.compact_to(snap.last_index);
+      persister_.snapshot(snap);
     } else {
-      log_.reset_to(snap.last_index, Entry{snap.last_term, {}});
+      // Persist the snapshot FIRST so the WAL truncation the reset stages
+      // is committed against it (staging order = durable apply order).
+      persister_.snapshot(snap);
+      log_.reset_to(snap.last_index, snap.last_term);
     }
     snap_ = snap;
     PRAFT_LOG(kInfo) << F::kName << " " << group_.self

@@ -52,6 +52,9 @@ class Persister {
         delay_(sync_batch_delay),
         hard_state_(std::move(hard_state)) {}
 
+  /// The Env's store (null: diskless).
+  [[nodiscard]] const DurableStore* store() const { return store_; }
+
   // -- Staging (no-ops without a store) -------------------------------------
   void hard_state() {
     if (store_ == nullptr) return;

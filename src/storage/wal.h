@@ -116,6 +116,11 @@ class DurableStore {
     return wal_.empty() ? snapshot_floor() : wal_.back_index();
   }
   [[nodiscard]] size_t wal_records() const { return wal_.size(); }
+  /// The durable WAL cell at `i`, or null when there is none. A store-backed
+  /// consensus::ContiguousLog reads its fsync-covered entries here.
+  [[nodiscard]] const WalCell* cell(consensus::LogIndex i) const {
+    return wal_.find(i);
+  }
 
   /// The modeled disk this store syncs through (queueing = fsync backlog).
   [[nodiscard]] sim::SerialResource& disk() { return disk_; }

@@ -6,6 +6,7 @@
 #include "chaos/invariants.h"
 #include "chaos/runner.h"
 #include "chaos/schedule_gen.h"
+#include "consensus/group.h"
 #include "consensus/registry.h"
 
 namespace praft::chaos {
@@ -89,6 +90,28 @@ TEST(ChaosRunnerTest, InjectedQuorumBugIsCaughtWithin50Seeds) {
     EXPECT_TRUE(caught) << protocol
                         << ": quorum bug survived 50 fuzzing seeds";
   }
+}
+
+TEST(ChaosRunnerTest, ACheckInsideARunFailsThatRunWithItsRepro) {
+  // A CheckFailure thrown while the cluster is built or run is the run's
+  // failure, not the batch's: a group larger than Group::kMaxMembers trips
+  // a CHECK when its replicas are built.
+  RunOptions opt;
+  opt.protocol = "raft";
+  opt.seed = 3;
+  opt.num_replicas = consensus::Group::kMaxMembers + 1;
+  const RunResult r = run_one(opt);
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.violations.size(), 1u);
+  EXPECT_NE(r.violations[0].find("PRAFT_CHECK failed"), std::string::npos)
+      << r.violations[0];
+  EXPECT_EQ(r.seed, 3u);
+  EXPECT_EQ(r.repro, "chaos_runner --protocol=raft --seed=3 --replicas=" +
+                         std::to_string(opt.num_replicas));
+  EXPECT_FALSE(r.schedule.empty());
+  // The next run of the batch is unaffected.
+  opt.num_replicas = 5;
+  EXPECT_TRUE(run_one(opt).ok);
 }
 
 TEST(InvariantCheckerTest, FlagsDivergentCommandAtSameIndex) {

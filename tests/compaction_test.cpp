@@ -33,12 +33,18 @@ consensus::NodeIface& iface(harness::Cluster& cluster, int i) {
 
 struct TestEntry {
   consensus::Term term = 0;
-  int value = 0;
+  kv::Command cmd;
 };
+
+TestEntry entry(consensus::Term term, uint64_t value) {
+  kv::Command cmd;
+  cmd.value = value;
+  return TestEntry{term, cmd};
+}
 
 TEST(ContiguousLogCompactionTest, CompactToMovesBaseAndKeepsSuffix) {
   consensus::ContiguousLog<TestEntry> log;
-  for (int i = 1; i <= 10; ++i) log.append(TestEntry{i, i * 100});
+  for (int i = 1; i <= 10; ++i) log.append(entry(i, 100u * i));
   EXPECT_EQ(log.base_index(), 0);
   EXPECT_EQ(log.last_index(), 10);
   EXPECT_EQ(log.resident_entries(), 10u);
@@ -51,15 +57,15 @@ TEST(ContiguousLogCompactionTest, CompactToMovesBaseAndKeepsSuffix) {
   // The entry at the base became the sentinel: its term still answers
   // prev-checks at the snapshot boundary.
   EXPECT_EQ(log.at(6).term, 6);
-  EXPECT_EQ(log.at(7).value, 700);
-  EXPECT_EQ(log.at(10).value, 1000);
+  EXPECT_EQ(log.at(7).cmd.value, 700u);
+  EXPECT_EQ(log.at(10).cmd.value, 1000u);
   // Reads into the compacted prefix are protocol bugs.
   EXPECT_THROW((void)log.at(5), CheckFailure);
 }
 
 TEST(ContiguousLogCompactionTest, CompactToSameBaseIsANoOp) {
   consensus::ContiguousLog<TestEntry> log;
-  log.append(TestEntry{1, 1});
+  log.append(entry(1, 1));
   log.compact_to(1);
   log.compact_to(1);
   EXPECT_EQ(log.base_index(), 1);
@@ -68,7 +74,7 @@ TEST(ContiguousLogCompactionTest, CompactToSameBaseIsANoOp) {
 
 TEST(ContiguousLogCompactionTest, TruncateAfterInteractsWithCompactedPrefix) {
   consensus::ContiguousLog<TestEntry> log;
-  for (int i = 1; i <= 10; ++i) log.append(TestEntry{i, i});
+  for (int i = 1; i <= 10; ++i) log.append(entry(i, i));
   log.compact_to(5);
   // Truncating above the base erases the suffix.
   log.truncate_after(7);
@@ -81,19 +87,19 @@ TEST(ContiguousLogCompactionTest, TruncateAfterInteractsWithCompactedPrefix) {
   // committed, snapshotted prefix.
   EXPECT_THROW(log.truncate_after(4), CheckFailure);
   // Appends continue above the sentinel.
-  log.append(TestEntry{9, 99});
+  log.append(entry(9, 99));
   EXPECT_EQ(log.last_index(), 6);
-  EXPECT_EQ(log.at(6).value, 99);
+  EXPECT_EQ(log.at(6).cmd.value, 99u);
 }
 
 TEST(ContiguousLogCompactionTest, ResetToRestartsAtSnapshotBoundary) {
   consensus::ContiguousLog<TestEntry> log;
-  for (int i = 1; i <= 3; ++i) log.append(TestEntry{1, i});
-  log.reset_to(42, TestEntry{7, 0});
+  for (int i = 1; i <= 3; ++i) log.append(entry(1, i));
+  log.reset_to(42, 7);
   EXPECT_EQ(log.base_index(), 42);
   EXPECT_EQ(log.last_index(), 42);
   EXPECT_EQ(log.at(42).term, 7);
-  log.append(TestEntry{8, 1});
+  log.append(entry(8, 1));
   EXPECT_EQ(log.last_index(), 43);
 }
 

@@ -154,7 +154,7 @@ TEST(BatcherTest, CoalescesPokesWithinWindow) {
 // ---------------------------------------------------------------------------
 
 struct TestEntry {
-  int term = 0;
+  consensus::Term term = 0;
   kv::Command cmd;
 };
 

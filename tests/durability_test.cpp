@@ -11,12 +11,18 @@
 //    deliberate skip-fsync-before-vote-reply bug being convicted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chaos/runner.h"
+#include "common/rng.h"
+#include "consensus/durable_log.h"
 #include "consensus/group.h"
+#include "consensus/log.h"
 #include "consensus/registry.h"
 #include "consensus/trace.h"
 #include "harness/cluster.h"
@@ -360,6 +366,170 @@ TEST(PersisterTest, ZeroCostStorageIsSynchronous) {
 }
 
 // ---------------------------------------------------------------------------
+// Store-backed ContiguousLog: a durable entry lives only in the WAL.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct LogEntry {
+  consensus::Term term = 0;
+  kv::Command cmd;
+};
+
+/// One incarnation of a store-backed log, wired the way raft::Core wires
+/// its own, over an Env of its own: a crash drops the pending fsync
+/// completions with it. The clock resumes at `now`, where the store's disk
+/// queue left off.
+struct LogIncarnation {
+  LogIncarnation(storage::DurableStore& store, Time now, Duration fsync,
+                 Duration batch) {
+    env.advance(now);
+    env.set_store(&store);
+    persister.emplace(env, 0, fsync, batch,
+                      [] { return consensus::HardState{}; });
+    mirror.emplace(*persister, log);
+  }
+  test::ScriptedEnv env;
+  consensus::ContiguousLog<LogEntry> log;
+  std::optional<storage::Persister> persister;
+  std::optional<consensus::DurableLogMirror<LogEntry>> mirror;
+};
+
+/// Random appends, truncations, compactions, snapshot resets, fsync
+/// completions and crashes (drop_unsynced, then replay into a fresh log),
+/// against a std::vector reference. After every step each position in
+/// [base, last] must read as the reference holds it, resident_entries()
+/// must be last - base, and memory must hold exactly the positions above
+/// the fsync-covered prefix.
+void fuzz_store_backed_log(Duration fsync, Duration batch, uint64_t seed) {
+  using consensus::LogIndex;
+  storage::DurableStore store;
+  Rng rng(seed);
+  auto node = std::make_unique<LogIncarnation>(store, 0, fsync, batch);
+  std::vector<LogEntry> ref(1);  // ref[i] for i in [base, last]
+  LogIndex base = 0;
+  consensus::Term term = 1;
+  uint64_t next_value = 1;
+  int store_reads = 0;    // checks that read some position from the WAL
+  int unsynced_tail = 0;  // checks that found an unsynced suffix in memory
+
+  for (int step = 0; step < 3000; ++step) {
+    LogIncarnation& n = *node;
+    const LogIndex last = n.log.last_index();
+    const uint64_t die = rng.below(100);
+    std::string op;
+    if (die < 40) {
+      op = "append";
+      if (rng.below(8) == 0) ++term;
+      const uint64_t k = 1 + rng.below(3);
+      for (uint64_t j = 0; j < k; ++j) {
+        LogEntry e;
+        e.term = term;
+        e.cmd.op = kv::Op::kPut;
+        e.cmd.key = next_value % 7;
+        e.cmd.value = next_value++;
+        n.log.append(e);
+        ref.push_back(e);
+      }
+      n.mirror->note_appended(nullptr);
+    } else if (die < 52) {
+      const LogIndex cut =
+          base + static_cast<LogIndex>(
+                     rng.below(static_cast<uint64_t>(last - base + 1)));
+      op = "truncate_after " + std::to_string(cut);
+      n.log.truncate_after(cut);
+      ref.resize(static_cast<size_t>(cut) + 1);
+    } else if (die < 60) {
+      const LogIndex to =
+          base + static_cast<LogIndex>(
+                     rng.below(static_cast<uint64_t>(last - base + 1)));
+      op = "compact_to " + std::to_string(to);
+      if (to > base) {
+        // raft::Core's order: compact, then stage the covering snapshot.
+        n.log.compact_to(to);
+        consensus::Snapshot snap;
+        snap.last_index = to;
+        snap.last_term = ref[static_cast<size_t>(to)].term;
+        n.persister->snapshot(snap);
+        base = to;
+      }
+    } else if (die < 64) {
+      // Snapshot install over a conflicting or short log: stage the
+      // snapshot, then restart the log at its boundary.
+      consensus::Snapshot snap;
+      snap.last_index =
+          base + 1 +
+          static_cast<LogIndex>(
+              rng.below(static_cast<uint64_t>(last - base + 3)));
+      snap.last_term = ++term;
+      op = "reset_to " + std::to_string(snap.last_index);
+      n.persister->snapshot(snap);
+      n.log.reset_to(snap.last_index, snap.last_term);
+      base = snap.last_index;
+      ref.resize(static_cast<size_t>(base) + 1);
+      ref[static_cast<size_t>(base)] = LogEntry{snap.last_term, {}};
+    } else if (die < 95) {
+      const Duration d = static_cast<Duration>(rng.below(msec(3)));
+      op = "advance " + std::to_string(d);
+      n.env.advance(d);  // fsync completions fire
+    } else {
+      op = "crash";
+      const Time now = n.env.now();
+      store.drop_unsynced();
+      node = std::make_unique<LogIncarnation>(store, now, fsync, batch);
+      const storage::DurableImage img = store.image();
+      node->mirror->replay(img);
+      base = img.snap.valid() ? img.snap.last_index : 0;
+      ref.assign(static_cast<size_t>(base) + 1, LogEntry{});
+      ref.back().term = img.snap.valid() ? img.snap.last_term : 0;
+      for (const storage::WalRecord& r : img.records) {
+        ref.push_back(LogEntry{r.term, r.cmd});
+      }
+    }
+
+    SCOPED_TRACE("step " + std::to_string(step) + ": " + op);
+    const LogIncarnation& m = *node;
+    const LogIndex now_last = static_cast<LogIndex>(ref.size()) - 1;
+    ASSERT_EQ(m.log.base_index(), base);
+    ASSERT_EQ(m.log.last_index(), now_last);
+    ASSERT_EQ(m.log.resident_entries(), static_cast<size_t>(now_last - base));
+    ASSERT_EQ(m.log.at(base).term, ref[static_cast<size_t>(base)].term);
+    for (LogIndex i = base + 1; i <= now_last; ++i) {
+      const LogEntry e = m.log.at(i);
+      ASSERT_EQ(e.term, ref[static_cast<size_t>(i)].term) << "index " << i;
+      ASSERT_TRUE(e.cmd == ref[static_cast<size_t>(i)].cmd) << "index " << i;
+    }
+    const LogIndex synced = std::max(base, m.mirror->durable_index());
+    ASSERT_EQ(m.log.memory_entries(), static_cast<size_t>(now_last - synced));
+    if (fsync == 0 && batch == 0) {
+      ASSERT_EQ(m.log.memory_entries(), 0u);
+    }
+    if (m.log.memory_entries() < m.log.resident_entries()) ++store_reads;
+    if (m.log.memory_entries() > 0) ++unsynced_tail;
+  }
+  EXPECT_GT(store_reads, 1000);
+  if (fsync > 0) {
+    EXPECT_GT(unsynced_tail, 100);
+  }
+}
+
+}  // namespace
+
+TEST(StoreBackedLogTest, RandomOpsMatchAReferenceUnderZeroCostStorage) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fuzz_store_backed_log(0, 0, seed);
+  }
+}
+
+TEST(StoreBackedLogTest, RandomOpsMatchAReferenceUnderModeledFsync) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fuzz_store_backed_log(msec(2), msec(1), seed);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Protocol-level write-ahead discipline (scripted, no simulator).
 // ---------------------------------------------------------------------------
 
@@ -577,6 +747,31 @@ TEST(CrashRestartTest, ChaosBatchWithRestartsAllProtocols) {
       ASSERT_TRUE(r.ok) << protocol << " seed " << seed << ": "
                         << (r.violations.empty() ? "?" : r.violations[0]);
     }
+  }
+}
+
+TEST(CrashRestartTest, ChaosRestartsOverZeroCostStores) {
+  // Zero-cost stores sync every write at once, so a Raft log keeps no
+  // durable entry in memory and a restarted replica reads its whole log
+  // from the WAL. Every --restarts default arms a 2 ms fsync; this leg
+  // restarts replicas in the storage mode registry defaults run in.
+  for (const std::string protocol : {"raft", "raftstar"}) {
+    uint64_t restarts = 0;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      chaos::RunOptions opt;
+      opt.protocol = protocol;
+      opt.seed = seed;
+      opt.crash_restarts = true;
+      opt.fsync = 0;
+      opt.sync_batch = 0;
+      const chaos::RunResult r = chaos::run_one(opt);
+      ASSERT_TRUE(r.ok) << protocol << " seed " << seed << ": "
+                        << (r.violations.empty() ? "?" : r.violations[0]);
+      EXPECT_NE(r.repro.find("--fsync=0 --sync-batch=0"), std::string::npos)
+          << r.repro;
+      restarts += r.restarts;
+    }
+    EXPECT_GE(restarts, 1u) << protocol << ": no replica restarted";
   }
 }
 

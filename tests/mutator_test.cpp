@@ -167,6 +167,8 @@ void expect_same_run(const RunOptions& got, const RunOptions& want) {
   EXPECT_EQ(got.crash_restarts, want.crash_restarts);
   EXPECT_EQ(got.inject_persistence_bug, want.inject_persistence_bug);
   EXPECT_EQ(got.wan, want.wan);
+  EXPECT_EQ(got.fsync, want.fsync);
+  EXPECT_EQ(got.sync_batch, want.sync_batch);
   ASSERT_EQ(got.schedule.has_value(), want.schedule.has_value());
   if (got.schedule.has_value()) {
     EXPECT_EQ(serialize_schedule(*got.schedule),
@@ -202,7 +204,8 @@ TEST(RunFileTest, BareSeedExpandsOverTheProtocolSelection) {
 TEST(RunFileTest, ProtocolSeedLinesCarryEveryFlag) {
   const std::string line =
       "multipaxos 42 --compaction-cap=64 --restarts --inject-quorum-bug "
-      "--inject-persistence-bug --wan --groups=3 --replicas=7";
+      "--inject-persistence-bug --wan --groups=3 --replicas=7 --fsync=0 "
+      "--sync-batch=500";
   std::vector<RunOptions> runs;
   std::string error;
   ASSERT_TRUE(parse_text(line + "  # repro: ...\nraftstar 9\n", &runs, &error))
@@ -218,6 +221,8 @@ TEST(RunFileTest, ProtocolSeedLinesCarryEveryFlag) {
   want.wan = true;
   want.groups = 3;
   want.num_replicas = 7;
+  want.fsync = 0;
+  want.sync_batch = 500;
   expect_same_run(runs[0], want);
   EXPECT_EQ(serialize_run(runs[0]), line + "\n");
   RunOptions plain;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "raft/node.h"
+#include "storage/wal.h"
 #include "scripted_env.h"
 #include "test_util.h"
 
@@ -133,6 +134,75 @@ TEST(RaftUnitTest, FollowerErasesConflictingSuffix) {
   EXPECT_EQ(n.last_index(), 2);  // the conflicting suffix (c3) is erased
   EXPECT_EQ(n.entry_at(2).term, 2);
   EXPECT_TRUE(n.entry_at(2).cmd == cx);
+}
+
+TEST(RaftUnitTest, TruncationBelowTheDurablePrefixReadsTheNewEntries) {
+  // A durable entry lives only in its WAL cell. When a conflicting suffix is
+  // cut below that prefix, the cells above the cut stay stale until the
+  // truncation syncs, so the follower must read its new entries from
+  // memory, never from those cells.
+  ScriptedEnv env;
+  storage::DurableStore store;
+  env.set_store(&store);
+  raft::Options opt = unit_options();
+  opt.fsync_duration = msec(2);
+  opt.sync_batch_delay = msec(1);
+  raft::RaftNode n(group_of(1, {0, 1, 2}), env, opt);
+  n.start();
+  kv::Command c1{kv::Op::kPut, 1, 11, 8, 9, 1};
+  kv::Command c2{kv::Op::kPut, 2, 22, 8, 9, 2};
+  kv::Command c3{kv::Op::kPut, 3, 33, 8, 9, 3};
+  raft::AppendEntries ae;
+  ae.term = 1;
+  ae.leader = 2;
+  ae.entries = {raft::Entry{1, c1}, raft::Entry{1, c2}, raft::Entry{1, c3}};
+  n.on_packet(packet(2, 1, raft::Message{ae}));
+  env.advance(msec(10));  // synced: 1..3 now live only in the WAL
+  ASSERT_NE(store.cell(3), nullptr);
+  EXPECT_TRUE(n.entry_at(2).cmd == c2);
+
+  // Leader 2 (term 1) appends c4; its fsync starts at t+1 ms and ends at
+  // t+3 ms. Meanwhile leader 0 (term 2) keeps c1 and replaces the rest.
+  kv::Command c4{kv::Op::kPut, 4, 44, 8, 9, 4};
+  ae.prev_index = 3;
+  ae.prev_term = 1;
+  ae.entries = {raft::Entry{1, c4}};
+  n.on_packet(packet(2, 1, raft::Message{ae}));
+  env.advance(usec(1500));
+  kv::Command cx{kv::Op::kPut, 9, 99, 8, 7, 1};
+  kv::Command cy{kv::Op::kPut, 8, 88, 8, 7, 2};
+  kv::Command cz{kv::Op::kPut, 7, 77, 8, 7, 3};
+  raft::AppendEntries ae2;
+  ae2.term = 2;
+  ae2.leader = 0;
+  ae2.prev_index = 1;
+  ae2.prev_term = 1;
+  ae2.entries = {raft::Entry{2, cx}, raft::Entry{2, cy}, raft::Entry{2, cz}};
+  n.on_packet(packet(0, 1, raft::Message{ae2}));
+  const auto expect_new_suffix = [&] {
+    ASSERT_EQ(n.last_index(), 4);
+    EXPECT_TRUE(n.entry_at(1).cmd == c1);
+    EXPECT_EQ(n.entry_at(2).term, 2);
+    EXPECT_TRUE(n.entry_at(2).cmd == cx);
+    EXPECT_TRUE(n.entry_at(3).cmd == cy);
+    EXPECT_TRUE(n.entry_at(4).cmd == cz);
+  };
+  expect_new_suffix();
+  ASSERT_NE(store.cell(2), nullptr);
+  EXPECT_TRUE(store.cell(2)->cmd == c2);  // the stale cell is still there
+
+  // The fsync covering c4 (armed before the cut) completes first; its
+  // barrier must not release the new suffix over the stale cells.
+  env.advance(msec(2));
+  EXPECT_TRUE(store.cell(2)->cmd == c2);
+  EXPECT_TRUE(store.cell(4)->cmd == c4);
+  expect_new_suffix();
+
+  // Once the truncation and the new suffix sync, the cells hold them.
+  env.advance(msec(10));
+  EXPECT_TRUE(store.cell(2)->cmd == cx);
+  EXPECT_TRUE(store.cell(4)->cmd == cz);
+  expect_new_suffix();
 }
 
 TEST(RaftUnitTest, FollowerRejectsMismatchedPrev) {

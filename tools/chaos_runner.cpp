@@ -5,6 +5,8 @@
 //   chaos_runner --protocol=raft --seeds=50 --inject-quorum-bug
 //   chaos_runner --protocol=all --seeds=50 --compaction-cap=64
 //   chaos_runner --protocol=all --seeds=200 --restarts   # crash-restart faults
+//   chaos_runner --protocol=all --seeds=25 --restarts --fsync=0 --sync-batch=0
+//       # restarts over zero-cost stores (fsync and group-commit window in us)
 //   chaos_runner --protocol=raft --seeds=50 --inject-persistence-bug
 //   chaos_runner --protocol=all --seeds=50 --groups=3    # sharded: 3 groups
 //   chaos_runner --protocol=all --seeds=50 --verify-determinism
@@ -104,7 +106,8 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s [--protocol=NAME|all] [--seed=N] [--seeds=K] [--replicas=N]\n"
       "          [--inject-quorum-bug] [--compaction-cap=N] [--restarts]\n"
-      "          [--inject-persistence-bug] [--wan] [--groups=N] [--verbose]\n"
+      "          [--inject-persistence-bug] [--fsync=US] [--sync-batch=US]\n"
+      "          [--wan] [--groups=N] [--verbose]\n"
       "          [--verify-determinism] [--stop-on-failure]\n"
       "          [--failures-out=PATH] [--seed-file=PATH]\n"
       "          [--corpus-out=PATH] [--corpus-size=N]\n"
