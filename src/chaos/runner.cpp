@@ -357,7 +357,6 @@ RunResult run_one(const RunOptions& opt) {
   } catch (const CheckFailure& e) {
     // A CHECK that fires inside the run is this run's failure, not the
     // batch's: the caller reports it with the repro below and moves on.
-    res = RunResult{};
     res.ok = false;
     res.violations.push_back(e.what());
   }
