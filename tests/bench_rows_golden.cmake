@@ -8,24 +8,28 @@
 #   cd build && cmake -DBENCH_DIR=bench -DSOURCE_DIR=.. \
 #       -P ../tests/bench_rows_golden.cmake
 #
-# By default it covers the three quick benches (recovery, catchup_snapshot
-# and pipeline: ~15 s together). -DSLOW=ON covers the three slow ones
-# instead: fig9c, shard_scaling and fig10a (~2 min). BENCH_wire.json is left
-# out: its codec rows are host timings, not sim-time rows. Regenerated files
-# are written to the working directory, and kept there only when they differ.
+# By default it covers the five quick benches (recovery, catchup_snapshot,
+# pipeline, fig9b and fig10b: ~18 s together). -DSLOW=ON covers the four slow
+# ones instead: fig9c, fig9d, shard_scaling and fig10a (~2 min).
+# BENCH_wire.json is left out: its codec rows are host timings, not sim-time
+# rows. Regenerated files are written to the working directory, and kept
+# there only when they differ.
 
 cmake_minimum_required(VERSION 3.16)
 
 if(SLOW)
   set(benches
       "fig9c=fig9c_peak_throughput"
+      "fig9d=fig9d_conflict_speedup"
       "shard_scaling=shard_scaling"
       "fig10a=fig10a_mencius_tput_8b")
 else()
   set(benches
       "recovery=recovery_time"
       "catchup_snapshot=catchup_snapshot"
-      "pipeline=pipeline_tput")
+      "pipeline=pipeline_tput"
+      "fig9b=fig9b_write_latency"
+      "fig10b=fig10b_mencius_tput_4kb")
 endif()
 
 set(moved "")
