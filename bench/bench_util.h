@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "harness/experiment.h"
+#include "sim/resources.h"
 
 namespace praft::bench {
 
@@ -141,6 +142,17 @@ inline kv::WorkloadConfig fig9_workload() {
   wl.num_records = 100'000;
   wl.value_size = 8;
   return wl;
+}
+
+/// Per-site NIC egress of the Fig. 10b/d runs (`ClusterConfig::replica_egress`,
+/// DESIGN.md §6): Oregon has the paper's 750 Mbps; Seoul the weakest uplink
+/// (drives Raft-Oregon ≈ +30% over Raft-Seoul).
+inline std::vector<double> fig10_egress() {
+  std::vector<double> egress;
+  for (double mbps : {750.0, 700.0, 650.0, 700.0, 560.0}) {
+    egress.push_back(sim::EgressLink::mbps_to_bytes_per_us(mbps));
+  }
+  return egress;
 }
 
 /// The Fig. 10 workload: 100% puts (§5.2).

@@ -15,18 +15,17 @@ using harness::SystemKind;
 
 namespace {
 double run_one(SystemKind sys, int clients, double conflict, int leader,
-               uint32_t vsize, bool bandwidth) {
+               uint32_t vsize) {
   ExperimentConfig cfg;
   cfg.system = sys;
   cfg.workload = bench::fig10_workload(vsize, conflict);
   cfg.clients_per_region = clients;
   cfg.leader_replica = leader;
-  cfg.model_bandwidth = bandwidth;
   cfg.run = sec(4);
   cfg.warmup = sec(2);
   // Stamped into the JSON header as the file base; each run offsets
   // by its client count.
-  cfg.seed = kSeedBase + static_cast<uint64_t>(clients);
+  cfg.cluster.seed = kSeedBase + static_cast<uint64_t>(clients);
   return harness::run_experiment(cfg).throughput_ops;
 }
 }  // namespace
@@ -55,8 +54,7 @@ int main(int argc, char** argv) {
   for (const Config& c : configs) {
     std::printf("%-16s", c.name);
     for (int clients : {50, 200, 600, 1200, 2000}) {
-      const double tput = run_one(c.sys, clients, c.conflict, c.leader, 8,
-                                  false);
+      const double tput = run_one(c.sys, clients, c.conflict, c.leader, 8);
       char label[32];
       std::snprintf(label, sizeof(label), "clients=%d", clients);
       json.add_throughput(c.name, label, tput);

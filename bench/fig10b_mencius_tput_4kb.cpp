@@ -19,12 +19,12 @@ double run_one(SystemKind sys, int clients, double conflict, int leader) {
   cfg.workload = bench::fig10_workload(4096, conflict);
   cfg.clients_per_region = clients;
   cfg.leader_replica = leader;
-  cfg.model_bandwidth = true;
+  cfg.cluster.replica_egress = bench::fig10_egress();
   cfg.run = sec(4);
   cfg.warmup = sec(2);
   // Stamped into the JSON header as the file base; each run offsets
   // by its client count.
-  cfg.seed = kSeedBase + static_cast<uint64_t>(clients);
+  cfg.cluster.seed = kSeedBase + static_cast<uint64_t>(clients);
   return harness::run_experiment(cfg).throughput_ops;
 }
 }  // namespace

@@ -18,10 +18,10 @@ void run_one(bench::JsonEmitter& json, const char* name, SystemKind sys,
   cfg.workload = bench::fig10_workload(4096, conflict);
   cfg.clients_per_region = 50;
   cfg.leader_replica = leader;
-  cfg.model_bandwidth = true;
+  cfg.cluster.replica_egress = bench::fig10_egress();
   cfg.run = sec(8);
   cfg.warmup = sec(3);
-  cfg.seed = seed;
+  cfg.cluster.seed = seed;
   const auto res = harness::run_experiment(cfg);
   bench::print_latency_row(name, "Leader", res.leader_writes);
   bench::print_latency_row(name, "Followers", res.follower_writes);

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     cfg.leader_replica = 0;  // Oregon
     cfg.run = sec(8);
     cfg.warmup = sec(3);  // leases + steady state
-    cfg.seed = kSeed;
+    cfg.cluster.seed = kSeed;
     const auto res = harness::run_experiment(cfg);
     bench::print_latency_row(harness::system_name(sys), "Leader",
                              res.leader_reads);

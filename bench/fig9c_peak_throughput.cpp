@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       cfg.leader_replica = 0;
       cfg.run = sec(4);
       cfg.warmup = sec(3);
-      cfg.seed = kSeed;
+      cfg.cluster.seed = kSeed;
       const auto res = harness::run_experiment(cfg);
       if (sys == SystemKind::kRaft) raft_tput[col] = res.throughput_ops;
       char label[32];

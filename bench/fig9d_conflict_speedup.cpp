@@ -22,7 +22,7 @@ double run_one(harness::SystemKind sys, double conflict) {
   cfg.leader_replica = 0;
   cfg.run = sec(4);
   cfg.warmup = sec(3);
-  cfg.seed = kSeed;
+  cfg.cluster.seed = kSeed;
   return harness::run_experiment(cfg).throughput_ops;
 }
 }  // namespace

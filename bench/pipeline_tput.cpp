@@ -38,6 +38,9 @@ int main(int argc, char** argv) {
       {msec(150), "rtt150ms"},
   };
   const char* protocols[] = {"raft", "raftstar", "multipaxos", "mencius"};
+  const harness::SystemKind systems[] = {
+      harness::SystemKind::kRaft, harness::SystemKind::kRaftStar,
+      harness::SystemKind::kPaxos, harness::SystemKind::kMencius};
 
   // ops/s by [protocol][point][pipelined] for the speedup summary.
   double tput[4][4][2] = {};
@@ -46,14 +49,14 @@ int main(int argc, char** argv) {
     for (int ri = 0; ri < 4; ++ri) {
       for (int pipe = 0; pipe <= 1; ++pipe) {
         harness::ExperimentConfig cfg;
-        cfg.protocol = protocols[pi];
-        cfg.flat_rtt = points[ri].rtt;
+        cfg.system = systems[pi];
+        cfg.cluster.latency = sim::LatencyMatrix(5, points[ri].rtt);
         cfg.workload = bench::fig10_workload(/*value_size=*/8,
                                              /*conflict_rate=*/0.0);
         cfg.clients_per_region = 80;
         cfg.run = sec(3);
         cfg.warmup = sec(1);
-        cfg.seed = kSeed;
+        cfg.cluster.seed = kSeed;
         // Same bounded batch both modes: off == stop-and-wait per peer.
         cfg.timing.max_entries_per_batch = 64;
         cfg.timing.pipeline = (pipe == 1);

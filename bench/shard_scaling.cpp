@@ -15,7 +15,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "shard/experiment.h"
 
 using namespace praft;
 
@@ -25,21 +24,23 @@ constexpr uint64_t kSeed = 90030;
 constexpr int kMachines = 15;
 constexpr int kReplicasPerGroup = 5;
 
-shard::ShardExperimentConfig base_config(const char* protocol, int groups,
-                                         bool spread) {
-  shard::ShardExperimentConfig cfg;
-  cfg.protocol = protocol;
-  cfg.num_groups = groups;
-  cfg.num_machines = kMachines;
-  cfg.replicas_per_group = kReplicasPerGroup;
-  cfg.spread_leaders = spread;
-  cfg.flat_rtt = msec(1) / 2;  // LAN, same as the pipeline bench's 0.5 ms
+harness::ExperimentConfig base_config(harness::SystemKind system, int groups,
+                                      bool spread) {
+  harness::ExperimentConfig cfg;
+  cfg.system = system;
+  cfg.cluster.num_groups = groups;
+  cfg.cluster.num_machines = kMachines;
+  cfg.cluster.num_replicas = kReplicasPerGroup;
+  cfg.cluster.spread_leaders = spread;
+  // LAN, same as the pipeline bench's 0.5 ms; one latency site per machine,
+  // so per-site metrics stay per-machine.
+  cfg.cluster.latency = sim::LatencyMatrix(kMachines, msec(1) / 2);
+  cfg.cluster.seed = kSeed;
   cfg.workload = bench::fig10_workload(/*value_size=*/8, /*conflict_rate=*/0.0);
-  cfg.clients_per_machine = 80;
+  cfg.clients_per_region = 80;
   cfg.run = sec(3);
   cfg.warmup = sec(1);
   cfg.cooldown = sec(1);
-  cfg.seed = kSeed;
   // Same bounded append batch as the committed single-group baseline.
   cfg.timing.max_entries_per_batch = 64;
   return cfg;
@@ -57,13 +58,15 @@ int main(int argc, char** argv) {
 
   const int group_counts[] = {1, 2, 4, 8, 16};
   const char* protocols[] = {"raft", "multipaxos"};
+  const harness::SystemKind systems[] = {harness::SystemKind::kRaft,
+                                         harness::SystemKind::kPaxos};
   double tput[2][5] = {};  // [protocol][group point], spread placement
 
   for (int pi = 0; pi < 2; ++pi) {
     for (int gi = 0; gi < 5; ++gi) {
       const auto cfg =
-          base_config(protocols[pi], group_counts[gi], /*spread=*/true);
-      const auto res = shard::run_shard_experiment(cfg);
+          base_config(systems[pi], group_counts[gi], /*spread=*/true);
+      const auto res = harness::run_experiment(cfg);
       tput[pi][gi] = res.throughput_ops;
 
       char label[48];
@@ -84,8 +87,8 @@ int main(int argc, char** argv) {
   std::printf("\nLeader-placement ablation (8 groups):\n");
   double colocated[2] = {};
   for (int pi = 0; pi < 2; ++pi) {
-    const auto cfg = base_config(protocols[pi], 8, /*spread=*/false);
-    const auto res = shard::run_shard_experiment(cfg);
+    const auto cfg = base_config(systems[pi], 8, /*spread=*/false);
+    const auto res = harness::run_experiment(cfg);
     colocated[pi] = res.throughput_ops;
     json.add_throughput(protocols[pi], "groups=8-colocated",
                         res.throughput_ops);

@@ -4,6 +4,7 @@
 // default so codec regressions show up in perf trajectories like the fig
 // benches do.
 #include <chrono>
+#include <utility>
 
 #include "bench_util.h"
 #include "net/buffer_pool.h"
@@ -95,15 +96,20 @@ int main(int argc, char** argv) {
   // --- End-to-end: replicated write throughput per protocol, byte-accurate
   // cost model: every send is charged its codec's size (frames are built
   // only under PRAFT_WIRE_VERIFY). ---
-  for (const char* protocol : {"raft", "raftstar", "multipaxos", "mencius"}) {
+  const std::pair<const char*, harness::SystemKind> systems[] = {
+      {"raft", harness::SystemKind::kRaft},
+      {"raftstar", harness::SystemKind::kRaftStar},
+      {"multipaxos", harness::SystemKind::kPaxos},
+      {"mencius", harness::SystemKind::kMencius}};
+  for (const auto& [protocol, system] : systems) {
     harness::ExperimentConfig cfg;
-    cfg.protocol = protocol;
+    cfg.system = system;
     cfg.workload = bench::fig10_workload(/*value_size=*/8,
                                          /*conflict_rate=*/0.0);
     cfg.clients_per_region = 200;
     cfg.run = sec(4);
     cfg.warmup = sec(2);
-    cfg.seed = kSeed;
+    cfg.cluster.seed = kSeed;
     const auto res = harness::run_experiment(cfg);
     json.add_throughput(protocol, "writes-8B", res.throughput_ops);
     std::printf("%-12s end-to-end %10.0f ops/s\n", protocol,

@@ -1,11 +1,13 @@
 // Quickstart: bring up a 5-region cluster in the simulator running ANY of
-// the registered consensus protocols — selected by name at runtime through
-// the consensus::ProtocolRegistry — run a client workload, and inspect the
+// the consensus protocols — selected by name at runtime through the
+// consensus::make_node table — run a client workload, and inspect the
 // replicated state.
 //
 //   build/examples/quickstart [raft|raftstar|multipaxos|mencius]
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "consensus/registry.h"
 #include "harness/cluster.h"
@@ -15,11 +17,10 @@ using namespace praft;
 
 int main(int argc, char** argv) {
   const std::string protocol = argc > 1 ? argv[1] : "raftstar";
-  if (!consensus::ProtocolRegistry::instance().contains(protocol)) {
+  const std::vector<std::string> known = consensus::protocol_names();
+  if (std::find(known.begin(), known.end(), protocol) == known.end()) {
     std::printf("unknown protocol \"%s\"; registered:", protocol.c_str());
-    for (const auto& name : consensus::protocol_names()) {
-      std::printf(" %s", name.c_str());
-    }
+    for (const auto& name : known) std::printf(" %s", name.c_str());
     std::printf("\n");
     return 1;
   }

@@ -371,8 +371,10 @@ bool parse_runs(std::istream& in, const std::string& name,
                 std::vector<RunOptions>* runs, std::string* error) {
   std::vector<std::string> lines;
   for (std::string line; std::getline(in, line);) lines.push_back(line);
-  const consensus::ProtocolRegistry& registry =
-      consensus::ProtocolRegistry::instance();
+  const std::vector<std::string> known = consensus::protocol_names();
+  const auto registered = [&known](const std::string& protocol) {
+    return std::find(known.begin(), known.end(), protocol) != known.end();
+  };
   for (size_t pos = 0; pos < lines.size();) {
     const std::string at = name + ':' + std::to_string(pos + 1) + ": ";
     const auto fail = [&](const std::string& what) {
@@ -394,7 +396,7 @@ bool parse_runs(std::istream& in, const std::string& name,
         return fail(*error);
       }
       toks = tokens_of(header);
-      if (toks.empty() || !registry.contains(toks[0])) {
+      if (toks.empty() || !registered(toks[0])) {
         return fail(
             "schedule block needs a registered protocol after 'schedule' "
             "(got '" + header + "')");
@@ -403,7 +405,7 @@ bool parse_runs(std::istream& in, const std::string& name,
       run.seed = sched.seed;
       run.schedule = std::move(sched);
       flags_from = 1;
-    } else if (registry.contains(toks[0])) {
+    } else if (registered(toks[0])) {
       if (toks.size() < 2 || !parse_num(toks[1], &run.seed)) {
         return fail("protocol '" + toks[0] + "' without a valid seed");
       }

@@ -15,6 +15,8 @@ namespace praft::chaos {
 
 namespace {
 
+using Checkers = std::vector<std::unique_ptr<InvariantChecker>>;
+
 /// What the run body and the fault switch drive: replica groups over
 /// machines, one invariant checker per group. A flat cluster is the 1-group
 /// case whose machine m hosts replica m; a sharded one puts a replica of
@@ -24,7 +26,7 @@ struct Deployment {
   sim::Simulator& sim;
   std::vector<harness::ReplicaGroup*> groups;
   int machines = 0;
-  std::vector<std::unique_ptr<InvariantChecker>> chks;
+  Checkers& chks;  // owned by run_one, so they outlive the cluster
 
   /// Fault context goes into every group's trace: a machine fault concerns
   /// all of them.
@@ -177,10 +179,11 @@ consensus::TimingOptions timing_of(const RunOptions& opt) {
 
 /// The run body: arms the schedule against `cluster`, runs the chaos phase
 /// and a fault-free tail, and checks every group's invariants plus the
-/// cross-group routing invariant (trivially met by one group).
+/// cross-group routing invariant (trivially met by one group). Fills `chks`
+/// with one checker per group.
 RunResult run_on(harness::Cluster& cluster, const RunOptions& opt,
-                 const Schedule& sched, Time faults_end) {
-  Deployment d{cluster.sim(), cluster.groups(), opt.num_replicas, {}};
+                 const Schedule& sched, Time faults_end, Checkers& chks) {
+  Deployment d{cluster.sim(), cluster.groups(), opt.num_replicas, chks};
   shard::CrossGroupChecker xchk(
       shard::ShardMap(static_cast<int>(d.groups.size())));
   for (size_t g = 0; g < d.groups.size(); ++g) {
@@ -350,15 +353,21 @@ RunResult run_one(const RunOptions& opt) {
   cfg.num_groups = opt.groups;  // each machine hosts a member of every group
   cfg.seed = sched.seed;
   RunResult res;
+  // Declared before the cluster, so the cluster dies first: a CHECK that
+  // unwinds the run leaves the checkers' event traces to report.
+  Checkers chks;
   try {
     harness::Cluster cluster(cfg);
     cluster.build_replicas(opt.protocol, timing_of(opt));
-    res = run_on(cluster, opt, sched, faults_end);
+    res = run_on(cluster, opt, sched, faults_end, chks);
   } catch (const CheckFailure& e) {
     // A CHECK that fires inside the run is this run's failure, not the
     // batch's: the caller reports it with the repro below and moves on.
     res.ok = false;
     res.violations.push_back(e.what());
+    for (const auto& chk : chks) {
+      if (res.trace.empty()) res.trace = chk->trace();
+    }
   }
   res.protocol = opt.protocol;
   res.seed = sched.seed;

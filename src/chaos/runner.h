@@ -14,7 +14,7 @@ namespace praft::chaos {
 /// The per-run flags that set those knobs print and parse through one table
 /// (run_flags / parse_run_flag in chaos/mutator.h).
 struct RunOptions {
-  std::string protocol = "raft";   // any consensus::ProtocolRegistry name
+  std::string protocol = "raft";   // any consensus::protocol_names() entry
   uint64_t seed = 1;
   int num_replicas = 5;
   /// Consensus groups. 1 runs the classic single-group cluster; > 1 runs a

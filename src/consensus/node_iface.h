@@ -105,7 +105,7 @@ class NodeIface {
   [[nodiscard]] virtual NodeId leader_hint() const = 0;
   /// True for protocols with no single elected leader (Mencius: every
   /// replica owns a residue class). Harnesses use this instead of matching
-  /// protocol names, so registry-added protocols inherit the right handling.
+  /// protocol names, so a new table protocol inherits the right handling.
   [[nodiscard]] virtual bool leaderless() const { return false; }
   /// Highest position known committed/chosen-contiguously.
   [[nodiscard]] virtual LogIndex commit_index() const = 0;

@@ -1,67 +1,74 @@
+// The one deliberate upward dependency from the consensus runtime layer onto
+// the protocol deltas: the table of the four in-repo protocols. Adding a
+// protocol is one row here.
 #include "consensus/registry.h"
 
-#include <map>
-
 #include "common/check.h"
+#include "mencius/node.h"
+#include "paxos/node.h"
+#include "raft/node.h"
+#include "raftstar/node.h"
 
 namespace praft::consensus {
 
-struct ProtocolRegistry::Impl {
-  std::map<std::string, NodeFactory> factories;
+namespace {
+
+/// Builds a Node whose Options (which inherit TimingOptions) take the shared
+/// timing knobs, leaving protocol extras at their defaults.
+template <typename Node, typename Opt>
+std::unique_ptr<NodeIface> build(Group g, Env& env,
+                                 const TimingOptions& timing) {
+  Opt o;
+  static_cast<TimingOptions&>(o) = timing;
+  return std::make_unique<Node>(std::move(g), env, o);
+}
+
+struct Protocol {
+  const char* name;
+  std::unique_ptr<NodeIface> (*make)(Group, Env&, const TimingOptions&);
 };
 
-ProtocolRegistry::ProtocolRegistry() : impl_(std::make_shared<Impl>()) {
-  detail::register_builtin_protocols(*this);
-}
+// Alphabetical: protocol_names() lists them in this order, and so do
+// `chaos_runner --protocol=all` and every test or bench that loops over it.
+//
+// Mencius built here runs behind the plain LogServer, which replies when an
+// op applies. The early ack (commit + commutativity check) is
+// mencius::MenciusServer: a LogServer over MenciusNode whose request hook
+// proposes locally and replies on the node's ack
+// (SystemKind::kRaftStarMencius). Acking early here too would move every
+// table-built Mencius trajectory (chaos fingerprints, BENCH_pipeline rows),
+// so it is not the default. Safe and convergent either way;
+// measurement-grade latencies come from MenciusServer.
+constexpr Protocol kProtocols[] = {
+    {"mencius", build<mencius::MenciusNode, mencius::Options>},
+    {"multipaxos", build<paxos::PaxosNode, paxos::Options>},
+    {"raft", build<raft::RaftNode, raft::Options>},
+    {"raftstar", build<raftstar::RaftStarNode, raftstar::Options>},
+};
 
-ProtocolRegistry& ProtocolRegistry::instance() {
-  static ProtocolRegistry reg;
-  return reg;
-}
-
-void ProtocolRegistry::add(const std::string& name, NodeFactory factory) {
-  PRAFT_CHECK_MSG(!name.empty(), "protocol name must be non-empty");
-  PRAFT_CHECK_MSG(factory != nullptr, "protocol factory must be callable");
-  impl_->factories[name] = std::move(factory);
-}
-
-bool ProtocolRegistry::contains(const std::string& name) const {
-  return impl_->factories.count(name) > 0;
-}
-
-std::vector<std::string> ProtocolRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(impl_->factories.size());
-  for (const auto& [name, factory] : impl_->factories) out.push_back(name);
-  return out;
-}
-
-std::unique_ptr<NodeIface> ProtocolRegistry::make(
-    const std::string& name, Group group, Env& env,
-    const TimingOptions& timing) const {
-  auto it = impl_->factories.find(name);
-  if (it == impl_->factories.end()) {
-    // List what IS registered: "unknown protocol" alone sends the caller
-    // grepping for the registration site instead of fixing the typo.
-    std::string joined;
-    for (const std::string& n : names()) {
-      if (!joined.empty()) joined += ", ";
-      joined += n;
-    }
-    PRAFT_CHECK_MSG(false, "unknown protocol \"" + name +
-                               "\"; registered protocols: " + joined);
-  }
-  return it->second(std::move(group), env, timing);
-}
+}  // namespace
 
 std::unique_ptr<NodeIface> make_node(const std::string& name, Group group,
                                      Env& env, const TimingOptions& timing) {
-  return ProtocolRegistry::instance().make(name, std::move(group), env,
-                                           timing);
+  for (const Protocol& p : kProtocols) {
+    if (name == p.name) return p.make(std::move(group), env, timing);
+  }
+  // List what IS known: "unknown protocol" alone sends the caller grepping
+  // for the table instead of fixing the typo.
+  std::string joined;
+  for (const Protocol& p : kProtocols) {
+    if (!joined.empty()) joined += ", ";
+    joined += p.name;
+  }
+  PRAFT_CHECK_MSG(false, "unknown protocol \"" + name +
+                             "\"; registered protocols: " + joined);
+  return nullptr;
 }
 
 std::vector<std::string> protocol_names() {
-  return ProtocolRegistry::instance().names();
+  std::vector<std::string> out;
+  for (const Protocol& p : kProtocols) out.emplace_back(p.name);
+  return out;
 }
 
 }  // namespace praft::consensus

@@ -169,12 +169,6 @@ void Cluster::add_clients(int per_machine, const kv::WorkloadConfig& wl,
   }
 }
 
-uint64_t Cluster::client_retries() const {
-  uint64_t total = 0;
-  for (const auto& c : clients_) total += c->retries();
-  return total;
-}
-
 void Cluster::install_reply_probe(ReplyProbe probe) {
   reply_probe_ = [this, probe = std::move(probe)](
                      const kv::Command& cmd, uint64_t value, bool ok,

@@ -69,10 +69,10 @@ class Cluster {
   void build_replicas(const ServerFactory& factory);
 
   /// Same, selecting the consensus protocol by registry name at runtime
-  /// ("raft", "raftstar", "multipaxos", "mencius", or anything registered
-  /// later) behind the generic LogServer adapter. Each replica's host gets a
-  /// storage::DurableStore (NodeHost::make_store), which survives node
-  /// destruction and is what crash/restart need.
+  /// ("raft", "raftstar", "multipaxos" or "mencius") behind the generic
+  /// LogServer adapter. Each replica's host gets a storage::DurableStore
+  /// (NodeHost::make_store), which survives node destruction and is what
+  /// crash/restart need.
   void build_replicas(const std::string& protocol,
                       const consensus::TimingOptions& timing = {});
 
@@ -160,7 +160,6 @@ class Cluster {
   void stop_clients() {
     for (auto& c : clients_) c->stop();
   }
-  [[nodiscard]] uint64_t client_retries() const;
 
   // -- Trace hooks (chaos/invariant checking) ------------------------------
   // The replica Trace is set on group(g); the apply probe is forwarded here.

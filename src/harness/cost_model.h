@@ -7,9 +7,10 @@ namespace praft::harness {
 /// Per-node CPU service costs. These are the calibration constants behind the
 /// CPU-bound throughput figures (DESIGN.md §6): the Raft leader's per-op work
 /// is client_request (decode, propose, amortized fsync, reply) and it
-/// saturates first; Mencius spreads that cost over all replicas.
+/// saturates first; Mencius spreads that cost over all replicas. An
+/// all-zero model bills nothing: each packet is handled the moment it
+/// arrives.
 struct CostModel {
-  bool enabled = true;
   Duration message_base = usec(4);    // fixed cost to receive any message
   Duration client_request = usec(22); // full client-op handling at the serving
                                       // node (leader, or Mencius owner)

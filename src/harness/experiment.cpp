@@ -5,7 +5,6 @@
 #include "mencius/server.h"
 #include "pql/leader_lease.h"
 #include "pql/raftstar_pql.h"
-#include "sim/resources.h"
 
 namespace praft::harness {
 
@@ -14,6 +13,7 @@ const char* system_name(SystemKind k) {
     case SystemKind::kRaft: return "Raft";
     case SystemKind::kRaftStar: return "Raft*";
     case SystemKind::kPaxos: return "MultiPaxos";
+    case SystemKind::kMencius: return "Mencius";
     case SystemKind::kRaftStarPql: return "Raft*-PQL";
     case SystemKind::kRaftStarLL: return "Raft*-LL";
     case SystemKind::kRaftStarMencius: return "Raft*-Mencius";
@@ -32,31 +32,22 @@ LatencySummary summarize(const Histogram& h) {
 
 namespace {
 
-/// The registry protocol a run builds by name: `protocol` when set, else the
-/// log-only system's own; "" for the systems whose adapter adds an
-/// optimization (PQL, LL, Mencius early ack).
-std::string registry_name(const ExperimentConfig& cfg) {
-  if (!cfg.protocol.empty()) return cfg.protocol;
-  switch (cfg.system) {
+/// The table protocol a log-only system builds by name; nullptr for the
+/// systems whose adapter adds an optimization (PQL, LL, Mencius early ack).
+const char* registry_name(SystemKind k) {
+  switch (k) {
     case SystemKind::kRaft: return "raft";
     case SystemKind::kRaftStar: return "raftstar";
     case SystemKind::kPaxos: return "multipaxos";
-    default: return "";
+    case SystemKind::kMencius: return "mencius";
+    default: return nullptr;
   }
 }
 
 // Protocol Options default-construct to the paper's WAN-scale timing
 // (consensus::TimingOptions), so factories pass no explicit options.
-Cluster::ServerFactory make_server_factory(const ExperimentConfig& cfg,
-                                           const CostModel& costs) {
-  if (const std::string protocol = registry_name(cfg); !protocol.empty()) {
-    // Runtime selection through the protocol registry.
-    const consensus::TimingOptions timing = cfg.timing;
-    return [costs, protocol, timing](NodeHost& h, const consensus::Group& g) {
-      return std::make_unique<LogServer>(h, g, costs, protocol, timing);
-    };
-  }
-  switch (cfg.system) {
+Cluster::ServerFactory adapter_factory(SystemKind k, const CostModel& costs) {
+  switch (k) {
     case SystemKind::kRaftStarPql:
       // Default PqlOptions: the PQL paper's 2 s leases, renewed every 0.5 s
       // (§5.1).
@@ -81,28 +72,23 @@ Cluster::ServerFactory make_server_factory(const ExperimentConfig& cfg,
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  ClusterConfig cc;
-  cc.seed = cfg.seed;
-  if (cfg.flat_rtt >= 0) {
-    cc.latency = sim::LatencyMatrix(5, cfg.flat_rtt);
+  Cluster cluster(cfg.cluster);
+  if (const char* protocol = registry_name(cfg.system)) {
+    cluster.build_replicas(protocol, cfg.timing);
+  } else {
+    cluster.build_replicas(adapter_factory(cfg.system, cfg.cluster.costs));
   }
-  if (cfg.model_bandwidth) {
-    // Per-site NIC egress (DESIGN.md §6): Oregon has the paper's 750 Mbps;
-    // Seoul the weakest uplink (drives Raft-Oregon ≈ +30% over Raft-Seoul).
-    const double mbps[5] = {750, 700, 650, 700, 560};
-    for (double m : mbps) {
-      cc.replica_egress.push_back(sim::EgressLink::mbps_to_bytes_per_us(m));
-    }
-  }
-  Cluster cluster(cc);
-  cluster.build_replicas(make_server_factory(cfg, cc.costs));
 
-  if (!cluster.server(0).leaderless()) {
+  if (cluster.server(0).leaderless()) {
+    cluster.run_for(msec(500));  // let status beats flow
+  } else if (cluster.num_groups() == 1) {
     const int leader = cluster.establish_leader(cfg.leader_replica);
     PRAFT_CHECK_MSG(leader == cfg.leader_replica,
                     "could not establish the requested leader");
   } else {
-    cluster.run_for(msec(500));  // let status beats flow
+    const int led = cluster.establish_leaders();
+    PRAFT_CHECK_MSG(led == cluster.num_groups(),
+                    "not every group elected a leader");
   }
 
   const Time t0 = cluster.sim().now();
@@ -111,20 +97,21 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   cluster.run_until(t0 + cfg.warmup + cfg.run + cfg.cooldown);
 
   ExperimentResult res;
-  res.leader_replica = cfg.leader_replica;
   res.throughput_ops = cluster.metrics().throughput_ops();
-  res.client_retries = cluster.client_retries();
-  const SiteId leader_site =
-      cluster.config().replica_sites[static_cast<size_t>(cfg.leader_replica)];
-  std::vector<SiteId> follower_sites;
+  const SiteId leader_site = cluster.config().replica_sites[static_cast<size_t>(
+      cluster.group().machine_of(cfg.leader_replica))];
+  std::vector<SiteId> all_sites, follower_sites;
   for (SiteId s = 0; s < cluster.config().latency.num_sites(); ++s) {
+    all_sites.push_back(s);
     if (s != leader_site) follower_sites.push_back(s);
   }
-  res.leader_reads = summarize(cluster.metrics().reads(leader_site));
-  res.leader_writes = summarize(cluster.metrics().writes(leader_site));
-  res.follower_reads = summarize(cluster.metrics().merged_reads(follower_sites));
-  res.follower_writes =
-      summarize(cluster.metrics().merged_writes(follower_sites));
+  const Metrics& m = cluster.metrics();
+  res.reads = summarize(m.merged_reads(all_sites));
+  res.writes = summarize(m.merged_writes(all_sites));
+  res.leader_reads = summarize(m.reads(leader_site));
+  res.leader_writes = summarize(m.writes(leader_site));
+  res.follower_reads = summarize(m.merged_reads(follower_sites));
+  res.follower_writes = summarize(m.merged_writes(follower_sites));
   return res;
 }
 

@@ -35,7 +35,7 @@ namespace praft::harness {
 class LogServer : public PacketHandler {
  public:
   /// Selects the protocol by registry name ("raft", "raftstar",
-  /// "multipaxos", "mencius", or anything registered later).
+  /// "multipaxos" or "mencius"; consensus::make_node).
   LogServer(NodeHost& host, consensus::Group group, CostModel costs,
             const std::string& protocol,
             const consensus::TimingOptions& timing = {})
@@ -126,7 +126,6 @@ class LogServer : public PacketHandler {
   }
 
   [[nodiscard]] Duration cost_of(const net::Packet& p) const override {
-    if (!costs_.enabled) return 0;
     // Every branch charges from p.bytes — the exact encoded frame size —
     // so a 4 KB-value request costs more to receive than an 8 B one, and
     // replies (which echo commands on the forward path) are billed for what

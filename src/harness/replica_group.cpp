@@ -23,7 +23,7 @@ void ReplicaGroup::start(ServerFactory factory) {
 
 void ReplicaGroup::start(const std::string& protocol,
                          const consensus::TimingOptions& timing) {
-  // An unknown name fails inside ProtocolRegistry::make with a message
+  // An unknown name fails inside consensus::make_node with a message
   // listing the registered protocols (no duplicate pre-check here).
   for (const auto& host : hosts_) host->make_store();
   start([costs = costs_, protocol, timing](NodeHost& host,

@@ -9,11 +9,10 @@
 
 namespace praft::net {
 
-// Explicit installation (mirroring consensus::register_builtin_protocols)
-// instead of static registrar objects: a static praft library would silently
-// drop unreferenced registrar TUs at link time. Every size entry is
-// net::wire_size's variant overload, the fields-list derivation encode()
-// checks itself against.
+// Explicit installation instead of static registrar objects: a static praft
+// library would silently drop unreferenced registrar TUs at link time. Every
+// size entry is net::wire_size's variant overload, the fields-list
+// derivation encode() checks itself against.
 void install_builtin_codecs(CodecRegistry& reg) {
   register_codec<raft::Message>(reg, Family::kRaft, &wire_size, &raft::encode,
                                 &raft::decode);

@@ -25,22 +25,16 @@ CodecRegistry& codec_registry() {
 
 namespace {
 
-bool env_flag_default() {
-#ifdef PRAFT_WIRE_VERIFY_DEFAULT
-  bool on = true;
-#else
-  bool on = false;
-#endif
-  if (const char* v = std::getenv("PRAFT_WIRE_VERIFY")) {
-    on = std::strcmp(v, "1") == 0 || std::strcmp(v, "ON") == 0 ||
-         std::strcmp(v, "on") == 0 || std::strcmp(v, "true") == 0 ||
-         std::strcmp(v, "yes") == 0;
-  }
-  return on;
+bool env_flag() {
+  const char* v = std::getenv("PRAFT_WIRE_VERIFY");
+  return v != nullptr &&
+         (std::strcmp(v, "1") == 0 || std::strcmp(v, "ON") == 0 ||
+          std::strcmp(v, "on") == 0 || std::strcmp(v, "true") == 0 ||
+          std::strcmp(v, "yes") == 0);
 }
 
 bool& verify_flag() {
-  static bool on = env_flag_default();
+  static bool on = env_flag();
   return on;
 }
 

@@ -280,8 +280,7 @@ void install_builtin_codecs(CodecRegistry& reg);
 /// frame, checks its size against the bytes charged and round-trips it
 /// encode→decode against the original struct; off, no frame is built.
 /// Initialized from the PRAFT_WIRE_VERIFY environment variable
-/// (1/ON/true/yes) or the compile-time default (-DPRAFT_WIRE_VERIFY cmake
-/// option).
+/// (1/ON/on/true/yes; anything else, or unset, is off).
 bool wire_verify_enabled();
 void set_wire_verify(bool on);
 

@@ -47,7 +47,6 @@ class RaftStarPqlServer
   /// request-handling time at EVERY replica (not the cheap forward relay),
   /// plus its bytes like every other request.
   [[nodiscard]] Duration cost_of(const net::Packet& p) const override {
-    if (!costs_.enabled) return 0;
     if (const auto* hm = net::payload_as<harness::Message>(p)) {
       if (std::holds_alternative<harness::ClientRequest>(*hm)) {
         return costs_.client_request + costs_.size_cost(p.bytes);

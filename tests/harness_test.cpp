@@ -186,7 +186,7 @@ TEST(NodeHostTest, SendChargesTheCodecSize) {
 std::unique_ptr<harness::Cluster> costed_cluster(const std::string& protocol) {
   harness::ClusterConfig cfg = test::lan_config(9);
   cfg.num_replicas = 3;
-  cfg.costs.enabled = true;
+  cfg.costs = harness::CostModel{};
   auto cluster = std::make_unique<harness::Cluster>(cfg);
   cluster->build_replicas(protocol);
   return cluster;
@@ -371,7 +371,7 @@ TEST_P(ExperimentSmokeTest, RunsAndCommits) {
   cfg.run = sec(4);
   cfg.warmup = sec(2);
   cfg.cooldown = msec(500);
-  cfg.seed = 777;
+  cfg.cluster.seed = 777;
   const auto res = harness::run_experiment(cfg);
   EXPECT_GT(res.throughput_ops, 10.0)
       << harness::system_name(cfg.system);
@@ -391,7 +391,7 @@ TEST_P(ExperimentSmokeTest, RunsAndCommits) {
 INSTANTIATE_TEST_SUITE_P(
     AllSystems, ExperimentSmokeTest,
     ::testing::Values(harness::SystemKind::kRaft, harness::SystemKind::kRaftStar,
-                      harness::SystemKind::kPaxos,
+                      harness::SystemKind::kPaxos, harness::SystemKind::kMencius,
                       harness::SystemKind::kRaftStarPql,
                       harness::SystemKind::kRaftStarLL,
                       harness::SystemKind::kRaftStarMencius),
@@ -404,6 +404,30 @@ INSTANTIATE_TEST_SUITE_P(
       return n;
     });
 
+// Several groups: the same driver runs a sharded point, warming up every
+// group's member 0 as its leader.
+TEST(ExperimentShardedTest, TwoGroupsOverFiveMachinesCommit) {
+  harness::ExperimentConfig cfg;
+  cfg.system = harness::SystemKind::kPaxos;
+  cfg.cluster.num_groups = 2;
+  cfg.cluster.num_machines = 5;
+  cfg.cluster.latency = sim::LatencyMatrix(5, msec(1));
+  cfg.cluster.seed = 780;
+  cfg.workload.read_fraction = 0.5;
+  cfg.clients_per_region = 5;
+  cfg.run = sec(2);
+  cfg.warmup = sec(1);
+  cfg.cooldown = msec(500);
+  // run_experiment CHECK-fails unless both groups elect a leader.
+  harness::ExperimentResult res;
+  ASSERT_NO_THROW(res = harness::run_experiment(cfg));
+  EXPECT_GT(res.throughput_ops, 0.0);
+  EXPECT_GT(res.writes.count, 0);
+  EXPECT_GT(res.reads.count, 0);
+  EXPECT_EQ(res.writes.count,
+            res.leader_writes.count + res.follower_writes.count);
+}
+
 // Latency ordering properties across systems (the Fig. 9 story in one test).
 TEST(ExperimentPropertyTest, PqlReadsBeatRaftReads) {
   harness::ExperimentConfig cfg;
@@ -412,7 +436,7 @@ TEST(ExperimentPropertyTest, PqlReadsBeatRaftReads) {
   cfg.workload.conflict_rate = 0.0;
   cfg.run = sec(5);
   cfg.warmup = sec(3);
-  cfg.seed = 778;
+  cfg.cluster.seed = 778;
   cfg.system = harness::SystemKind::kRaftStarPql;
   const auto pql = harness::run_experiment(cfg);
   cfg.system = harness::SystemKind::kRaft;
@@ -428,7 +452,7 @@ TEST(ExperimentPropertyTest, MenciusAvoidsForwardingLatency) {
   cfg.workload.conflict_rate = 0.0;
   cfg.run = sec(5);
   cfg.warmup = sec(3);
-  cfg.seed = 779;
+  cfg.cluster.seed = 779;
   cfg.system = harness::SystemKind::kRaftStarMencius;
   const auto mencius = harness::run_experiment(cfg);
   cfg.system = harness::SystemKind::kRaft;

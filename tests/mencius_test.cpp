@@ -345,8 +345,7 @@ harness::Cluster::ServerFactory mencius_factory(
     mencius::Options opt, std::shared_ptr<ApplyRecord> record = nullptr) {
   return [opt, record](harness::NodeHost& host, const consensus::Group& g)
              -> std::unique_ptr<harness::LogServer> {
-    harness::CostModel costs;
-    costs.enabled = false;
+    const harness::CostModel costs = test::zero_costs();
     auto s = std::make_unique<mencius::MenciusServer>(host, g, costs, opt);
     if (record) {
       s->set_apply_probe(
@@ -401,8 +400,7 @@ TEST(MenciusClusterTest, IdleRegionsSkipTheirTurns) {
   std::vector<mencius::MenciusServer*> servers;
   auto factory = [&servers](harness::NodeHost& host, const consensus::Group& g)
       -> std::unique_ptr<harness::LogServer> {
-    harness::CostModel costs;
-    costs.enabled = false;
+    const harness::CostModel costs = test::zero_costs();
     auto s = std::make_unique<mencius::MenciusServer>(host, g, costs,
                                                       lan_mencius_options());
     servers.push_back(s.get());

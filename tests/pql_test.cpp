@@ -86,8 +86,8 @@ harness::Cluster::ServerFactory pql_factory(
     bool model_cpu = false) {
   return [opt, popt, model_cpu](harness::NodeHost& host,
                                 const consensus::Group& g) {
-    harness::CostModel costs;
-    costs.enabled = model_cpu;
+    const harness::CostModel costs =
+        model_cpu ? harness::CostModel{} : test::zero_costs();
     return std::make_unique<pql::RaftStarPqlServer>(host, g, costs, opt, popt);
   };
 }
@@ -191,8 +191,7 @@ TEST(PqlClusterTest, LeaseLossFallsBackToLogReads) {
   auto factory = [&servers](harness::NodeHost& host,
                             const consensus::Group& g)
       -> std::unique_ptr<harness::LogServer> {
-    harness::CostModel costs;
-    costs.enabled = false;
+    const harness::CostModel costs = test::zero_costs();
     auto s = std::make_unique<pql::RaftStarPqlServer>(host, g, costs,
                                                       wan_rs_options());
     servers.push_back(s.get());
@@ -253,8 +252,7 @@ TEST_P(PqlAblationTest, LeaderGrantsDecideReadFreshness) {
   auto factory = [popt, seoul_id](harness::NodeHost& host,
                                   const consensus::Group& g)
       -> std::unique_ptr<harness::LogServer> {
-    harness::CostModel costs;
-    costs.enabled = false;
+    const harness::CostModel costs = test::zero_costs();
     pql::PqlOptions p = popt;
     const bool grants_to_seoul =
         g.self == 0 || g.self == 2 || g.self == seoul_id;
@@ -313,8 +311,7 @@ TEST(LeaderLeaseTest, OnlyLeaderReadsLocally) {
   harness::Cluster cluster(test::wan_config(37));
   auto factory = [](harness::NodeHost& host, const consensus::Group& g)
       -> std::unique_ptr<harness::LogServer> {
-    harness::CostModel costs;
-    costs.enabled = false;
+    const harness::CostModel costs = test::zero_costs();
     return std::make_unique<pql::LeaderLeaseServer>(
         host, g, costs, test::wan_options<raftstar::Options>());
   };

@@ -7,10 +7,10 @@
 #include "consensus/timing.h"
 #include "harness/cluster.h"
 #include "kv/workload.h"
-#include "shard/experiment.h"
 #include "shard/router.h"
 #include "shard/shard_invariants.h"
 #include "shard/shard_map.h"
+#include "test_util.h"
 
 namespace praft {
 namespace {
@@ -31,7 +31,7 @@ harness::ClusterConfig small_config(int groups, int machines, int replicas) {
   cfg.num_machines = machines;
   cfg.num_replicas = replicas;
   cfg.latency = sim::LatencyMatrix(machines, msec(1));
-  cfg.costs.enabled = false;
+  cfg.costs = test::zero_costs();
   cfg.seed = 7;
   return cfg;
 }

@@ -87,18 +87,30 @@ inline sim::LatencyMatrix lan_matrix() {
   return m;
 }
 
+/// A cost model that bills nothing: every packet is handled the moment it
+/// arrives.
+inline harness::CostModel zero_costs() {
+  harness::CostModel costs;
+  costs.message_base = 0;
+  costs.client_request = 0;
+  costs.forward_handle = 0;
+  costs.entry_follower = 0;
+  costs.per_4kb = 0;
+  return costs;
+}
+
 inline harness::ClusterConfig lan_config(uint64_t seed) {
   harness::ClusterConfig cfg;
   cfg.seed = seed;
   cfg.latency = lan_matrix();
-  cfg.costs.enabled = false;
+  cfg.costs = zero_costs();
   return cfg;
 }
 
 inline harness::ClusterConfig wan_config(uint64_t seed) {
   harness::ClusterConfig cfg;
   cfg.seed = seed;
-  cfg.costs.enabled = false;
+  cfg.costs = zero_costs();
   return cfg;
 }
 
@@ -108,10 +120,8 @@ template <typename Node, typename Opt>
 harness::Cluster::ServerFactory make_factory(
     Opt opt, std::shared_ptr<ApplyRecord> record = nullptr) {
   return [opt, record](harness::NodeHost& host, const consensus::Group& g) {
-    harness::CostModel costs;
-    costs.enabled = false;
-    auto server =
-        std::make_unique<harness::TypedLogServer<Node>>(host, g, costs, opt);
+    auto server = std::make_unique<harness::TypedLogServer<Node>>(
+        host, g, zero_costs(), opt);
     if (record) {
       server->set_apply_probe(
           [record](NodeId n, consensus::LogIndex i, const kv::Command& c) {

@@ -294,15 +294,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<std::string> protocols;
-  if (cli.protocol == "all") {
-    protocols = consensus::protocol_names();
-  } else if (consensus::ProtocolRegistry::instance().contains(cli.protocol)) {
-    protocols.push_back(cli.protocol);
-  } else {
-    std::fprintf(stderr, "unknown protocol '%s'\n", cli.protocol.c_str());
-    usage(argv[0]);
-    return 2;
+  std::vector<std::string> protocols = consensus::protocol_names();
+  if (cli.protocol != "all") {
+    if (std::find(protocols.begin(), protocols.end(), cli.protocol) ==
+        protocols.end()) {
+      std::fprintf(stderr, "unknown protocol '%s'\n", cli.protocol.c_str());
+      usage(argv[0]);
+      return 2;
+    }
+    protocols = {cli.protocol};
   }
 
   // Resolve the run list: either the contiguous --seed/--seeds range, or an
